@@ -13,7 +13,7 @@ Subcommands:
 
 Configuration comes from a JSON file plus flag overrides; unknown config
 fields are rejected.  Exit codes: 0 success, 2 configuration error,
-3 numerical-flag error (excess imaginary residue).
+3 numerical-flag error (non-finite fields or excess imaginary residue).
 """
 
 from __future__ import annotations
@@ -229,10 +229,10 @@ def run_records(config: RunConfig) -> list[dict]:
     for t_end in config.t_end:
         start = time.perf_counter()
         final = propagate(initial, t_end)
-        cpu_seconds = time.perf_counter() - start
+        wall_seconds = time.perf_counter() - start
         after = invariant_report(final)
         drifts = relative_change(before, after)
-        errors = error_norms(final, case, cpu_seconds=cpu_seconds)
+        errors = error_norms(final, case)
         records.append(
             {
                 "case": config.case,
@@ -244,7 +244,7 @@ def run_records(config: RunConfig) -> list[dict]:
                 "l2": _sig16(errors.l2),
                 "linf": _sig16(errors.linf),
                 "component_linf": [_sig16(v) for v in errors.component_linf],
-                "cpu_seconds": _sig16(cpu_seconds),
+                "wall_seconds": _sig16(wall_seconds),
                 "invariants_initial": _report_dict(before),
                 "invariants_final": _report_dict(after),
                 "drifts": _drifts_dict(drifts),
@@ -265,7 +265,7 @@ def run_records(config: RunConfig) -> list[dict]:
 CSV_COLUMNS = (
     "case,nx,ny,nz,t_end,l2,linf,"
     "re_e1,re_e2,re_e3,re_e4,re_e5,re_e6,"
-    "re_h1,re_h2,re_m1,re_m2,div_e,div_h,cpu_seconds"
+    "re_h1,re_h2,re_m1,re_m2,div_e,div_h,wall_seconds"
 )
 
 
@@ -298,7 +298,7 @@ def records_to_csv(records: list[dict]) -> str:
         values += [
             f"{rec['div_e']:.16g}",
             f"{rec['div_h']:.16g}",
-            f"{rec['cpu_seconds']:.16g}",
+            f"{rec['wall_seconds']:.16g}",
         ]
         lines.append(",".join(values))
     return "\n".join(lines) + "\n"
@@ -356,8 +356,8 @@ def convergence_records(config: RunConfig, n_list: list[int]) -> list[dict]:
         for t_end in config.t_end:
             start = time.perf_counter()
             final = propagate(initial, t_end)
-            cpu_seconds = time.perf_counter() - start
-            errors = error_norms(final, case, cpu_seconds=cpu_seconds)
+            wall_seconds = time.perf_counter() - start
+            errors = error_norms(final, case)
             records.append(
                 {
                     "case": config.case,
@@ -365,7 +365,7 @@ def convergence_records(config: RunConfig, n_list: list[int]) -> list[dict]:
                     "t_end": _sig16(t_end),
                     "l2": _sig16(errors.l2),
                     "linf": _sig16(errors.linf),
-                    "cpu_seconds": _sig16(cpu_seconds),
+                    "wall_seconds": _sig16(wall_seconds),
                     "note": note,
                 }
             )

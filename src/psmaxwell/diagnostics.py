@@ -15,6 +15,20 @@ conserved by the propagator exactly up to roundoff:
 - momenta ``m1``/``m2``: <H, D_k E> and <E, D_k H> per axis;
 - divergence fields of ``eps*E`` and ``mu*H`` with their max norms.
 
+Every form has a diagonal Fourier symbol (``i b_k`` for D_k, ``i b x`` for
+the curl, with ``b`` the per-axis wavenumbers), so by Parseval it is
+evaluated directly on the forward spectra of real fields,
+
+    <u, v>_N = (1/N^2) * Re sum_m U(m) * conj(V(m)),   N = n_x n_y n_z,
+
+with the symbols applied per mode.  A report transforms the state once
+(six forward FFTs) and inverse-transforms only the two divergence fields,
+whose max norms need physical samples: 8 FFTs in all.  Two identities hold
+exactly rather than to roundoff: ``e5``/``e6`` are 0.0, because the symbol
+``i b_k`` is imaginary and ``Re(i b_k |U|^2)`` vanishes mode by mode, and
+``m2 = -m1``, because D_k is skew-adjoint.  A state given in spectral
+representation is taken to be the spectrum of real fields.
+
 Grid reductions rely on numpy's pairwise summation, which keeps them
 deterministic for a fixed build.
 """
@@ -27,13 +41,7 @@ import numpy as np
 
 from .analytic import AnalyticCase
 from .grid import GridSpec
-from .propagator import (
-    PHYSICAL,
-    FieldState,
-    broadcast_wavenumbers,
-    to_physical,
-    to_spectral,
-)
+from .propagator import PHYSICAL, FieldState, to_physical, to_spectral
 from .spectral import PhysicalField, SpectralField, dft3_inverse
 
 __all__ = [
@@ -59,6 +67,8 @@ NEAR_ZERO_ABS = 1e-12
 
 _AXES = (0, 1, 2)
 
+_Spectra = tuple[np.ndarray, ...]
+
 
 def inner_product_N(u: PhysicalField, v: PhysicalField) -> float | complex:
     """Normalized grid inner product; conjugates the second argument."""
@@ -74,17 +84,37 @@ def _norm_sq(values: np.ndarray, grid: GridSpec) -> float:
     return float(np.sum(np.abs(values) ** 2)) / grid.n_total
 
 
-def _spectral_arrays(state: FieldState) -> tuple[np.ndarray, ...]:
-    return to_spectral(state).component_arrays()
+def _wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis wavenumbers shaped to broadcast over the (n_z, n_y, n_x) modes."""
+    return grid.kvec_x, grid.kvec_y[:, None], grid.kvec_z[:, None, None]
 
 
-def _realized(grid: GridSpec, spectral_data: np.ndarray) -> np.ndarray:
-    # Derived fields here (derivatives, divergences) come from real states,
-    # so their spectra are conjugate-symmetric by construction and the
-    # imaginary part after inversion is pure roundoff; fields that are
-    # legitimately zero (e.g. the divergence of a divergence-free solution)
-    # must not trip the residue flag.
-    return np.ascontiguousarray(dft3_inverse(SpectralField(grid, spectral_data)).data.real)
+def _spectra(state: FieldState) -> _Spectra:
+    """The six component spectra (E then H) as (n_z, n_y, n_x) mode cubes."""
+    shape = state.grid.shape
+    return tuple(c.reshape(shape) for c in to_spectral(state).component_arrays())
+
+
+def _curl(b: tuple, f: _Spectra, scale: float) -> _Spectra:
+    """Spectrum of ``scale * curl F``: ``scale * i b x F`` for a triple ``f``."""
+    bx, by, bz = b
+    fx, fy, fz = f
+    out = (by * fz - bz * fy, bz * fx - bx * fz, bx * fy - by * fx)
+    for c in out:
+        c *= 1j * scale
+    return out
+
+
+def _rates(state: FieldState, s: _Spectra) -> _Spectra:
+    """Spectra of dE/dt = (1/eps) curl H and dH/dt = -(1/mu) curl E."""
+    b = _wavenumbers(state.grid)
+    medium = state.medium
+    return _curl(b, s[3:], 1.0 / medium.eps) + _curl(b, s[:3], -1.0 / medium.mu)
+
+
+def _dot(u: _Spectra, v: _Spectra) -> float:
+    """``Re sum U * conj(V)`` over all modes and components (unnormalized)."""
+    return sum(float(np.sum(a.real * c.real + a.imag * c.imag)) for a, c in zip(u, v))
 
 
 def spectral_time_derivative(state: FieldState) -> FieldState:
@@ -95,45 +125,17 @@ def spectral_time_derivative(state: FieldState) -> FieldState:
     the input.  The returned ``time`` matches the input state.
     """
     grid = state.grid
-    mu, eps = state.medium.mu, state.medium.eps
-    bx, by, bz = broadcast_wavenumbers(grid)
-    ex, ey, ez, hx, hy, hz = _spectral_arrays(state)
-
-    dhx = -(1j / mu) * (-bz * ey + by * ez)
-    dhy = -(1j / mu) * (bz * ex - bx * ez)
-    dhz = -(1j / mu) * (-by * ex + bx * ey)
-    dex = (1j / eps) * (-bz * hy + by * hz)
-    dey = (1j / eps) * (bz * hx - bx * hz)
-    dez = (1j / eps) * (-by * hx + bx * hy)
-
+    rates = [SpectralField(grid, c.ravel()) for c in _rates(state, _spectra(state))]
     deriv = FieldState(
         grid=grid,
         medium=state.medium,
-        e=tuple(SpectralField(grid, d) for d in (dex, dey, dez)),
-        h=tuple(SpectralField(grid, d) for d in (dhx, dhy, dhz)),
+        e=tuple(rates[:3]),
+        h=tuple(rates[3:]),
         time=state.time,
     )
     if state.representation == PHYSICAL:
         return to_physical(deriv)
     return deriv
-
-
-def _axis_derivatives(state: FieldState) -> list[list[np.ndarray]]:
-    """Realized D_k of every component: result[k][c] for axes k, components c."""
-    grid = state.grid
-    b = broadcast_wavenumbers(grid)
-    comps = _spectral_arrays(state)
-    return [[_realized(grid, 1j * b[k] * c) for c in comps] for k in _AXES]
-
-
-def _curl_from_derivatives(d: list[list[np.ndarray]], offset: int) -> list[np.ndarray]:
-    """Physical curl of the component triple starting at ``offset`` (0 for E, 3 for H)."""
-    fx, fy, fz = offset, offset + 1, offset + 2
-    return [
-        d[1][fz] - d[2][fy],
-        d[2][fx] - d[0][fz],
-        d[0][fy] - d[1][fx],
-    ]
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,6 @@ class ErrorReport:
     l2: float
     linf: float
     component_linf: tuple[float, float, float, float, float, float]
-    cpu_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -187,112 +188,92 @@ class InvariantDrifts:
     m2: tuple[DriftValue, DriftValue, DriftValue]
 
 
-def _physical_arrays(state: FieldState) -> tuple[np.ndarray, ...]:
-    return to_physical(state).component_arrays()
+def _energy(state: FieldState, s: _Spectra) -> tuple[float, tuple]:
+    """The energy of ``s`` and the energies of its axis-k derivatives."""
+    norm = state.grid.n_total ** 2
+    mu, eps = state.medium.mu, state.medium.eps
+    sq = [c.real * c.real + c.imag * c.imag for c in s]
+    # Per-mode energy density; the D_k symbol i b_k weights it by b_k^2.
+    w = 0.5 * eps * (sq[0] + sq[1] + sq[2]) + 0.5 * mu * (sq[3] + sq[4] + sq[5])
+    per_axis = tuple(float(np.sum(bk * bk * w)) / norm for bk in _wavenumbers(state.grid))
+    return float(np.sum(w)) / norm, per_axis
 
 
-def energies(
-    state: FieldState, deriv: FieldState | None = None
-) -> tuple[float, float, tuple, tuple, tuple, tuple]:
+def _energies(state: FieldState, s: _Spectra, d: _Spectra) -> tuple:
+    e1, e3 = _energy(state, s)
+    e2, e4 = _energy(state, d)
+    # e5/e6 are exactly zero for real fields (module docstring).
+    return e1, e2, e3, e4, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+
+
+def energies(state: FieldState) -> tuple[float, float, tuple, tuple, tuple, tuple]:
     """(e1, e2, e3, e4, e5, e6); axis-indexed entries are per-axis 3-tuples."""
-    grid = state.grid
+    s = _spectra(state)
+    return _energies(state, s, _rates(state, s))
+
+
+def _helicity(state: FieldState, s: _Spectra) -> float:
+    """<H, curl H>/(2 eps) + <E, curl E>/(2 mu) of the spectra ``s``."""
+    b = _wavenumbers(state.grid)
     mu, eps = state.medium.mu, state.medium.eps
-    if deriv is None:
-        deriv = spectral_time_derivative(state)
-    comps = _physical_arrays(state)
-    dcomps = _physical_arrays(deriv)
-
-    def quad(values: tuple[np.ndarray, ...]) -> float:
-        e_part = sum(_norm_sq(v, grid) for v in values[:3])
-        h_part = sum(_norm_sq(v, grid) for v in values[3:])
-        return 0.5 * mu * h_part + 0.5 * eps * e_part
-
-    e1 = quad(comps)
-    e2 = quad(dcomps)
-
-    d_state = _axis_derivatives(state)
-    d_deriv = _axis_derivatives(deriv)
-    e3 = tuple(quad(tuple(d_state[k])) for k in _AXES)
-    e4 = tuple(quad(tuple(d_deriv[k])) for k in _AXES)
-
-    def mixed(values: tuple[np.ndarray, ...], dk: list[np.ndarray]) -> float:
-        e_part = sum(
-            float(np.sum(values[c] * dk[c])) / grid.n_total for c in range(3)
-        )
-        h_part = sum(
-            float(np.sum(values[c] * dk[c])) / grid.n_total for c in range(3, 6)
-        )
-        return 0.5 * mu * h_part + 0.5 * eps * e_part
-
-    e5 = tuple(mixed(comps, d_state[k]) for k in _AXES)
-    e6 = tuple(mixed(dcomps, d_deriv[k]) for k in _AXES)
-    return e1, e2, e3, e4, e5, e6
+    e, h = s[:3], s[3:]
+    total = _dot(h, _curl(b, h, 0.5 / eps)) + _dot(e, _curl(b, e, 0.5 / mu))
+    return total / state.grid.n_total ** 2
 
 
-def helicities(state: FieldState, deriv: FieldState | None = None) -> tuple[float, float]:
+def helicities(state: FieldState) -> tuple[float, float]:
     """(h1, h2): field and time-derivative helicity."""
-    grid = state.grid
-    mu, eps = state.medium.mu, state.medium.eps
-    if deriv is None:
-        deriv = spectral_time_derivative(state)
+    s = _spectra(state)
+    return _helicity(state, s), _helicity(state, _rates(state, s))
 
-    def helicity(s: FieldState) -> float:
-        comps = _physical_arrays(s)
-        d = _axis_derivatives(s)
-        curl_e = _curl_from_derivatives(d, 0)
-        curl_h = _curl_from_derivatives(d, 3)
-        e_term = sum(
-            float(np.sum(comps[c] * curl_e[c])) / grid.n_total for c in range(3)
-        )
-        h_term = sum(
-            float(np.sum(comps[3 + c] * curl_h[c])) / grid.n_total for c in range(3)
-        )
-        return h_term / (2.0 * eps) + e_term / (2.0 * mu)
 
-    return helicity(state), helicity(deriv)
+def _momenta(state: FieldState, s: _Spectra) -> tuple[tuple, tuple]:
+    norm = state.grid.n_total ** 2
+    # <H, D_k E> = Re sum H conj(i b_k E) = sum b_k Im(H conj E).
+    p = sum(h.imag * e.real - h.real * e.imag for e, h in zip(s[:3], s[3:]))
+    m1 = tuple(float(np.sum(bk * p)) / norm for bk in _wavenumbers(state.grid))
+    # 0.0 - m rather than -m keeps an exactly zero momentum unsigned.
+    return m1, tuple(0.0 - m for m in m1)
 
 
 def momenta(state: FieldState) -> tuple[tuple, tuple]:
     """(m1, m2) per axis: <H, D_k E> and <E, D_k H>."""
+    return _momenta(state, _spectra(state))
+
+
+def _divergences(state: FieldState, s: _Spectra) -> tuple[np.ndarray, np.ndarray, float, float]:
     grid = state.grid
-    comps = _physical_arrays(state)
-    d = _axis_derivatives(state)
-    m1 = tuple(
-        sum(float(np.sum(comps[3 + c] * d[k][c])) / grid.n_total for c in range(3))
-        for k in _AXES
+    mu, eps = state.medium.mu, state.medium.eps
+    bx, by, bz = _wavenumbers(grid)
+    ex, ey, ez, hx, hy, hz = s
+    # The divergence spectra of real fields are conjugate-symmetric, so the
+    # imaginary part after inversion is pure roundoff.  It is dropped without
+    # the residue check: a divergence-free field is legitimately zero and
+    # must not trip the flag for its own roundoff.
+    div_e, div_h = (
+        np.ascontiguousarray(dft3_inverse(SpectralField(grid, d.ravel())).data.real)
+        for d in (
+            1j * eps * (bx * ex + by * ey + bz * ez),
+            1j * mu * (bx * hx + by * hy + bz * hz),
+        )
     )
-    m2 = tuple(
-        sum(float(np.sum(comps[c] * d[k][3 + c])) / grid.n_total for c in range(3))
-        for k in _AXES
-    )
-    return m1, m2
+    return div_e, div_h, float(np.max(np.abs(div_e))), float(np.max(np.abs(div_h)))
 
 
 def divergences(
     state: FieldState,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Divergence fields of ``eps*E`` and ``mu*H`` plus their max norms."""
-    grid = state.grid
-    mu, eps = state.medium.mu, state.medium.eps
-    bx, by, bz = broadcast_wavenumbers(grid)
-    ex, ey, ez, hx, hy, hz = _spectral_arrays(state)
-    div_e = _realized(grid, 1j * eps * (bx * ex + by * ey + bz * ez))
-    div_h = _realized(grid, 1j * mu * (bx * hx + by * hy + bz * hz))
-    return (
-        div_e,
-        div_h,
-        float(np.max(np.abs(div_e))),
-        float(np.max(np.abs(div_h))),
-    )
+    return _divergences(state, _spectra(state))
 
 
 def invariant_report(state: FieldState) -> InvariantReport:
-    """Compute every invariant of a state in one pass."""
-    deriv = spectral_time_derivative(state)
-    e1, e2, e3, e4, e5, e6 = energies(state, deriv)
-    h1, h2 = helicities(state, deriv)
-    m1, m2 = momenta(state)
-    _, _, div_e_norm, div_h_norm = divergences(state)
+    """Compute every invariant of a state from one set of spectra."""
+    s = _spectra(state)
+    d = _rates(state, s)
+    e1, e2, e3, e4, e5, e6 = _energies(state, s, d)
+    m1, m2 = _momenta(state, s)
+    _, _, div_e_norm, div_h_norm = _divergences(state, s)
     return InvariantReport(
         time=state.time,
         e1=e1,
@@ -301,8 +282,8 @@ def invariant_report(state: FieldState) -> InvariantReport:
         e4=e4,
         e5=e5,
         e6=e6,
-        h1=h1,
-        h2=h2,
+        h1=_helicity(state, s),
+        h2=_helicity(state, d),
         m1=m1,
         m2=m2,
         div_e_norm=div_e_norm,
@@ -310,9 +291,7 @@ def invariant_report(state: FieldState) -> InvariantReport:
     )
 
 
-def error_norms(
-    state: FieldState, case: AnalyticCase, cpu_seconds: float = 0.0
-) -> ErrorReport:
+def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     """L2 and max-norm errors of a physical state against the exact solution."""
     if state.representation != PHYSICAL:
         raise ValueError("error_norms expects a state in physical representation")
@@ -323,12 +302,7 @@ def error_norms(
     diffs = [comps[c] - exact[c] for c in range(6)]
     l2 = float(np.sqrt(sum(_norm_sq(d, grid) for d in diffs)))
     component_linf = tuple(float(np.max(np.abs(d))) for d in diffs)
-    return ErrorReport(
-        l2=l2,
-        linf=max(component_linf),
-        component_linf=component_linf,
-        cpu_seconds=cpu_seconds,
-    )
+    return ErrorReport(l2=l2, linf=max(component_linf), component_linf=component_linf)
 
 
 def _drift(before: float, after: float, near_zero: float) -> DriftValue:

@@ -302,17 +302,15 @@ def to_physical(state: FieldState) -> FieldState:
     """Inverse-transform and realize all six components.
 
     Raises :class:`psmaxwell.spectral.ImaginaryResidueError` if any component
-    carries imaginary content beyond roundoff scale.
+    is non-finite or carries imaginary content beyond roundoff scale.
     """
     if state.representation == PHYSICAL:
         return state
     intermediates = [dft3_inverse(c) for c in state.e + state.h]
     # Residues are judged against the whole state's magnitude so identically
-    # zero components are not flagged for their own roundoff.
-    scale = max(
-        (float(np.max(np.abs(f.data))) for f in intermediates if f.data.size),
-        default=0.0,
-    )
+    # zero components are not flagged for their own roundoff.  np.max keeps a
+    # NaN from any component, which realize() then flags.
+    scale = float(np.max([np.max(np.abs(f.data)) for f in intermediates]))
     realized = []
     residue = state.imag_residue
     for f in intermediates:

@@ -12,7 +12,8 @@ the grid stores a zero wavenumber there.
 Fields are flat vectors in the x-fastest layout of :mod:`psmaxwell.grid`.
 Complex intermediates are kept through the whole spectral pipeline;
 :func:`realize` converts back to real data at output boundaries and refuses
-to silently drop a suspiciously large imaginary part.
+to silently drop a suspiciously large imaginary part or pass on non-finite
+samples.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
 
 class ImaginaryResidueError(RuntimeError):
-    """A nominally real field came back with too much imaginary content."""
+    """A nominally real field came back non-finite or with excess imaginary content."""
 
 
 def _check_length(grid: GridSpec, data: np.ndarray) -> None:
@@ -130,6 +131,8 @@ def realize(
     ``scale`` overrides the magnitude the residue is compared against; pass
     the overall magnitude of a multi-component state so that a component
     which happens to be identically zero is not flagged for its own roundoff.
+    A non-finite ``scale`` (an overflow or a NaN upstream) raises the same
+    error: such a field carries no usable samples.
     """
     data = f.data
     if not np.iscomplexobj(data):
@@ -137,6 +140,8 @@ def realize(
     residue = float(np.max(np.abs(data.imag))) if data.size else 0.0
     if scale is None:
         scale = float(np.max(np.abs(data))) if data.size else 0.0
+    if not np.isfinite(scale):
+        raise ImaginaryResidueError(f"non-finite field magnitude {scale}")
     if scale > 0.0 and residue > rtol * scale:
         raise ImaginaryResidueError(
             f"imaginary residue {residue:.3e} exceeds {rtol:.1e} x field "

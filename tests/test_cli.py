@@ -102,8 +102,8 @@ class TestRunRecords:
         a = run_records(cfg)
         b = run_records(cfg)
         for ra, rb in zip(a, b):
-            ra = {k: v for k, v in ra.items() if k != "cpu_seconds"}
-            rb = {k: v for k, v in rb.items() if k != "cpu_seconds"}
+            ra = {k: v for k, v in ra.items() if k != "wall_seconds"}
+            rb = {k: v for k, v in rb.items() if k != "wall_seconds"}
             assert ra == rb
 
     def test_under_resolved_grid_is_config_error(self):
@@ -226,6 +226,16 @@ class TestMainEntry:
         code = cli.main(["run", "--case", "standing", "--t-end", "1"])
         assert code == EXIT_NUMERICAL
         assert "numerical flag" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_time_exits_three(self, capsys):
+        # kappa^2 |b|^2 overflows, so the propagated fields are NaN; no
+        # record may be written for them.
+        code = cli.main(["run", "--case", "standing", "--n", "8", "--t-end", "1e200"])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     def test_json_floats_have_16_significant_digits(self, capsys):
         cli.main(["run", "--case", "standing", "--t-end", "1"])

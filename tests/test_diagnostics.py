@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psmaxwell import (
+    DomainSpec,
     InvariantReport,
     MediumParams,
     PhysicalField,
@@ -363,6 +364,88 @@ def _report_with(**overrides) -> InvariantReport:
     )
     base.update(overrides)
     return InvariantReport(**base)
+
+
+def _physical_space_report(state) -> dict:
+    """Every invariant from derivatives inverse-transformed to the grid.
+
+    Reference for the spectral (Parseval) evaluation in ``invariant_report``:
+    each D_k is ``apply_derivative`` -> ``dft3_inverse`` -> ``realize`` and
+    every form is a grid inner product.
+    """
+    grid = state.grid
+    mu, eps = state.medium.mu, state.medium.eps
+
+    def d(values, axis):
+        return _spectral_derivative(grid, values, axis)
+
+    def ip(u, v):
+        return inner_product_N(PhysicalField(grid, u), PhysicalField(grid, v))
+
+    def curl(f):
+        fx, fy, fz = f
+        return (d(fz, 1) - d(fy, 2), d(fx, 2) - d(fz, 0), d(fy, 0) - d(fx, 1))
+
+    def pair(f, g):
+        """0.5 eps <E_f, E_g> + 0.5 mu <H_f, H_g> for six-component tuples."""
+        e_part = sum(ip(a, b) for a, b in zip(f[:3], g[:3]))
+        h_part = sum(ip(a, b) for a, b in zip(f[3:], g[3:]))
+        return 0.5 * eps * e_part + 0.5 * mu * h_part
+
+    def helicity(f):
+        e, h = f[:3], f[3:]
+        return (
+            sum(ip(a, b) for a, b in zip(h, curl(h))) / (2 * eps)
+            + sum(ip(a, b) for a, b in zip(e, curl(e))) / (2 * mu)
+        )
+
+    def axis_derivative(f, k):
+        return tuple(d(c, k) for c in f)
+
+    comps = state.component_arrays()
+    rate = tuple(c / eps for c in curl(comps[3:])) + tuple(-c / mu for c in curl(comps[:3]))
+    div_e = eps * (d(comps[0], 0) + d(comps[1], 1) + d(comps[2], 2))
+    div_h = mu * (d(comps[3], 0) + d(comps[4], 1) + d(comps[5], 2))
+    axes = range(3)
+    return dict(
+        time=state.time,
+        e1=pair(comps, comps),
+        e2=pair(rate, rate),
+        e3=tuple(pair(axis_derivative(comps, k), axis_derivative(comps, k)) for k in axes),
+        e4=tuple(pair(axis_derivative(rate, k), axis_derivative(rate, k)) for k in axes),
+        e5=tuple(pair(comps, axis_derivative(comps, k)) for k in axes),
+        e6=tuple(pair(rate, axis_derivative(rate, k)) for k in axes),
+        h1=helicity(comps),
+        h2=helicity(rate),
+        m1=tuple(sum(ip(h, d(e, k)) for e, h in zip(comps[:3], comps[3:])) for k in axes),
+        m2=tuple(sum(ip(e, d(h, k)) for e, h in zip(comps[:3], comps[3:])) for k in axes),
+        div_e_norm=float(np.max(np.abs(div_e))),
+        div_h_norm=float(np.max(np.abs(div_h))),
+    )
+
+
+class TestSpectralEvaluation:
+    """The Parseval forms agree with the physical-space definitions."""
+
+    def test_matches_physical_space_reference(self, rng):
+        domain = DomainSpec(0.0, 2.0, -1.0, 2.5, 0.5, 1.7)
+        grid = build_grid(domain, 8, 6, 10)
+        state = random_band_limited_state(grid, rng, MediumParams(mu=2.0, eps=0.5))
+        report = invariant_report(state)
+        reference = _physical_space_report(state)
+        for name, ref in reference.items():
+            got = getattr(report, name)
+            if name in ("e5", "e6"):
+                # <u, D_k u> of a real field: zero exactly in spectral space,
+                # roundoff on the grid.
+                assert got == (0.0, 0.0, 0.0)
+                assert max(abs(v) for v in ref) <= 1e-10
+                continue
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=name)
+
+    def test_m2_is_exactly_minus_m1(self, grid4, rng):
+        m1, m2 = momenta(random_band_limited_state(grid4, rng))
+        assert m2 == tuple(-m for m in m1)
 
 
 class TestRelativeChange:

@@ -20,6 +20,7 @@ from psmaxwell import (
     to_spectral,
 )
 from psmaxwell.grid import flatten_index, unflatten_index
+from psmaxwell.spectral import ImaginaryResidueError
 from psmaxwell.oracle import dense_curl, dense_expm
 
 from conftest import (
@@ -299,6 +300,12 @@ class TestPropagate:
         scale = state_norm(state)
         for a, b in zip(back.component_arrays(), state.component_arrays()):
             assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
+    def test_nan_sample_raises(self, grid4, rng):
+        state = random_band_limited_state(grid4, rng)
+        state.e[1].data[5] = np.nan
+        with pytest.raises(ImaginaryResidueError, match="non-finite"):
+            propagate(state, 1.0)
 
     def test_real_input_gives_tiny_residue(self, grid8, rng):
         state = random_band_limited_state(grid8, rng)

@@ -100,6 +100,15 @@ class TestRealize:
         out, residue = realize(PhysicalField(grid4, data), scale=1.0)
         assert residue == pytest.approx(1e-16)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_flags_non_finite_magnitude(self, grid4, bad):
+        data = np.ones(grid4.n_total, dtype=complex)
+        data[3] = bad
+        with pytest.raises(ImaginaryResidueError, match="non-finite"):
+            realize(PhysicalField(grid4, data))
+        with pytest.raises(ImaginaryResidueError, match="non-finite"):
+            realize(PhysicalField(grid4, np.ones(grid4.n_total, dtype=complex)), scale=bad)
+
 
 class TestDerivative:
     def test_sin_becomes_cos(self, grid8):
