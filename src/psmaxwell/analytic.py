@@ -15,12 +15,12 @@ import numpy as np
 
 from .grid import DomainSpec, GridSpec
 from .propagator import FieldState, MediumParams
-from .spectral import PhysicalField
 
 __all__ = [
     "StandingWave",
     "TravelingWave",
     "AnalyticCase",
+    "sample_exact",
     "sample_initial",
 ]
 
@@ -146,18 +146,23 @@ def _check_resolution(case: AnalyticCase, grid: GridSpec) -> None:
             )
 
 
+def sample_exact(case: AnalyticCase, grid: GridSpec, t: float) -> np.ndarray:
+    """The case's six components at time ``t`` on every collocation point.
+
+    Evaluated on the sparse (broadcasting) coordinate axes, so each axis
+    factor is computed once per axis rather than once per point, and written
+    into one ``(6, n_total)`` float64 array in the layout of :class:`FieldState`.
+    """
+    z, y, x = np.meshgrid(
+        grid.points_z, grid.points_y, grid.points_x, indexing="ij", sparse=True
+    )
+    out = np.empty((6,) + grid.shape)
+    for row, comp in zip(out, case.evaluate(x, y, z, t)):
+        row[...] = comp
+    return out.reshape(6, grid.n_total)
+
+
 def sample_initial(case: AnalyticCase, grid: GridSpec) -> FieldState:
     """Sample the case at every collocation point at t = 0."""
     _check_resolution(case, grid)
-    z, y, x = np.meshgrid(
-        grid.points_z, grid.points_y, grid.points_x, indexing="ij"
-    )
-    comps = case.evaluate(x, y, z, 0.0)
-    flat = [np.ascontiguousarray(c.ravel(), dtype=np.float64) for c in comps]
-    return FieldState(
-        grid=grid,
-        medium=case.medium,
-        e=tuple(PhysicalField(grid, c) for c in flat[:3]),
-        h=tuple(PhysicalField(grid, c) for c in flat[3:]),
-        time=0.0,
-    )
+    return FieldState(grid, case.medium, sample_exact(case, grid, 0.0))

@@ -21,13 +21,15 @@ evaluated directly on the forward spectra of real fields,
 
     <u, v>_N = (1/N^2) * Re sum_m U(m) * conj(V(m)),   N = n_x n_y n_z,
 
-with the symbols applied per mode.  A report transforms the state once
-(six forward FFTs) and inverse-transforms only the two divergence fields,
-whose max norms need physical samples: 8 FFTs in all.  Two identities hold
-exactly rather than to roundoff: ``e5``/``e6`` are 0.0, because the symbol
-``i b_k`` is imaginary and ``Re(i b_k |U|^2)`` vanishes mode by mode, and
-``m2 = -m1``, because D_k is skew-adjoint.  A state given in spectral
-representation is taken to be the spectrum of real fields.
+with the symbols applied per mode.  A report forward-transforms the six
+components once, in one batched transform, and inverse-transforms only the
+two divergence fields, whose max norms need physical samples, in a second
+one.  Two identities hold exactly rather than to roundoff: ``e5``/``e6`` are
+0.0, because the symbol ``i b_k`` is imaginary and ``Re(i b_k |U|^2)``
+vanishes mode by mode, and ``m2 = -m1``, because D_k is skew-adjoint.  A
+state given in spectral representation is taken to be the spectrum of real
+fields.  A non-finite sample or mode raises :class:`ImaginaryResidueError`
+instead of giving NaN invariants; so does a non-finite :func:`error_norms`.
 
 Grid reductions rely on numpy's pairwise summation, which keeps them
 deterministic for a fixed build.
@@ -39,10 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticCase
-from .grid import GridSpec
+from .analytic import AnalyticCase, sample_exact
 from .propagator import PHYSICAL, FieldState, to_physical, to_spectral
-from .spectral import PhysicalField, SpectralField, dft3_inverse
+from .spectral import (
+    ImaginaryResidueError,
+    PhysicalField,
+    SpectralField,
+    cross,
+    dft3_inverse,
+    wavenumbers,
+)
 
 __all__ = [
     "InvariantReport",
@@ -67,8 +75,6 @@ NEAR_ZERO_ABS = 1e-12
 
 _AXES = (0, 1, 2)
 
-_Spectra = tuple[np.ndarray, ...]
-
 
 def inner_product_N(u: PhysicalField, v: PhysicalField) -> float | complex:
     """Normalized grid inner product; conjugates the second argument."""
@@ -80,39 +86,32 @@ def inner_product_N(u: PhysicalField, v: PhysicalField) -> float | complex:
     return float(value.real) if np.iscomplexobj(value) else float(value)
 
 
-def _norm_sq(values: np.ndarray, grid: GridSpec) -> float:
-    return float(np.sum(np.abs(values) ** 2)) / grid.n_total
+def _spectra(state: FieldState) -> np.ndarray:
+    """The six component spectra (E then H) as a (6, n_z, n_y, n_x) view."""
+    s = to_spectral(state).data
+    if not np.isfinite(s).all():
+        raise ImaginaryResidueError("non-finite mode in the state's spectrum")
+    return s.reshape((6,) + state.grid.shape)
 
 
-def _wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis wavenumbers shaped to broadcast over the (n_z, n_y, n_x) modes."""
-    return grid.kvec_x, grid.kvec_y[:, None], grid.kvec_z[:, None, None]
-
-
-def _spectra(state: FieldState) -> _Spectra:
-    """The six component spectra (E then H) as (n_z, n_y, n_x) mode cubes."""
-    shape = state.grid.shape
-    return tuple(c.reshape(shape) for c in to_spectral(state).component_arrays())
-
-
-def _curl(b: tuple, f: _Spectra, scale: float) -> _Spectra:
-    """Spectrum of ``scale * curl F``: ``scale * i b x F`` for a triple ``f``."""
-    bx, by, bz = b
-    fx, fy, fz = f
-    out = (by * fz - bz * fy, bz * fx - bx * fz, bx * fy - by * fx)
-    for c in out:
-        c *= 1j * scale
+def _curl(b: tuple, f: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """Spectrum of ``scale * curl F``: ``scale * i b x F`` for a stacked triple ``f``."""
+    cross(b, f, out)
+    out *= 1j * scale
     return out
 
 
-def _rates(state: FieldState, s: _Spectra) -> _Spectra:
+def _rates(state: FieldState, s: np.ndarray) -> np.ndarray:
     """Spectra of dE/dt = (1/eps) curl H and dH/dt = -(1/mu) curl E."""
-    b = _wavenumbers(state.grid)
+    b = wavenumbers(state.grid)
     medium = state.medium
-    return _curl(b, s[3:], 1.0 / medium.eps) + _curl(b, s[:3], -1.0 / medium.mu)
+    d = np.empty_like(s)
+    _curl(b, s[3:], 1.0 / medium.eps, d[:3])
+    _curl(b, s[:3], -1.0 / medium.mu, d[3:])
+    return d
 
 
-def _dot(u: _Spectra, v: _Spectra) -> float:
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
     """``Re sum U * conj(V)`` over all modes and components (unnormalized)."""
     return sum(float(np.sum(a.real * c.real + a.imag * c.imag)) for a, c in zip(u, v))
 
@@ -124,15 +123,8 @@ def spectral_time_derivative(state: FieldState) -> FieldState:
     exact spectral derivatives and returns a state in the representation of
     the input.  The returned ``time`` matches the input state.
     """
-    grid = state.grid
-    rates = [SpectralField(grid, c.ravel()) for c in _rates(state, _spectra(state))]
-    deriv = FieldState(
-        grid=grid,
-        medium=state.medium,
-        e=tuple(rates[:3]),
-        h=tuple(rates[3:]),
-        time=state.time,
-    )
+    rates = _rates(state, _spectra(state)).reshape(6, -1)
+    deriv = FieldState(state.grid, state.medium, rates, time=state.time)
     if state.representation == PHYSICAL:
         return to_physical(deriv)
     return deriv
@@ -188,18 +180,18 @@ class InvariantDrifts:
     m2: tuple[DriftValue, DriftValue, DriftValue]
 
 
-def _energy(state: FieldState, s: _Spectra) -> tuple[float, tuple]:
+def _energy(state: FieldState, s: np.ndarray) -> tuple[float, tuple]:
     """The energy of ``s`` and the energies of its axis-k derivatives."""
     norm = state.grid.n_total ** 2
     mu, eps = state.medium.mu, state.medium.eps
     sq = [c.real * c.real + c.imag * c.imag for c in s]
     # Per-mode energy density; the D_k symbol i b_k weights it by b_k^2.
     w = 0.5 * eps * (sq[0] + sq[1] + sq[2]) + 0.5 * mu * (sq[3] + sq[4] + sq[5])
-    per_axis = tuple(float(np.sum(bk * bk * w)) / norm for bk in _wavenumbers(state.grid))
+    per_axis = tuple(float(np.sum(bk * bk * w)) / norm for bk in wavenumbers(state.grid))
     return float(np.sum(w)) / norm, per_axis
 
 
-def _energies(state: FieldState, s: _Spectra, d: _Spectra) -> tuple:
+def _energies(state: FieldState, s: np.ndarray, d: np.ndarray) -> tuple:
     e1, e3 = _energy(state, s)
     e2, e4 = _energy(state, d)
     # e5/e6 are exactly zero for real fields (module docstring).
@@ -212,12 +204,13 @@ def energies(state: FieldState) -> tuple[float, float, tuple, tuple, tuple, tupl
     return _energies(state, s, _rates(state, s))
 
 
-def _helicity(state: FieldState, s: _Spectra) -> float:
+def _helicity(state: FieldState, s: np.ndarray) -> float:
     """<H, curl H>/(2 eps) + <E, curl E>/(2 mu) of the spectra ``s``."""
-    b = _wavenumbers(state.grid)
+    b = wavenumbers(state.grid)
     mu, eps = state.medium.mu, state.medium.eps
     e, h = s[:3], s[3:]
-    total = _dot(h, _curl(b, h, 0.5 / eps)) + _dot(e, _curl(b, e, 0.5 / mu))
+    curl = np.empty_like(e)
+    total = _dot(h, _curl(b, h, 0.5 / eps, curl)) + _dot(e, _curl(b, e, 0.5 / mu, curl))
     return total / state.grid.n_total ** 2
 
 
@@ -227,11 +220,11 @@ def helicities(state: FieldState) -> tuple[float, float]:
     return _helicity(state, s), _helicity(state, _rates(state, s))
 
 
-def _momenta(state: FieldState, s: _Spectra) -> tuple[tuple, tuple]:
+def _momenta(state: FieldState, s: np.ndarray) -> tuple[tuple, tuple]:
     norm = state.grid.n_total ** 2
     # <H, D_k E> = Re sum H conj(i b_k E) = sum b_k Im(H conj E).
     p = sum(h.imag * e.real - h.real * e.imag for e, h in zip(s[:3], s[3:]))
-    m1 = tuple(float(np.sum(bk * p)) / norm for bk in _wavenumbers(state.grid))
+    m1 = tuple(float(np.sum(bk * p)) / norm for bk in wavenumbers(state.grid))
     # 0.0 - m rather than -m keeps an exactly zero momentum unsigned.
     return m1, tuple(0.0 - m for m in m1)
 
@@ -241,22 +234,19 @@ def momenta(state: FieldState) -> tuple[tuple, tuple]:
     return _momenta(state, _spectra(state))
 
 
-def _divergences(state: FieldState, s: _Spectra) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _divergences(state: FieldState, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     grid = state.grid
     mu, eps = state.medium.mu, state.medium.eps
-    bx, by, bz = _wavenumbers(grid)
+    bx, by, bz = wavenumbers(grid)
     ex, ey, ez, hx, hy, hz = s
+    spectra = np.stack(
+        (1j * eps * (bx * ex + by * ey + bz * ez), 1j * mu * (bx * hx + by * hy + bz * hz))
+    )
     # The divergence spectra of real fields are conjugate-symmetric, so the
     # imaginary part after inversion is pure roundoff.  It is dropped without
     # the residue check: a divergence-free field is legitimately zero and
     # must not trip the flag for its own roundoff.
-    div_e, div_h = (
-        np.ascontiguousarray(dft3_inverse(SpectralField(grid, d.ravel())).data.real)
-        for d in (
-            1j * eps * (bx * ex + by * ey + bz * ez),
-            1j * mu * (bx * hx + by * hy + bz * hz),
-        )
-    )
+    div_e, div_h = dft3_inverse(SpectralField(grid, spectra.reshape(2, -1))).data.real.copy()
     return div_e, div_h, float(np.max(np.abs(div_e))), float(np.max(np.abs(div_h)))
 
 
@@ -296,13 +286,13 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     if state.representation != PHYSICAL:
         raise ValueError("error_norms expects a state in physical representation")
     grid = state.grid
-    z, y, x = np.meshgrid(grid.points_z, grid.points_y, grid.points_x, indexing="ij")
-    exact = [c.ravel() for c in case.evaluate(x, y, z, state.time)]
-    comps = state.component_arrays()
-    diffs = [comps[c] - exact[c] for c in range(6)]
-    l2 = float(np.sqrt(sum(_norm_sq(d, grid) for d in diffs)))
-    component_linf = tuple(float(np.max(np.abs(d))) for d in diffs)
-    return ErrorReport(l2=l2, linf=max(component_linf), component_linf=component_linf)
+    errors = np.abs(state.data - sample_exact(case, grid, state.time))
+    per_row = np.max(errors, axis=1)
+    linf = float(np.max(per_row))
+    if not np.isfinite(linf):
+        raise ImaginaryResidueError(f"non-finite solution error {linf}")
+    l2 = float(np.sqrt(np.sum(errors * errors) / grid.n_total))
+    return ErrorReport(l2=l2, linf=linf, component_linf=tuple(float(v) for v in per_row))
 
 
 def _drift(before: float, after: float, near_zero: float) -> DriftValue:

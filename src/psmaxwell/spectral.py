@@ -9,11 +9,14 @@ and the inverse carries the full ``1/(n_x n_y n_z)`` factor, so that
 coefficient by ``i * kvec[axis]``; the Nyquist modes are annihilated because
 the grid stores a zero wavenumber there.
 
-Fields are flat vectors in the x-fastest layout of :mod:`psmaxwell.grid`.
-Complex intermediates are kept through the whole spectral pipeline;
-:func:`realize` converts back to real data at output boundaries and refuses
-to silently drop a suspiciously large imaginary part or pass on non-finite
-samples.
+Fields are flat vectors in the x-fastest layout of :mod:`psmaxwell.grid`,
+optionally stacked along leading batch axes: a field of shape
+``(..., n_total)`` is transformed over its last axis viewed as the
+``(n_z, n_y, n_x)`` cube, so the six components of a state go through one
+batched transform each way.  Complex intermediates are kept through the whole
+spectral pipeline; :func:`realize` converts back to real data at output
+boundaries and refuses to silently drop a suspiciously large imaginary part
+or pass on non-finite samples.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ __all__ = [
     "dft3_inverse",
     "apply_derivative",
     "realize",
+    "wavenumbers",
+    "cross",
 ]
 
 # Imaginary content above this fraction of the field magnitude signals broken
@@ -41,13 +46,16 @@ IMAG_RESIDUE_RTOL = 1e-10
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
+# The (n_z, n_y, n_x) cube is the last three axes of a batched field.
+_CUBE_AXES = (-3, -2, -1)
+
 
 class ImaginaryResidueError(RuntimeError):
     """A nominally real field came back non-finite or with excess imaginary content."""
 
 
 def _check_length(grid: GridSpec, data: np.ndarray) -> None:
-    if data.ndim != 1 or data.shape[0] != grid.n_total:
+    if data.ndim < 1 or data.shape[-1] != grid.n_total:
         raise ValueError(
             f"field length {data.shape} does not match grid size {grid.n_total}"
         )
@@ -55,7 +63,7 @@ def _check_length(grid: GridSpec, data: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PhysicalField:
-    """One scalar component sampled at the collocation points (flat layout).
+    """Scalar samples at the collocation points (flat layout, batch axes first).
 
     ``data`` is normally real; a complex dtype is allowed as the intermediate
     produced by :func:`dft3_inverse` before :func:`realize`.
@@ -72,7 +80,7 @@ class PhysicalField:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """DFT coefficients of one scalar component, same flat layout as physical."""
+    """DFT coefficients, same flat layout and batch axes as physical."""
 
     grid: GridSpec
     data: np.ndarray
@@ -83,10 +91,33 @@ class SpectralField:
         object.__setattr__(self, "data", data)
 
 
+def _cube(grid: GridSpec, data: np.ndarray) -> np.ndarray:
+    """View of flat ``(..., n_total)`` data as ``(..., n_z, n_y, n_x)``."""
+    return data.reshape(data.shape[:-1] + grid.shape)
+
+
+def wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis wavenumbers shaped to broadcast over the (n_z, n_y, n_x) modes."""
+    return grid.kvec_x, grid.kvec_y[:, None], grid.kvec_z[:, None, None]
+
+
+def cross(b: tuple, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-mode cross product ``b x f`` written into ``out``.
+
+    ``b`` is a :func:`wavenumbers` triple and ``f`` a stacked
+    ``(3, n_z, n_y, n_x)`` vector field; ``out`` must not overlap ``f``.
+    """
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(b[j], f[k], out=out[i])
+        out[i] -= b[k] * f[j]
+    return out
+
+
 def dft3_forward(f: PhysicalField) -> SpectralField:
-    """Unnormalized forward 3D DFT of a flat field."""
-    cube = f.data.reshape(f.grid.shape)
-    return SpectralField(f.grid, np.fft.fftn(cube).ravel())
+    """Unnormalized forward 3D DFT of a flat field (batch axes first)."""
+    cube = _cube(f.grid, f.data)
+    out = np.fft.fftn(cube, axes=_CUBE_AXES, out=np.empty(cube.shape, np.complex128))
+    return SpectralField(f.grid, out.reshape(f.data.shape))
 
 
 def dft3_inverse(F: SpectralField) -> PhysicalField:
@@ -95,8 +126,9 @@ def dft3_inverse(F: SpectralField) -> PhysicalField:
     The result keeps its complex dtype (roundoff-level imaginary parts for
     conjugate-symmetric input); use :func:`realize` to obtain real samples.
     """
-    cube = F.data.reshape(F.grid.shape)
-    return PhysicalField(F.grid, np.fft.ifftn(cube).ravel())
+    cube = _cube(F.grid, F.data)
+    out = np.fft.ifftn(cube, axes=_CUBE_AXES, out=np.empty_like(cube))
+    return PhysicalField(F.grid, out.reshape(F.data.shape))
 
 
 def apply_derivative(F: SpectralField, axis: int | str) -> SpectralField:
@@ -108,18 +140,12 @@ def apply_derivative(F: SpectralField, axis: int | str) -> SpectralField:
             raise ValueError(f"axis must be one of x, y, z or 0..2, got {axis!r}")
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be one of x, y, z or 0..2, got {axis!r}")
-    grid = F.grid
-    cube = F.data.reshape(grid.shape)
-    k = grid.kvec(axis)
-    # shape (n_z, n_y, n_x): axis 0 <-> z, 1 <-> y, 2 <-> x
-    expand = ((1, 1, -1), (1, -1, 1), (-1, 1, 1))[axis]
-    return SpectralField(grid, (1j * k.reshape(expand) * cube).ravel())
+    derivative = 1j * wavenumbers(F.grid)[axis] * _cube(F.grid, F.data)
+    return SpectralField(F.grid, derivative.reshape(F.data.shape))
 
 
 def realize(
-    f: PhysicalField,
-    rtol: float = IMAG_RESIDUE_RTOL,
-    scale: float | None = None,
+    f: PhysicalField, rtol: float = IMAG_RESIDUE_RTOL
 ) -> tuple[PhysicalField, float]:
     """Strip a complex intermediate down to its real part.
 
@@ -128,20 +154,19 @@ def realize(
     ``rtol`` times the field magnitude, which signals broken conjugate
     symmetry upstream rather than ordinary roundoff.
 
-    ``scale`` overrides the magnitude the residue is compared against; pass
-    the overall magnitude of a multi-component state so that a component
-    which happens to be identically zero is not flagged for its own roundoff.
-    A non-finite ``scale`` (an overflow or a NaN upstream) raises the same
-    error: such a field carries no usable samples.
+    The magnitude is taken over the whole field, batch axes included, so a
+    component of a stacked state which happens to be identically zero is not
+    flagged for its own roundoff.  A non-finite magnitude (an overflow or a
+    NaN upstream) raises the same error: such a field carries no usable
+    samples.
     """
     data = f.data
     if not np.iscomplexobj(data):
         return PhysicalField(f.grid, np.asarray(data, dtype=np.float64)), 0.0
-    residue = float(np.max(np.abs(data.imag))) if data.size else 0.0
-    if scale is None:
-        scale = float(np.max(np.abs(data))) if data.size else 0.0
+    scale = float(np.max(np.abs(data), initial=0.0))
     if not np.isfinite(scale):
         raise ImaginaryResidueError(f"non-finite field magnitude {scale}")
+    residue = float(np.max(np.abs(data.imag), initial=0.0))
     if scale > 0.0 and residue > rtol * scale:
         raise ImaginaryResidueError(
             f"imaginary residue {residue:.3e} exceeds {rtol:.1e} x field "

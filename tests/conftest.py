@@ -10,7 +10,6 @@ from psmaxwell import (
     FieldState,
     GridSpec,
     MediumParams,
-    PhysicalField,
     build_grid,
 )
 
@@ -55,23 +54,12 @@ def random_band_limited_state(
     """Random real physical state with Nyquist-free components."""
     medium = medium or MediumParams()
     comps = [random_band_limited_field(grid, rng) for _ in range(6)]
-    return FieldState(
-        grid=grid,
-        medium=medium,
-        e=tuple(PhysicalField(grid, c) for c in comps[:3]),
-        h=tuple(PhysicalField(grid, c) for c in comps[3:]),
-    )
+    return FieldState(grid, medium, np.stack(comps))
 
 
 def zero_state(grid: GridSpec, medium: MediumParams | None = None) -> FieldState:
     medium = medium or MediumParams()
-    zeros = np.zeros(grid.n_total)
-    return FieldState(
-        grid=grid,
-        medium=medium,
-        e=tuple(PhysicalField(grid, zeros.copy()) for _ in range(3)),
-        h=tuple(PhysicalField(grid, zeros.copy()) for _ in range(3)),
-    )
+    return FieldState(grid, medium, np.zeros((6, grid.n_total)))
 
 
 def state_norm(state: FieldState) -> float:

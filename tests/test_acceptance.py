@@ -290,12 +290,7 @@ def test_criterion_8_structural_properties():
     for col in range(dim):
         comps = [zeros.copy() for _ in range(6)]
         comps[col // n][col % n] = 1.0
-        basis = FieldState(
-            grid=grid,
-            medium=medium,
-            e=tuple(PhysicalField(grid, c) for c in comps[:3]),
-            h=tuple(PhysicalField(grid, c) for c in comps[3:]),
-        )
+        basis = FieldState(grid, medium, np.stack(comps))
         out_state = to_physical(step(to_spectral(basis), flow_coeffs))
         m_mat[:, col] = np.concatenate(out_state.component_arrays())
     eye = np.eye(3 * n)

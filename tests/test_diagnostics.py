@@ -5,6 +5,7 @@ import pytest
 
 from psmaxwell import (
     DomainSpec,
+    ImaginaryResidueError,
     InvariantReport,
     MediumParams,
     PhysicalField,
@@ -286,12 +287,7 @@ class TestDivergences:
         state = random_band_limited_state(grid4, rng, MediumParams(mu=2.0, eps=3.0))
         div_e_field, div_h_field, _, _ = divergences(state)
         # eps/mu scaling: recompute with a unit medium on identical arrays
-        base = type(state)(
-            grid=state.grid,
-            medium=MediumParams(),
-            e=state.e,
-            h=state.h,
-        )
+        base = type(state)(state.grid, MediumParams(), state.data)
         base_e, base_h, _, _ = divergences(base)
         np.testing.assert_allclose(div_e_field, 3.0 * base_e, rtol=1e-12)
         np.testing.assert_allclose(div_h_field, 2.0 * base_h, rtol=1e-12)
@@ -344,6 +340,23 @@ class TestErrorNorms:
         state = to_spectral(random_band_limited_state(grid8, rng))
         with pytest.raises(ValueError, match="physical"):
             error_norms(state, case)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "measure",
+        [invariant_report, energies, helicities, momenta, divergences,
+         lambda state: error_norms(state, StandingWave())],
+        ids=["invariant_report", "energies", "helicities", "momenta", "divergences",
+             "error_norms"],
+    )
+    def test_non_finite_sample_raises(self, measure, bad):
+        case = StandingWave()
+        state = sample_initial(case, build_grid(case.default_domain, 8, 8, 8))
+        state.data[4, 17] = bad
+        with pytest.raises(ImaginaryResidueError, match="non-finite"):
+            measure(state)
 
 
 def _report_with(**overrides) -> InvariantReport:

@@ -1,12 +1,14 @@
 """Closed-form flow coefficients and the one-shot evolution map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from psmaxwell import (
+    DomainSpec,
     FieldState,
     MediumParams,
-    PhysicalField,
     StandingWave,
     TravelingWave,
     broadcast_wavenumbers,
@@ -196,12 +198,14 @@ class TestBuildCoefficients:
 
 class TestStep:
     def test_zero_time_is_bitwise_identity(self, grid4, rng):
-        state = to_spectral(random_band_limited_state(grid4, rng))
-        coeffs = build_coefficients(grid4, state.medium, 0.0)
-        out = step(state, coeffs)
-        for before, after in zip(state.component_arrays(), out.component_arrays()):
-            np.testing.assert_array_equal(before, after)
-        assert out.time == state.time
+        # Bitwise for a non-unit medium too: step applies the flow unscaled.
+        for medium in (MediumParams(), MediumParams(mu=2.0, eps=0.5)):
+            state = to_spectral(random_band_limited_state(grid4, rng, medium))
+            coeffs = build_coefficients(grid4, state.medium, 0.0)
+            out = step(state, coeffs)
+            for before, after in zip(state.component_arrays(), out.component_arrays()):
+                np.testing.assert_array_equal(before, after)
+            assert out.time == state.time
 
     def test_requires_spectral_representation(self, grid4, rng):
         state = random_band_limited_state(grid4, rng)
@@ -230,14 +234,21 @@ class TestStep:
 
     def test_random_spectral_state_matches_dense_expm(self, grid4, rng):
         t = 0.3
-        state = random_band_limited_state(grid4, rng, MediumParams(mu=1.5, eps=0.7))
-        spectral = to_spectral(state)
-        coeffs = build_coefficients(grid4, state.medium, t)
-        fast = to_physical(step(spectral, coeffs))
-        oracle = dense_evolution(state, t)
-        scale = state_norm(state)
-        for got, ref in zip(fast.component_arrays(), oracle):
-            assert np.max(np.abs(got - ref)) <= 1e-11 * scale
+        # The 4^3 cube, and an anisotropic 6x4x4 box with a non-unit medium
+        # (6 * 96 = 576 dense dimensions, within the oracle's size guard).
+        box = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 6, 4, 4)
+        for grid, medium in (
+            (grid4, MediumParams(mu=1.5, eps=0.7)),
+            (box, MediumParams(mu=2.0, eps=0.5)),
+        ):
+            state = random_band_limited_state(grid, rng, medium)
+            spectral = to_spectral(state)
+            coeffs = build_coefficients(grid, state.medium, t)
+            fast = to_physical(step(spectral, coeffs))
+            oracle = dense_evolution(state, t)
+            scale = state_norm(state)
+            for got, ref in zip(fast.component_arrays(), oracle):
+                assert np.max(np.abs(got - ref)) <= 1e-11 * scale
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 1000.0])
     def test_unitarity_of_scaled_norm(self, grid4, rng, t):
@@ -307,6 +318,20 @@ class TestPropagate:
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
             propagate(state, 1.0)
 
+    def test_peak_memory_within_eight_states(self, rng):
+        # One batched transform each way and a step that writes into a
+        # single output stack keep the transient memory of a propagation
+        # bounded by a small multiple of the real six-component state.
+        grid = build_grid(DomainSpec.cube(0.0, 1.0), 32, 32, 32)
+        state = random_band_limited_state(grid, rng)
+        tracemalloc.start()
+        try:
+            propagate(state, 1.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * state.data.nbytes
+
     def test_real_input_gives_tiny_residue(self, grid8, rng):
         state = random_band_limited_state(grid8, rng)
         out = propagate(state, 5.0)
@@ -330,12 +355,7 @@ class TestSymplecticity:
         for col in range(dim):
             comps = [zeros.copy() for _ in range(6)]
             comps[col // n][col % n] = 1.0
-            state = FieldState(
-                grid=grid4,
-                medium=medium,
-                e=tuple(PhysicalField(grid4, c) for c in comps[:3]),
-                h=tuple(PhysicalField(grid4, c) for c in comps[3:]),
-            )
+            state = FieldState(grid4, medium, np.stack(comps))
             out = to_physical(step(to_spectral(state), coeffs))
             arrays = out.component_arrays()
             m[:, col] = np.concatenate(arrays)
@@ -346,22 +366,31 @@ class TestSymplecticity:
 
 
 class TestFieldState:
-    def test_mixed_representation_rejected(self, grid4, rng):
-        phys = random_band_limited_state(grid4, rng)
-        spec = to_spectral(phys)
-        with pytest.raises(ValueError, match="all-physical or all-spectral"):
-            FieldState(
-                grid=grid4,
-                medium=phys.medium,
-                e=phys.e,
-                h=spec.h,
-            )
+    def test_other_dtypes_rejected(self, grid4):
+        # The dtype is the representation tag: only float64 and complex128.
+        for dtype in (np.float32, np.int64, np.complex64, object):
+            with pytest.raises(ValueError, match="float64 .physical. or complex128"):
+                FieldState(grid4, MediumParams(), np.zeros((6, grid4.n_total), dtype=dtype))
+        with pytest.raises(ValueError, match="float64 .physical. or complex128"):
+            FieldState(grid4, MediumParams(), [[0.0] * grid4.n_total] * 6)
 
     def test_wrong_grid_rejected(self, grid4, grid8, rng):
         phys = random_band_limited_state(grid4, rng)
-        other = zero_state(grid8)
         with pytest.raises(ValueError, match="grid"):
-            FieldState(grid=grid8, medium=phys.medium, e=phys.e, h=other.h)
+            FieldState(grid8, phys.medium, phys.data)
+
+    def test_wrong_shape_rejected(self, grid4):
+        for shape in ((3, 64), (6, 4, 4, 4), (384,), (7, 64)):
+            with pytest.raises(ValueError, match="grid needs"):
+                FieldState(grid4, MediumParams(), np.zeros(shape))
+
+    def test_components_are_views(self, grid4, rng):
+        state = random_band_limited_state(grid4, rng)
+        for rows, fields in ((state.data[:3], state.e), (state.data[3:], state.h)):
+            for row, field in zip(rows, fields):
+                assert np.shares_memory(row, field.data)
+        for row, arr in zip(state.data, state.component_arrays()):
+            assert np.shares_memory(row, arr)
 
     def test_representation_tag(self, grid4, rng):
         phys = random_band_limited_state(grid4, rng)

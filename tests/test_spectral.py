@@ -91,14 +91,17 @@ class TestRealize:
         with pytest.raises(ImaginaryResidueError):
             realize(PhysicalField(grid4, data))
 
-    def test_scale_override_allows_zero_component(self, grid4):
+    def test_stack_magnitude_allows_zero_component(self, grid4):
         # Roundoff-level junk in an essentially zero component is fine when
-        # judged against the magnitude of the full state.
+        # judged against the magnitude of the full stacked state.
         data = np.full(grid4.n_total, 1e-16 + 1e-16j)
         with pytest.raises(ImaginaryResidueError):
             realize(PhysicalField(grid4, data))
-        out, residue = realize(PhysicalField(grid4, data), scale=1.0)
+        stack = np.stack([np.ones(grid4.n_total, dtype=complex), data])
+        out, residue = realize(PhysicalField(grid4, stack))
         assert residue == pytest.approx(1e-16)
+        assert out.data.shape == (2, grid4.n_total)
+        np.testing.assert_array_equal(out.data, stack.real)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_flags_non_finite_magnitude(self, grid4, bad):
@@ -106,8 +109,11 @@ class TestRealize:
         data[3] = bad
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
             realize(PhysicalField(grid4, data))
+        # A non-finite sample in any row of a stack, not only the first.
+        stack = np.ones((3, grid4.n_total), dtype=complex)
+        stack[2, 3] = bad
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
-            realize(PhysicalField(grid4, np.ones(grid4.n_total, dtype=complex)), scale=bad)
+            realize(PhysicalField(grid4, stack))
 
 
 class TestDerivative:
@@ -145,6 +151,27 @@ class TestDerivative:
         f = SpectralField(grid4, np.zeros(grid4.n_total, dtype=complex))
         with pytest.raises(ValueError, match="axis"):
             apply_derivative(f, "w")
+
+
+class TestBatch:
+    def test_stack_matches_row_by_row(self, rng):
+        # Leading batch axes transform each row exactly as on its own.
+        grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 6, 4, 8)
+        data = rng.standard_normal((2, 3, grid.n_total))
+        spec = dft3_forward(PhysicalField(grid, data)).data
+        deriv = apply_derivative(SpectralField(grid, spec), "y").data
+        back = dft3_inverse(SpectralField(grid, spec)).data
+        assert spec.shape == deriv.shape == back.shape == data.shape
+        for i in range(2):
+            for j in range(3):
+                row = dft3_forward(PhysicalField(grid, data[i, j])).data
+                np.testing.assert_array_equal(spec[i, j], row)
+                np.testing.assert_array_equal(
+                    deriv[i, j], apply_derivative(SpectralField(grid, row), "y").data
+                )
+                np.testing.assert_array_equal(
+                    back[i, j], dft3_inverse(SpectralField(grid, row)).data
+                )
 
 
 class TestProperties:
