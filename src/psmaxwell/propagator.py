@@ -103,9 +103,8 @@ class FieldState:
         kind = SpectralField if self.representation == SPECTRAL else PhysicalField
         return tuple(kind(self.grid, row) for row in rows)
 
-    # (x, y, z) components of E and of H as fields viewing ``data``.
-    e = property(lambda self: self._fields(self.data[:3]))
-    h = property(lambda self: self._fields(self.data[3:]))
+    e = property(lambda self: self._fields(self.data[:3]), doc="E as fields viewing ``data``.")
+    h = property(lambda self: self._fields(self.data[3:]), doc="H as fields viewing ``data``.")
 
     def component_arrays(self) -> tuple[np.ndarray, ...]:
         """(e_x, e_y, e_z, h_x, h_y, h_z) as row views of ``data``."""
