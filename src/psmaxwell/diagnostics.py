@@ -21,7 +21,13 @@ evaluated directly on the forward spectra of real fields,
 
     <u, v>_N = (1/N^2) * Re sum_m U(m) * conj(V(m)),   N = n_x n_y n_z,
 
-with the symbols applied per mode.  A report forward-transforms the six
+with the symbols applied per mode.  The spectra are half spectra (the
+``kx >= 0`` columns of :mod:`psmaxwell.spectral`); the symbols map the
+spectrum of a real field to that of a real field, so the summand at ``-m``
+equals the one at ``m`` and the full sum is the half sum with every x-column
+counted twice, except the self-conjugate columns ``kx = 0`` and
+``kx = n_x/2``, which hold both members of each pair and count once (for
+``n_x = 2`` these are the only two).  A report forward-transforms the six
 components once, in one batched transform, and inverse-transforms only the
 two divergence fields, whose max norms need physical samples, in a second
 one.  Two identities hold exactly rather than to roundoff: ``e5``/``e6`` are
@@ -87,11 +93,18 @@ def inner_product_N(u: PhysicalField, v: PhysicalField) -> float | complex:
 
 
 def _spectra(state: FieldState) -> np.ndarray:
-    """The six component spectra (E then H) as a (6, n_z, n_y, n_x) view."""
+    """The six component half spectra (E then H) as a (6, n_z, n_y, n_x//2+1) view."""
     s = to_spectral(state).data
     if not np.isfinite(s).all():
         raise ImaginaryResidueError("non-finite mode in the state's spectrum")
-    return s.reshape((6,) + state.grid.shape)
+    return s.reshape((6,) + state.grid.spectral_shape)
+
+
+def _parseval_weights(state: FieldState) -> np.ndarray:
+    """Per-x-column multiplicity of the half spectrum in the full Parseval sum."""
+    w = np.full(state.grid.spectral_shape[-1], 2.0)
+    w[0] = w[-1] = 1.0  # kx = 0 and kx = n_x/2 are self-conjugate
+    return w
 
 
 def _curl(b: tuple, f: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
@@ -111,9 +124,10 @@ def _rates(state: FieldState, s: np.ndarray) -> np.ndarray:
     return d
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """``Re sum U * conj(V)`` over all modes and components (unnormalized)."""
-    return sum(float(np.sum(a.real * c.real + a.imag * c.imag)) for a, c in zip(u, v))
+def _dot(state: FieldState, u: np.ndarray, v: np.ndarray) -> float:
+    """``Re sum U * conj(V)`` over the full spectrum and all components (unnormalized)."""
+    w = _parseval_weights(state)
+    return sum(float(np.sum(w * (a.real * c.real + a.imag * c.imag))) for a, c in zip(u, v))
 
 
 def spectral_time_derivative(state: FieldState) -> FieldState:
@@ -187,6 +201,7 @@ def _energy(state: FieldState, s: np.ndarray) -> tuple[float, tuple]:
     sq = [c.real * c.real + c.imag * c.imag for c in s]
     # Per-mode energy density; the D_k symbol i b_k weights it by b_k^2.
     w = 0.5 * eps * (sq[0] + sq[1] + sq[2]) + 0.5 * mu * (sq[3] + sq[4] + sq[5])
+    w *= _parseval_weights(state)
     per_axis = tuple(float(np.sum(bk * bk * w)) / norm for bk in wavenumbers(state.grid))
     return float(np.sum(w)) / norm, per_axis
 
@@ -210,7 +225,10 @@ def _helicity(state: FieldState, s: np.ndarray) -> float:
     mu, eps = state.medium.mu, state.medium.eps
     e, h = s[:3], s[3:]
     curl = np.empty_like(e)
-    total = _dot(h, _curl(b, h, 0.5 / eps, curl)) + _dot(e, _curl(b, e, 0.5 / mu, curl))
+    total = (
+        _dot(state, h, _curl(b, h, 0.5 / eps, curl))
+        + _dot(state, e, _curl(b, e, 0.5 / mu, curl))
+    )
     return total / state.grid.n_total ** 2
 
 
@@ -224,6 +242,7 @@ def _momenta(state: FieldState, s: np.ndarray) -> tuple[tuple, tuple]:
     norm = state.grid.n_total ** 2
     # <H, D_k E> = Re sum H conj(i b_k E) = sum b_k Im(H conj E).
     p = sum(h.imag * e.real - h.real * e.imag for e, h in zip(s[:3], s[3:]))
+    p *= _parseval_weights(state)
     m1 = tuple(float(np.sum(bk * p)) / norm for bk in wavenumbers(state.grid))
     # 0.0 - m rather than -m keeps an exactly zero momentum unsigned.
     return m1, tuple(0.0 - m for m in m1)
@@ -242,11 +261,11 @@ def _divergences(state: FieldState, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
     spectra = np.stack(
         (1j * eps * (bx * ex + by * ey + bz * ez), 1j * mu * (bx * hx + by * hy + bz * hz))
     )
-    # The divergence spectra of real fields are conjugate-symmetric, so the
-    # imaginary part after inversion is pure roundoff.  It is dropped without
-    # the residue check: a divergence-free field is legitimately zero and
-    # must not trip the flag for its own roundoff.
-    div_e, div_h = dft3_inverse(SpectralField(grid, spectra.reshape(2, -1))).data.real.copy()
+    # The divergence spectra of real fields are Hermitian in the kx = 0 and
+    # kx = n_x/2 planes up to roundoff, which the real inverse drops.  They
+    # skip the Hermitian-plane check: a divergence-free field is legitimately
+    # zero and must not trip the flag for its own roundoff.
+    div_e, div_h = dft3_inverse(SpectralField(grid, spectra.reshape(2, -1))).data
     return div_e, div_h, float(np.max(np.abs(div_e))), float(np.max(np.abs(div_h)))
 
 

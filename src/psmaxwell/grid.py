@@ -3,6 +3,9 @@
 This module is the single authority for index conventions: fields live on a
 uniform tensor grid over ``[x_lo, x_hi] x [y_lo, y_hi] x [z_lo, z_hi]`` and
 are stored as flat vectors in x-fastest order, ``flat = nx*ny*l + nx*k + j``.
+Spectra of these real fields keep only the ``kx >= 0`` columns: they are
+flat vectors over the ``(n_z, n_y, n_x//2 + 1)`` half-spectrum box
+(:attr:`GridSpec.spectral_shape`), x fastest as well.
 Everything else in the package (transforms, propagator, diagnostics) inherits
 these conventions rather than redefining them.
 """
@@ -158,6 +161,16 @@ class GridSpec:
     @property
     def n_total(self) -> int:
         return self.n_x * self.n_y * self.n_z
+
+    @property
+    def spectral_shape(self) -> tuple[int, int, int]:
+        """Half-spectrum shape ``(n_z, n_y, n_x//2 + 1)``: the kx >= 0 columns."""
+        return (self.n_z, self.n_y, self.n_x // 2 + 1)
+
+    @property
+    def n_spectral(self) -> int:
+        """Number of modes in the half spectrum, ``n_z * n_y * (n_x//2 + 1)``."""
+        return self.n_z * self.n_y * (self.n_x // 2 + 1)
 
     def counts(self) -> tuple[int, int, int]:
         return (self.n_x, self.n_y, self.n_z)

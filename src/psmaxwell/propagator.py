@@ -11,9 +11,14 @@ any target time -- there is no time-step marching and no CFL restriction --
 and the map is exactly unitary per mode, which is what makes every quadratic
 invariant drift only at roundoff level.
 
-Total cost of :func:`propagate` is one batched forward transform of the six
-components, O(n_total) elementwise work (two per-mode cross products per
-field), and one batched inverse transform.
+A spectral state holds the half spectrum of :mod:`psmaxwell.spectral` (the
+``kx >= 0`` columns), and ``r1``, ``r2`` are stored on that layout.  Total
+cost of :func:`propagate` is one batched real-to-complex transform of the six
+components, O(n_spectral) elementwise work (two per-mode cross products per
+field), the Hermitian-plane check of :func:`psmaxwell.spectral.realize`, and
+one batched complex-to-real transform.  The per-mode accessors of
+:class:`PropagatorCoefficients` (``b_x``, ``c11``, ``cos_block``, ...) keep the
+full flat mode layout of all ``n_total`` modes.
 """
 
 from __future__ import annotations
@@ -69,11 +74,13 @@ SPECTRAL = "spectral"
 class FieldState:
     """The six electromagnetic components on one grid at one instant.
 
-    ``data`` is one ``(6, n_total)`` array whose rows are e_x, e_y, e_z, h_x,
-    h_y, h_z in the flat layout of :mod:`psmaxwell.grid`.  Its dtype is the
-    representation: float64 holds physical samples, complex128 holds DFT
-    coefficients.  ``imag_residue`` records the largest imaginary part
-    discarded when the state was last realized.
+    ``data`` is one array whose rows are e_x, e_y, e_z, h_x, h_y, h_z.  Its
+    dtype is the representation: float64 holds physical samples, shape
+    ``(6, n_total)`` in the flat layout of :mod:`psmaxwell.grid`, and
+    complex128 holds half-spectrum DFT coefficients, shape
+    ``(6, n_spectral)``.  ``imag_residue`` records the largest imaginary
+    residue :func:`psmaxwell.spectral.realize` found when the state was last
+    transformed back to physical samples.
     """
 
     grid: GridSpec
@@ -89,10 +96,10 @@ class FieldState:
                 "state data must be a float64 (physical) or complex128 (spectral) "
                 f"array, got {dtype}"
             )
-        if self.data.shape != (6, self.grid.n_total):
+        n = self.grid.n_spectral if dtype == np.complex128 else self.grid.n_total
+        if self.data.shape != (6, n):
             raise ValueError(
-                f"state data has shape {self.data.shape}; the grid needs "
-                f"(6, {self.grid.n_total})"
+                f"state data has shape {self.data.shape}; the grid needs (6, {n})"
             )
 
     @property
@@ -112,11 +119,20 @@ class FieldState:
 
 
 def broadcast_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis wavenumber ladders broadcast to the flat mode layout.
+    """Per-axis wavenumber ladders broadcast to the full flat mode layout.
 
-    ``b_x[flat(j,k,l)] = kvec_x[j]`` and likewise for y, z.
+    ``b_x[flat(j,k,l)] = kvec_x[j]`` and likewise for y, z, over all
+    ``n_total`` modes.
     """
-    return tuple(np.broadcast_to(b, grid.shape).ravel() for b in wavenumbers(grid))
+    ladders = (grid.kvec_x, grid.kvec_y[:, None], grid.kvec_z[:, None, None])
+    return tuple(np.broadcast_to(b, grid.shape).ravel() for b in ladders)
+
+
+def _flow_factors(kappa: float, bx, by, bz) -> tuple[np.ndarray, np.ndarray]:
+    """``r1``, ``r2`` at ``theta = |kappa| |b|`` for broadcastable wavenumbers."""
+    theta = np.sqrt(kappa * kappa * (bx * bx + by * by + bz * bz))
+    # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
+    return -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2, np.sinc(theta / np.pi)
 
 
 @dataclass(frozen=True)
@@ -125,7 +141,7 @@ class PropagatorCoefficients:
 
     With ``kappa = t / sqrt(mu*eps)``, ``b`` the mode's wavenumber triple
     and ``theta = |kappa| |b|`` (``psi = theta^2``), two real arrays in the
-    flat mode layout carry the whole flow:
+    flat half-spectrum layout (``n_spectral`` modes) carry the whole flow:
 
     - ``r1 = (cos(theta) - 1) / theta^2``, computed as ``-sinc^2(theta/2)/2``
       so small angles lose no relative accuracy; ``-1/2`` at theta = 0.
@@ -137,9 +153,11 @@ class PropagatorCoefficients:
     (``c11 = 1 + kappa^2 (b_y^2 + b_z^2) r1`` and cyclic analogues, and the
     sine magnitudes ``s12 = kappa b_z r2`` and cyclic, the factor ``i``
     applied where they are used), ``psi`` and the broadcast wavenumbers
-    ``b_x``, ``b_y``, ``b_z`` are read-only properties derived on demand;
-    :func:`step` never materializes them.  ``r1`` and ``r2`` are immutable
-    and reusable across any number of states.
+    ``b_x``, ``b_y``, ``b_z`` are read-only properties derived on demand over
+    the full flat layout of all ``n_total`` modes, as are ``cos_block`` and
+    ``sin_block`` at a full flat mode index; :func:`step` never materializes
+    them.  ``r1`` and ``r2`` are immutable and reusable across any number of
+    states.
     """
 
     grid: GridSpec
@@ -155,14 +173,15 @@ class PropagatorCoefficients:
 
     def _cos(self, i: int, j: int) -> np.ndarray:
         b = self._b
-        k2r1 = self.kappa * self.kappa * self.r1
+        k2r1 = self.kappa * self.kappa * _flow_factors(self.kappa, *b)[0]
         if i != j:
             return -b[i] * b[j] * k2r1
         o1, o2 = (b[a] for a in range(3) if a != i)
         return 1.0 + (o1 * o1 + o2 * o2) * k2r1
 
     def _sin(self, axis: int) -> np.ndarray:
-        return self.kappa * self._b[axis] * self.r2
+        b = self._b
+        return self.kappa * b[axis] * _flow_factors(self.kappa, *b)[1]
 
     b_x = property(lambda self: self._b[0])
     b_y = property(lambda self: self._b[1])
@@ -178,20 +197,22 @@ class PropagatorCoefficients:
     s13 = property(lambda self: self._sin(1))
     s23 = property(lambda self: self._sin(0))
 
-    def _cross_matrix(self, mode: int) -> np.ndarray:
-        """``[b]x`` at one flat mode index."""
+    def _mode(self, mode: int) -> tuple[np.ndarray, float, float]:
+        """``[b]x``, ``r1`` and ``r2`` at one full flat mode index."""
         j, k, l = unflatten_index(mode, self.grid)
         bx, by, bz = self.grid.kvec_x[j], self.grid.kvec_y[k], self.grid.kvec_z[l]
-        return np.array([[0.0, -bz, by], [bz, 0.0, -bx], [-by, bx, 0.0]])
+        r1, r2 = _flow_factors(self.kappa, bx, by, bz)
+        return np.array([[0.0, -bz, by], [bz, 0.0, -bx], [-by, bx, 0.0]]), r1, r2
 
     def cos_block(self, mode: int) -> np.ndarray:
-        """Symmetric 3x3 cosine block at one flat mode index."""
-        k = self._cross_matrix(mode)
-        return np.eye(3) - self.kappa * self.kappa * self.r1[mode] * (k @ k)
+        """Symmetric 3x3 cosine block at one full flat mode index."""
+        k, r1, _ = self._mode(mode)
+        return np.eye(3) - self.kappa * self.kappa * r1 * (k @ k)
 
     def sin_block(self, mode: int) -> np.ndarray:
-        """Antisymmetric purely imaginary 3x3 sine block at one mode."""
-        return 1j * self.kappa * self.r2[mode] * self._cross_matrix(mode)
+        """Antisymmetric purely imaginary 3x3 sine block at one full flat mode index."""
+        k, _, r2 = self._mode(mode)
+        return 1j * self.kappa * r2 * k
 
 
 def build_coefficients(
@@ -219,11 +240,7 @@ def build_coefficients(
             f"non-finite propagator coefficient psi = kappa^2 |b|^2 "
             f"= {kappa * kappa * b_sq_max} at t = {t}"
         )
-    bx, by, bz = wavenumbers(grid)
-    theta = np.sqrt(kappa * kappa * (bx * bx + by * by + bz * bz)).ravel()
-    # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
-    r2 = np.sinc(theta / np.pi)
-    r1 = -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    r1, r2 = (r.ravel() for r in _flow_factors(kappa, *wavenumbers(grid)))
     r1.setflags(write=False)
     r2.setflags(write=False)
     return PropagatorCoefficients(grid, medium, float(t), kappa, r1, r2)
@@ -247,7 +264,7 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
     if state.medium != coeffs.medium:
         raise ValueError("state and coefficients use different media")
 
-    shape = state.grid.shape
+    shape = state.grid.spectral_shape
     b = wavenumbers(state.grid)
     fields = state.data.reshape((6,) + shape)
     curls = np.empty_like(fields)  # b x E, then b x H
@@ -267,30 +284,32 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
 
 
 def to_spectral(state: FieldState) -> FieldState:
-    """Forward-transform all six components in one batched transform."""
+    """Forward-transform all six components to half spectra in one batch."""
     if state.representation == SPECTRAL:
         return state
     return replace(state, data=dft3_forward(PhysicalField(state.grid, state.data)).data)
 
 
 def to_physical(state: FieldState) -> FieldState:
-    """Inverse-transform and realize all six components in one batch.
+    """Check, then inverse-transform all six components to real samples in one batch.
 
-    Raises :class:`psmaxwell.spectral.ImaginaryResidueError` if the state is
-    non-finite or carries imaginary content beyond roundoff scale.  Residues
-    are judged against the whole state's magnitude, so an identically zero
+    Raises :class:`psmaxwell.spectral.ImaginaryResidueError` if the spectrum
+    is non-finite or its ``kx = 0`` / ``kx = n_x/2`` planes are off Hermitian
+    beyond roundoff (:func:`psmaxwell.spectral.realize`).  The defect is
+    judged against the whole state's magnitude, so an identically zero
     component is not flagged for its own roundoff.
     """
     if state.representation == PHYSICAL:
         return state
-    real, residue = realize(dft3_inverse(SpectralField(state.grid, state.data)))
-    return replace(state, data=real.data, imag_residue=max(state.imag_residue, residue))
+    spectrum, residue = realize(SpectralField(state.grid, state.data))
+    real = dft3_inverse(spectrum).data
+    return replace(state, data=real, imag_residue=max(state.imag_residue, residue))
 
 
 def propagate(initial: FieldState, t_end: float) -> FieldState:
     """Evolve a physical state by the time increment ``t_end`` in one shot.
 
-    Transform, apply the closed-form flow once, transform back, realize.
+    Transform, apply the closed-form flow once, check and transform back.
     """
     if initial.representation != PHYSICAL:
         raise ValueError("propagate expects a state in physical representation")

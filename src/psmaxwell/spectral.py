@@ -1,4 +1,4 @@
-"""Three-dimensional discrete Fourier transforms and spectral derivatives.
+"""Three-dimensional real-to-complex transforms and spectral derivatives.
 
 Normalization contract: the forward transform is the plain unnormalized DFT,
 
@@ -9,14 +9,21 @@ and the inverse carries the full ``1/(n_x n_y n_z)`` factor, so that
 coefficient by ``i * kvec[axis]``; the Nyquist modes are annihilated because
 the grid stores a zero wavenumber there.
 
-Fields are flat vectors in the x-fastest layout of :mod:`psmaxwell.grid`,
-optionally stacked along leading batch axes: a field of shape
-``(..., n_total)`` is transformed over its last axis viewed as the
-``(n_z, n_y, n_x)`` cube, so the six components of a state go through one
-batched transform each way.  Complex intermediates are kept through the whole
-spectral pipeline; :func:`realize` converts back to real data at output
-boundaries and refuses to silently drop a suspiciously large imaginary part
-or pass on non-finite samples.
+Fields are real, so their spectra are conjugate-symmetric and only the half
+spectrum is kept: the ``kx >= 0`` columns, ``n_x//2 + 1`` of them, over the
+``(n_z, n_y, n_x//2 + 1)`` box of :attr:`GridSpec.spectral_shape` (numpy's
+``rfftn`` layout).  The forward transform is one ``numpy.fft.rfftn`` and the
+inverse one ``irfftn`` with real output.  Physical fields are flat vectors of
+length ``n_total`` in the x-fastest layout of :mod:`psmaxwell.grid`, spectra
+flat vectors of length ``n_spectral``; both may be stacked along leading
+batch axes, so the six components of a state go through one batched
+transform each way.
+
+Inside the two self-conjugate planes ``kx = 0`` and ``kx = n_x/2`` a half
+spectrum can still carry content no real field has, which ``irfftn`` would
+drop without a trace.  :func:`realize` is the one guard against that: it
+rejects a non-finite spectrum or one whose planes are not Hermitian beyond
+roundoff.  Only numpy is used.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ __all__ = [
     "cross",
 ]
 
-# Imaginary content above this fraction of the field magnitude signals broken
-# conjugate symmetry somewhere upstream.
+# A Hermitian defect above this fraction of the spectrum magnitude signals
+# broken conjugate symmetry somewhere upstream.
 IMAG_RESIDUE_RTOL = 1e-10
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
@@ -51,22 +58,20 @@ _CUBE_AXES = (-3, -2, -1)
 
 
 class ImaginaryResidueError(RuntimeError):
-    """A nominally real field came back non-finite or with excess imaginary content."""
+    """A spectrum came back non-finite or with content no real field has."""
 
 
-def _check_length(grid: GridSpec, data: np.ndarray) -> None:
-    if data.ndim < 1 or data.shape[-1] != grid.n_total:
-        raise ValueError(
-            f"field length {data.shape} does not match grid size {grid.n_total}"
-        )
+def _check_length(data: np.ndarray, n: int) -> None:
+    if data.ndim < 1 or data.shape[-1] != n:
+        raise ValueError(f"field length {data.shape} does not match grid size {n}")
 
 
 @dataclass(frozen=True, eq=False)
 class PhysicalField:
-    """Scalar samples at the collocation points (flat layout, batch axes first).
+    """Samples at the collocation points (flat layout, batch axes first).
 
-    ``data`` is normally real; a complex dtype is allowed as the intermediate
-    produced by :func:`dft3_inverse` before :func:`realize`.
+    ``data`` is normally real; :func:`psmaxwell.diagnostics.inner_product_N`
+    also accepts complex samples.
     """
 
     grid: GridSpec
@@ -74,38 +79,43 @@ class PhysicalField:
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data)
-        _check_length(self.grid, data)
+        _check_length(data, self.grid.n_total)
         object.__setattr__(self, "data", data)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """DFT coefficients, same flat layout and batch axes as physical."""
+    """Half-spectrum DFT coefficients: flat ``(..., n_spectral)``, batch axes first."""
 
     grid: GridSpec
     data: np.ndarray
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.complex128)
-        _check_length(self.grid, data)
+        _check_length(data, self.grid.n_spectral)
         object.__setattr__(self, "data", data)
 
 
-def _cube(grid: GridSpec, data: np.ndarray) -> np.ndarray:
-    """View of flat ``(..., n_total)`` data as ``(..., n_z, n_y, n_x)``."""
-    return data.reshape(data.shape[:-1] + grid.shape)
+def _cube(data: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """View of flat ``(..., n)`` data as ``(...,) + shape``."""
+    return data.reshape(data.shape[:-1] + shape)
 
 
 def wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis wavenumbers shaped to broadcast over the (n_z, n_y, n_x) modes."""
-    return grid.kvec_x, grid.kvec_y[:, None], grid.kvec_z[:, None, None]
+    """Per-axis wavenumbers shaped to broadcast over the half-spectrum modes.
+
+    The x entry keeps the ``kx >= 0`` columns of ``kvec_x``; its last one is
+    the Nyquist column, whose wavenumber is already 0.
+    """
+    kx = grid.kvec_x[: grid.spectral_shape[-1]]
+    return kx, grid.kvec_y[:, None], grid.kvec_z[:, None, None]
 
 
 def cross(b: tuple, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-mode cross product ``b x f`` written into ``out``.
 
     ``b`` is a :func:`wavenumbers` triple and ``f`` a stacked
-    ``(3, n_z, n_y, n_x)`` vector field; ``out`` must not overlap ``f``.
+    ``(3, n_z, n_y, n_x//2 + 1)`` vector field; ``out`` must not overlap ``f``.
     """
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(b[j], f[k], out=out[i])
@@ -114,21 +124,26 @@ def cross(b: tuple, f: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def dft3_forward(f: PhysicalField) -> SpectralField:
-    """Unnormalized forward 3D DFT of a flat field (batch axes first)."""
-    cube = _cube(f.grid, f.data)
-    out = np.fft.fftn(cube, axes=_CUBE_AXES, out=np.empty(cube.shape, np.complex128))
-    return SpectralField(f.grid, out.reshape(f.data.shape))
+    """Unnormalized forward 3D DFT of a real flat field: its half spectrum."""
+    grid = f.grid
+    cube = _cube(f.data, grid.shape)
+    out = np.empty(cube.shape[:-3] + grid.spectral_shape, np.complex128)
+    np.fft.rfftn(cube, axes=_CUBE_AXES, out=out)
+    return SpectralField(grid, out.reshape(f.data.shape[:-1] + (grid.n_spectral,)))
 
 
 def dft3_inverse(F: SpectralField) -> PhysicalField:
-    """Inverse 3D DFT; carries the full 1/n_total normalization.
+    """Inverse 3D DFT of a half spectrum to real samples; carries 1/n_total.
 
-    The result keeps its complex dtype (roundoff-level imaginary parts for
-    conjugate-symmetric input); use :func:`realize` to obtain real samples.
+    Anti-Hermitian content of the ``kx = 0`` and ``kx = n_x/2`` planes is
+    dropped; :func:`realize` checks that there is none beyond roundoff.
     """
-    cube = _cube(F.grid, F.data)
-    out = np.fft.ifftn(cube, axes=_CUBE_AXES, out=np.empty_like(cube))
-    return PhysicalField(F.grid, out.reshape(F.data.shape))
+    grid = F.grid
+    cube = _cube(F.data, grid.spectral_shape)
+    # No out= buffer: irfftn then allocates the real output after its first
+    # complex pass is freed, so the peak is the input plus two spectra.
+    out = np.fft.irfftn(cube, s=grid.shape, axes=_CUBE_AXES)
+    return PhysicalField(grid, out.reshape(F.data.shape[:-1] + (grid.n_total,)))
 
 
 def apply_derivative(F: SpectralField, axis: int | str) -> SpectralField:
@@ -140,36 +155,41 @@ def apply_derivative(F: SpectralField, axis: int | str) -> SpectralField:
             raise ValueError(f"axis must be one of x, y, z or 0..2, got {axis!r}")
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be one of x, y, z or 0..2, got {axis!r}")
-    derivative = 1j * wavenumbers(F.grid)[axis] * _cube(F.grid, F.data)
-    return SpectralField(F.grid, derivative.reshape(F.data.shape))
+    grid = F.grid
+    derivative = 1j * wavenumbers(grid)[axis] * _cube(F.data, grid.spectral_shape)
+    return SpectralField(grid, derivative.reshape(F.data.shape))
 
 
 def realize(
-    f: PhysicalField, rtol: float = IMAG_RESIDUE_RTOL
-) -> tuple[PhysicalField, float]:
-    """Strip a complex intermediate down to its real part.
+    F: SpectralField, rtol: float = IMAG_RESIDUE_RTOL
+) -> tuple[SpectralField, float]:
+    """Check that a half spectrum is the spectrum of finite real fields.
 
-    Returns the real field together with the maximum absolute imaginary
-    residue.  Raises :class:`ImaginaryResidueError` when the residue exceeds
-    ``rtol`` times the field magnitude, which signals broken conjugate
-    symmetry upstream rather than ordinary roundoff.
+    Returns ``F`` unchanged together with its imaginary residue: the largest
+    anti-Hermitian part of the self-conjugate planes ``kx = 0`` and
+    ``kx = n_x/2``, divided by ``n_total``, i.e. the physical amplitude of the
+    largest mode that :func:`dft3_inverse` drops.  Each plane must equal its
+    own conjugate under ``(ky, kz) -> (-ky, -kz)``.  Raises
+    :class:`ImaginaryResidueError` when the spectrum is not finite, or when
+    the anti-Hermitian part exceeds ``rtol`` times the spectrum magnitude,
+    which signals broken conjugate symmetry upstream rather than roundoff.
 
     The magnitude is taken over the whole field, batch axes included, so a
     component of a stacked state which happens to be identically zero is not
-    flagged for its own roundoff.  A non-finite magnitude (an overflow or a
-    NaN upstream) raises the same error: such a field carries no usable
-    samples.
+    flagged for its own roundoff.
     """
-    data = f.data
-    if not np.iscomplexobj(data):
-        return PhysicalField(f.grid, np.asarray(data, dtype=np.float64)), 0.0
-    scale = float(np.max(np.abs(data), initial=0.0))
+    grid = F.grid
+    cube = _cube(F.data, grid.spectral_shape)
+    scale = float(np.max(np.abs(cube), initial=0.0))
     if not np.isfinite(scale):
-        raise ImaginaryResidueError(f"non-finite field magnitude {scale}")
-    residue = float(np.max(np.abs(data.imag), initial=0.0))
-    if scale > 0.0 and residue > rtol * scale:
+        raise ImaginaryResidueError(f"non-finite spectrum magnitude {scale}")
+    planes = cube[..., :: grid.n_x // 2]  # the kx = 0 and kx = n_x/2 columns
+    # Flipping and rolling by one maps index m to -m mod n along y and z.
+    mirror = np.roll(np.flip(planes, axis=(-3, -2)), 1, axis=(-3, -2))
+    defect = 0.5 * float(np.max(np.abs(planes - mirror.conj()), initial=0.0))
+    if defect > rtol * scale:
         raise ImaginaryResidueError(
-            f"imaginary residue {residue:.3e} exceeds {rtol:.1e} x field "
-            f"magnitude {scale:.3e}"
+            f"kx = 0 / n_x/2 planes off Hermitian by {defect:.3e}, over "
+            f"{rtol:.1e} x spectrum magnitude {scale:.3e}"
         )
-    return PhysicalField(f.grid, np.ascontiguousarray(data.real)), residue
+    return F, defect / grid.n_total

@@ -62,5 +62,17 @@ def zero_state(grid: GridSpec, medium: MediumParams | None = None) -> FieldState
     return FieldState(grid, medium, np.zeros((6, grid.n_total)))
 
 
+def perturb_plane(spec: np.ndarray, grid: GridSpec, column: int, size: float) -> np.ndarray:
+    """Copy of flat half spectra with one off-Hermitian mode in x-column ``column``.
+
+    Adds ``size`` to the (ky, kz) = (1, 0) entry of the column's plane in
+    every row; its mirror (-1, 0) is a different entry when n_y > 2, so the
+    plane's anti-Hermitian part is ``size / 2``.
+    """
+    out = spec.copy()
+    out.reshape(spec.shape[:-1] + grid.spectral_shape)[..., 0, 1, column] += size
+    return out
+
+
 def state_norm(state: FieldState) -> float:
     return max(float(np.max(np.abs(c.data))) for c in state.e + state.h)

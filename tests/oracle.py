@@ -1,4 +1,4 @@
-"""Slow dense reference implementations, for tests only.
+"""Slow dense reference implementations for the test suite.
 
 Everything here is written directly from the defining formulas (naive DFT
 sums, explicit cotangent differentiation matrices, Kronecker-assembled curl
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec
-from .spectral import PhysicalField, SpectralField
+from psmaxwell.grid import GridSpec
+from psmaxwell.spectral import PhysicalField
 
 __all__ = [
     "dense_diff_matrix",
@@ -135,6 +135,11 @@ def dense_dft_matrix(grid: GridSpec) -> np.ndarray:
     return np.exp(-2.0j * np.pi * phase)
 
 
-def naive_dft3(f: PhysicalField) -> SpectralField:
-    """Direct O(n_total^2) evaluation of the forward DFT sum."""
-    return SpectralField(f.grid, dense_dft_matrix(f.grid) @ f.data)
+def naive_dft3(f: PhysicalField) -> np.ndarray:
+    """Direct O(n_total^2) evaluation of the forward DFT sum: the full spectrum.
+
+    Returns all ``n_total`` modes in the flat layout; the half spectrum of
+    :func:`psmaxwell.spectral.dft3_forward` is its first ``n_x//2 + 1``
+    x-columns.
+    """
+    return dense_dft_matrix(f.grid) @ f.data

@@ -1,10 +1,12 @@
 """CLI surface: config parsing, record schemas, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from psmaxwell import cli
+from psmaxwell import cli, propagator
 from psmaxwell.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -17,6 +19,8 @@ from psmaxwell.cli import (
     run_records,
 )
 from psmaxwell.spectral import ImaginaryResidueError
+
+from conftest import perturb_plane
 
 
 def write_config(tmp_path, payload):
@@ -236,6 +240,24 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("column", [0, 4], ids=["kx=0", "kx=n/2"])
+    def test_off_hermitian_spectrum_exits_three(self, monkeypatch, capsys, column):
+        # A stepped spectrum knocked off Hermitian in a self-conjugate plane
+        # by 1e-6 x its magnitude is refused before the inverse transform.
+        step = propagator.step
+
+        def perturbed_step(state, coeffs):
+            data = step(state, coeffs).data
+            size = 1e-6 * np.max(np.abs(data))
+            return replace(state, data=perturb_plane(data, state.grid, column, size))
+
+        monkeypatch.setattr(propagator, "step", perturbed_step)
+        code = cli.main(["run", "--case", "standing", "--n", "8", "--t-end", "1"])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Hermitian" in captured.err
 
     def test_json_floats_have_16_significant_digits(self, capsys):
         cli.main(["run", "--case", "standing", "--t-end", "1"])

@@ -5,6 +5,7 @@ import pytest
 
 from psmaxwell import (
     DomainSpec,
+    FieldState,
     ImaginaryResidueError,
     InvariantReport,
     MediumParams,
@@ -23,15 +24,14 @@ from psmaxwell import (
     invariant_report,
     momenta,
     propagate,
-    realize,
     relative_change,
     sample_initial,
     spectral_time_derivative,
 )
 from psmaxwell.diagnostics import NEAR_ZERO_ABS
-from psmaxwell.oracle import dense_curl
 
 from conftest import random_band_limited_state, zero_state
+from oracle import dense_curl
 
 
 def _axis_coordinate(grid, axis):
@@ -43,8 +43,7 @@ def _axis_coordinate(grid, axis):
 
 def _spectral_derivative(grid, values, axis):
     spec = apply_derivative(dft3_forward(PhysicalField(grid, values)), axis)
-    out, _ = realize(dft3_inverse(spec))
-    return out.data
+    return dft3_inverse(spec).data
 
 
 class TestInnerProduct:
@@ -383,8 +382,8 @@ def _physical_space_report(state) -> dict:
     """Every invariant from derivatives inverse-transformed to the grid.
 
     Reference for the spectral (Parseval) evaluation in ``invariant_report``:
-    each D_k is ``apply_derivative`` -> ``dft3_inverse`` -> ``realize`` and
-    every form is a grid inner product.
+    each D_k is ``apply_derivative`` -> ``dft3_inverse`` and every form is a
+    grid inner product.
     """
     grid = state.grid
     mu, eps = state.medium.mu, state.medium.eps
@@ -441,20 +440,30 @@ class TestSpectralEvaluation:
     """The Parseval forms agree with the physical-space definitions."""
 
     def test_matches_physical_space_reference(self, rng):
+        # 2x4x6 has only the two self-conjugate half-spectrum columns, 6x8x4
+        # an odd number n_x/2 = 3 of x-columns ahead of the Nyquist one; a
+        # state with Nyquist content also weighs the kx = n_x/2 column.
         domain = DomainSpec(0.0, 2.0, -1.0, 2.5, 0.5, 1.7)
-        grid = build_grid(domain, 8, 6, 10)
-        state = random_band_limited_state(grid, rng, MediumParams(mu=2.0, eps=0.5))
-        report = invariant_report(state)
-        reference = _physical_space_report(state)
-        for name, ref in reference.items():
-            got = getattr(report, name)
-            if name in ("e5", "e6"):
-                # <u, D_k u> of a real field: zero exactly in spectral space,
-                # roundoff on the grid.
-                assert got == (0.0, 0.0, 0.0)
-                assert max(abs(v) for v in ref) <= 1e-10
-                continue
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=name)
+        medium = MediumParams(mu=2.0, eps=0.5)
+        for counts in ((8, 6, 10), (2, 4, 6), (6, 8, 4)):
+            grid = build_grid(domain, *counts)
+            for state in (
+                random_band_limited_state(grid, rng, medium),
+                FieldState(grid, medium, rng.standard_normal((6, grid.n_total))),
+            ):
+                report = invariant_report(state)
+                reference = _physical_space_report(state)
+                for name, ref in reference.items():
+                    got = getattr(report, name)
+                    if name in ("e5", "e6"):
+                        # <u, D_k u> of a real field: zero exactly in spectral
+                        # space, roundoff on the grid.
+                        assert got == (0.0, 0.0, 0.0)
+                        assert max(abs(v) for v in ref) <= 1e-10
+                        continue
+                    np.testing.assert_allclose(
+                        got, ref, rtol=1e-12, atol=0.0, err_msg=f"{name} on {counts}"
+                    )
 
     def test_m2_is_exactly_minus_m1(self, grid4, rng):
         m1, m2 = momenta(random_band_limited_state(grid4, rng))

@@ -11,9 +11,10 @@ from psmaxwell import (
     build_grid,
     dft3_forward,
     dft3_inverse,
-    realize,
 )
-from psmaxwell.oracle import (
+
+from conftest import random_band_limited_field
+from oracle import (
     dense_curl,
     dense_dft_matrix,
     dense_diff_matrix,
@@ -21,8 +22,6 @@ from psmaxwell.oracle import (
     dense_expm,
     naive_dft3,
 )
-
-from conftest import random_band_limited_field
 
 
 class TestDenseDiffMatrix:
@@ -73,8 +72,7 @@ class TestDenseCurl:
 
         def d(axis, values):
             spec = apply_derivative(dft3_forward(PhysicalField(grid4, values)), axis)
-            out, _ = realize(dft3_inverse(spec))
-            return out.data
+            return dft3_inverse(spec).data
 
         spectral = np.concatenate([
             d(1, comps[2]) - d(2, comps[1]),
@@ -145,20 +143,20 @@ class TestDenseExpm:
 class TestNaiveDft:
     def test_constant_is_dc_only(self, grid4):
         f = PhysicalField(grid4, np.full(grid4.n_total, -1.25))
-        spec = naive_dft3(f).data
+        spec = naive_dft3(f)
         assert spec[0] == pytest.approx(-1.25 * grid4.n_total, rel=1e-13)
         assert np.max(np.abs(spec[1:])) < 1e-12 * grid4.n_total
 
     def test_single_harmonic_two_modes(self, grid4):
         x = np.broadcast_to(grid4.points_x.reshape(1, 1, -1), grid4.shape).ravel()
-        spec = naive_dft3(PhysicalField(grid4, np.cos(grid4.nu_x * x))).data
+        spec = naive_dft3(PhysicalField(grid4, np.cos(grid4.nu_x * x)))
         nonzero = np.flatnonzero(np.abs(spec) > 1e-10)
         assert set(nonzero) == {1, 3}
 
     def test_agrees_with_fast_transform(self, grid4, rng):
         data = rng.standard_normal(grid4.n_total)
         f = PhysicalField(grid4, data)
-        slow = naive_dft3(f).data
+        slow = naive_dft3(f).reshape(grid4.shape)[..., : grid4.n_x // 2 + 1].ravel()
         fast = dft3_forward(f).data
         assert np.max(np.abs(slow - fast)) <= 1e-12 * np.max(np.abs(data)) * grid4.n_total
 

@@ -23,13 +23,14 @@ from psmaxwell import (
 )
 from psmaxwell.grid import flatten_index, unflatten_index
 from psmaxwell.spectral import ImaginaryResidueError
-from psmaxwell.oracle import dense_curl, dense_expm
 
 from conftest import (
+    perturb_plane,
     random_band_limited_state,
     state_norm,
     zero_state,
 )
+from oracle import dense_curl, dense_expm
 
 
 def scaled_flat_vector(state: FieldState) -> np.ndarray:
@@ -145,6 +146,25 @@ class TestBuildCoefficients:
             np.testing.assert_allclose(c.cos_block(m), cos_ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(c.sin_block(m), sin_ref, rtol=0, atol=1e-12)
 
+    def test_half_layout_matches_full_accessors(self):
+        # r1/r2 cover the half spectrum; the accessors the full mode layout.
+        grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 6, 4, 2)
+        c = build_coefficients(grid, MediumParams(mu=2.0, eps=0.5), 0.9)
+        assert c.r1.shape == c.r2.shape == (grid.n_spectral,)
+        r1 = c.r1.reshape(grid.spectral_shape)
+        r2 = c.r2.reshape(grid.spectral_shape)
+        for half in range(grid.n_spectral):
+            l, k, j = np.unravel_index(half, grid.spectral_shape)
+            m = flatten_index(j, k, l, grid)
+            b = np.array([c.b_x[m], c.b_y[m], c.b_z[m]])
+            k_cross = np.array([[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]])
+            cos_ref = np.eye(3) - c.kappa**2 * r1[l, k, j] * (k_cross @ k_cross)
+            np.testing.assert_allclose(c.cos_block(m), cos_ref, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                c.sin_block(m), 1j * c.kappa * r2[l, k, j] * k_cross, rtol=0, atol=1e-15
+            )
+            assert c.s23[m] == pytest.approx(c.kappa * b[0] * r2[l, k, j], abs=1e-15)
+
     def test_non_finite_time_rejected(self, grid4):
         with pytest.raises(ValueError, match="finite"):
             build_coefficients(grid4, MediumParams(), np.inf)
@@ -234,12 +254,14 @@ class TestStep:
 
     def test_random_spectral_state_matches_dense_expm(self, grid4, rng):
         t = 0.3
-        # The 4^3 cube, and an anisotropic 6x4x4 box with a non-unit medium
-        # (6 * 96 = 576 dense dimensions, within the oracle's size guard).
-        box = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 6, 4, 4)
+        # The 4^3 cube, and anisotropic 6x4x4 and 2x4x6 boxes with a non-unit
+        # medium (6 * 96 = 576 and 6 * 48 = 288 dense dimensions, within the
+        # oracle's size guard); n_x = 2 leaves no doubled half-spectrum column.
+        domain = DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0)
         for grid, medium in (
             (grid4, MediumParams(mu=1.5, eps=0.7)),
-            (box, MediumParams(mu=2.0, eps=0.5)),
+            (build_grid(domain, 6, 4, 4), MediumParams(mu=2.0, eps=0.5)),
+            (build_grid(domain, 2, 4, 6), MediumParams(mu=2.0, eps=0.5)),
         ):
             state = random_band_limited_state(grid, rng, medium)
             spectral = to_spectral(state)
@@ -318,10 +340,10 @@ class TestPropagate:
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
             propagate(state, 1.0)
 
-    def test_peak_memory_within_eight_states(self, rng):
-        # One batched transform each way and a step that writes into a
-        # single output stack keep the transient memory of a propagation
-        # bounded by a small multiple of the real six-component state.
+    def test_peak_memory_within_four_states(self, rng):
+        # Half spectra, one batched transform each way and a step that writes
+        # into a single output stack keep the transient memory of a
+        # propagation within four real six-component states (3.6 at 32^3).
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 32, 32, 32)
         state = random_band_limited_state(grid, rng)
         tracemalloc.start()
@@ -330,14 +352,33 @@ class TestPropagate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * state.data.nbytes
+        assert peak <= 4 * state.data.nbytes
 
     def test_real_input_gives_tiny_residue(self, grid8, rng):
-        state = random_band_limited_state(grid8, rng)
-        out = propagate(state, 5.0)
-        assert out.imag_residue <= 1e-12 * state_norm(out)
-        for arr in out.component_arrays():
-            assert not np.iscomplexobj(arr)
+        box = DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0)
+        for grid, medium in (
+            (grid8, MediumParams()),
+            (build_grid(box, 2, 4, 6), MediumParams(mu=2.0, eps=0.5)),
+            (build_grid(box, 6, 8, 4), MediumParams(mu=2.0, eps=0.5)),
+        ):
+            state = random_band_limited_state(grid, rng, medium)
+            out = propagate(state, 5.0)
+            assert out.imag_residue <= 1e-12 * state_norm(out)
+            for arr in out.component_arrays():
+                assert not np.iscomplexobj(arr)
+
+    @pytest.mark.parametrize("plane", ["kx=0", "kx=n/2"])
+    @pytest.mark.parametrize("counts", [(8, 8, 8), (2, 4, 6), (6, 8, 4)])
+    def test_off_hermitian_plane_raises(self, counts, plane, rng):
+        # irfftn would drop the anti-Hermitian part of a self-conjugate
+        # plane; to_physical refuses such a spectrum instead.
+        grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
+        spectral = to_spectral(random_band_limited_state(grid, rng))
+        column = 0 if plane == "kx=0" else grid.n_x // 2
+        size = 1e-6 * np.max(np.abs(spectral.data))
+        data = perturb_plane(spectral.data, grid, column, size)
+        with pytest.raises(ImaginaryResidueError, match="Hermitian"):
+            to_physical(FieldState(grid, spectral.medium, data))
 
 
 class TestSymplecticity:
@@ -383,6 +424,11 @@ class TestFieldState:
         for shape in ((3, 64), (6, 4, 4, 4), (384,), (7, 64)):
             with pytest.raises(ValueError, match="grid needs"):
                 FieldState(grid4, MediumParams(), np.zeros(shape))
+        # A spectral state holds the half spectrum, (6, n_spectral).
+        assert grid4.n_spectral == 48
+        with pytest.raises(ValueError, match=r"grid needs \(6, 48\)"):
+            FieldState(grid4, MediumParams(), np.zeros((6, 64), dtype=complex))
+        FieldState(grid4, MediumParams(), np.zeros((6, 48), dtype=complex))
 
     def test_components_are_views(self, grid4, rng):
         state = random_band_limited_state(grid4, rng)

@@ -1,4 +1,10 @@
-"""Transforms, normalization contract, derivatives, and realization."""
+"""Half-spectrum transforms, normalization contract, derivatives, and the
+Hermitian-plane guard."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +20,14 @@ from psmaxwell import (
     dft3_inverse,
     realize,
 )
-from psmaxwell.grid import flatten_index
-from psmaxwell.oracle import dense_diff_operator, naive_dft3
 
-from conftest import random_band_limited_field
+from conftest import perturb_plane, random_band_limited_field
+from oracle import dense_diff_operator, naive_dft3
+
+
+def _half(grid, full_flat):
+    """The kx >= 0 columns of a full flat spectrum, flat again."""
+    return full_flat.reshape(grid.shape)[..., : grid.n_x // 2 + 1].ravel()
 
 
 class TestForward:
@@ -28,25 +38,27 @@ class TestForward:
         assert np.max(np.abs(spec[1:])) < 1e-12 * grid4.n_total
 
     def test_single_harmonic(self, grid4):
+        # cos(nu x) has modes +-1 along x; the half spectrum keeps mode +1,
+        # at flat position 1, and drops its conjugate partner -1.
         x = np.broadcast_to(
             grid4.points_x.reshape(1, 1, -1), grid4.shape
         ).ravel()
         f = PhysicalField(grid4, np.cos(grid4.nu_x * x))
         spec = dft3_forward(f).data
         n_s = grid4.n_total
-        plus = flatten_index(1, 0, 0, grid4)
-        minus = flatten_index(3, 0, 0, grid4)
-        assert spec[plus] == pytest.approx(n_s / 2, abs=1e-11)
-        assert spec[minus] == pytest.approx(n_s / 2, abs=1e-11)
-        rest = np.delete(np.abs(spec), [plus, minus])
+        assert spec.shape == (grid4.n_spectral,)
+        assert spec[1] == pytest.approx(n_s / 2, abs=1e-11)
+        rest = np.delete(np.abs(spec), [1])
         assert np.max(rest) < 1e-12 * n_s
 
-    def test_matches_naive_dft(self, grid4, rng):
-        f = PhysicalField(grid4, rng.standard_normal(grid4.n_total))
-        fast = dft3_forward(f).data
-        slow = naive_dft3(f).data
-        scale = np.max(np.abs(slow))
-        assert np.max(np.abs(fast - slow)) < 1e-12 * scale
+    def test_matches_naive_dft(self, rng):
+        for counts in ((4, 4, 4), (2, 4, 6), (6, 8, 4)):
+            grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
+            f = PhysicalField(grid, rng.standard_normal(grid.n_total))
+            fast = dft3_forward(f).data
+            slow = _half(grid, naive_dft3(f))
+            scale = np.max(np.abs(slow))
+            assert np.max(np.abs(fast - slow)) < 1e-12 * scale
 
     def test_size_mismatch_rejected(self, grid4):
         with pytest.raises(ValueError, match="does not match"):
@@ -62,58 +74,86 @@ class TestInverse:
         assert np.max(np.abs(back - data)) <= 1e-13 * np.max(np.abs(data))
 
     def test_zero_spectrum(self, grid4):
-        out = dft3_inverse(SpectralField(grid4, np.zeros(grid4.n_total))).data
+        out = dft3_inverse(SpectralField(grid4, np.zeros(grid4.n_spectral))).data
         assert np.all(out == 0.0)
 
     def test_dc_spectrum_gives_constant_one(self, grid4):
-        spec = np.zeros(grid4.n_total, dtype=complex)
+        spec = np.zeros(grid4.n_spectral, dtype=complex)
         spec[0] = grid4.n_total
         out = dft3_inverse(SpectralField(grid4, spec)).data
-        np.testing.assert_allclose(out.real, 1.0, rtol=0, atol=1e-14)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("counts", [(2, 4, 6), (6, 8, 4)])
+    def test_round_trip_anisotropic(self, counts, rng):
+        grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
+        data = rng.standard_normal((2, grid.n_total))
+        spec = dft3_forward(PhysicalField(grid, data)).data
+        assert spec.shape == (2, grid.n_spectral)
+        back = dft3_inverse(SpectralField(grid, spec)).data
+        assert np.max(np.abs(back - data)) <= 1e-13 * np.max(np.abs(data))
 
 
 class TestRealize:
-    def test_real_input_passthrough(self, grid4):
-        f = PhysicalField(grid4, np.ones(grid4.n_total))
-        out, residue = realize(f)
-        assert residue == 0.0
-        assert not np.iscomplexobj(out.data)
+    def test_real_input_passthrough(self, grid4, rng):
+        # The half spectrum of real samples passes, returned as it is.
+        spec = dft3_forward(PhysicalField(grid4, rng.standard_normal(grid4.n_total)))
+        out, residue = realize(spec)
+        assert out is spec
+        assert residue <= 1e-15 * np.max(np.abs(spec.data)) / grid4.n_total
 
     def test_records_small_residue(self, grid4):
-        data = np.ones(grid4.n_total, dtype=complex)
-        data += 1e-14j
-        out, residue = realize(PhysicalField(grid4, data))
-        assert residue == pytest.approx(1e-14)
-        np.testing.assert_array_equal(out.data, 1.0)
+        spec = np.zeros(grid4.n_spectral, dtype=complex)
+        spec[0] = 1.0
+        for column in (0, grid4.n_x // 2):  # kx = 0 and kx = n_x/2
+            bad = perturb_plane(spec, grid4, column, 2e-14)
+            _, residue = realize(SpectralField(grid4, bad))
+            assert residue == pytest.approx(1e-14 / grid4.n_total)
 
-    def test_flags_large_residue(self, grid4):
-        data = np.ones(grid4.n_total, dtype=complex) + 1e-3j
-        with pytest.raises(ImaginaryResidueError):
-            realize(PhysicalField(grid4, data))
+    def test_flags_large_residue(self, grid4, rng):
+        spec = dft3_forward(PhysicalField(grid4, rng.standard_normal(grid4.n_total))).data
+        for column in (0, grid4.n_x // 2):  # kx = 0 and kx = n_x/2
+            bad = perturb_plane(spec, grid4, column, 1e-6 * np.max(np.abs(spec)))
+            with pytest.raises(ImaginaryResidueError, match="Hermitian"):
+                realize(SpectralField(grid4, bad))
+
+    def test_other_columns_may_carry_any_phase(self, grid4):
+        # Off the two self-conjugate planes every mode is free.
+        spec = np.zeros(grid4.n_spectral, dtype=complex)
+        spec[1] = 1.0j
+        assert realize(SpectralField(grid4, spec))[1] == 0.0
 
     def test_stack_magnitude_allows_zero_component(self, grid4):
-        # Roundoff-level junk in an essentially zero component is fine when
+        # Roundoff-level defect in an essentially zero component is fine when
         # judged against the magnitude of the full stacked state.
-        data = np.full(grid4.n_total, 1e-16 + 1e-16j)
+        tiny = perturb_plane(np.zeros(grid4.n_spectral, dtype=complex), grid4, 0, 2e-16)
         with pytest.raises(ImaginaryResidueError):
-            realize(PhysicalField(grid4, data))
-        stack = np.stack([np.ones(grid4.n_total, dtype=complex), data])
-        out, residue = realize(PhysicalField(grid4, stack))
-        assert residue == pytest.approx(1e-16)
-        assert out.data.shape == (2, grid4.n_total)
-        np.testing.assert_array_equal(out.data, stack.real)
+            realize(SpectralField(grid4, tiny))
+        big = np.zeros(grid4.n_spectral, dtype=complex)
+        big[0] = 1.0
+        out, residue = realize(SpectralField(grid4, np.stack([big, tiny])))
+        assert residue == pytest.approx(1e-16 / grid4.n_total)
+        assert out.data.shape == (2, grid4.n_spectral)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_flags_non_finite_magnitude(self, grid4, bad):
-        data = np.ones(grid4.n_total, dtype=complex)
+        data = np.ones(grid4.n_spectral, dtype=complex)
         data[3] = bad
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
-            realize(PhysicalField(grid4, data))
-        # A non-finite sample in any row of a stack, not only the first.
-        stack = np.ones((3, grid4.n_total), dtype=complex)
+            realize(SpectralField(grid4, data))
+        # A non-finite mode in any row of a stack, not only the first.
+        stack = np.ones((3, grid4.n_spectral), dtype=complex)
         stack[2, 3] = bad
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
-            realize(PhysicalField(grid4, stack))
+            realize(SpectralField(grid4, stack))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_flags_non_finite_real_input(self, grid4, bad):
+        # Real-valued data passed through the guard is checked as well.
+        data = np.ones((2, grid4.n_spectral))
+        data[1, 5] = bad
+        with pytest.raises(ImaginaryResidueError, match="non-finite"):
+            realize(SpectralField(grid4, data))
 
 
 class TestDerivative:
@@ -121,7 +161,7 @@ class TestDerivative:
         x = np.broadcast_to(grid8.points_x.reshape(1, 1, -1), grid8.shape).ravel()
         f = PhysicalField(grid8, np.sin(grid8.nu_x * x))
         dspec = apply_derivative(dft3_forward(f), "x")
-        df, _ = realize(dft3_inverse(dspec))
+        df = dft3_inverse(dspec)
         expected = grid8.nu_x * np.cos(grid8.nu_x * x)
         assert np.max(np.abs(df.data - expected)) <= 1e-12 * grid8.nu_x
 
@@ -137,18 +177,18 @@ class TestDerivative:
         data = rng.standard_normal(grid8.n_total)
         dense = dense_diff_operator(grid8, axis) @ data
         spec = apply_derivative(dft3_forward(PhysicalField(grid8, data)), axis)
-        fast, _ = realize(dft3_inverse(spec))
+        fast = dft3_inverse(spec)
         assert np.max(np.abs(fast.data - dense)) <= 1e-11 * max(np.max(np.abs(dense)), 1.0)
 
     def test_nyquist_mode_annihilated(self, grid4):
         # Pure Nyquist sawtooth along x: derivative must be exactly zero.
-        cube = np.zeros(grid4.shape, dtype=complex)
+        cube = np.zeros(grid4.spectral_shape, dtype=complex)
         cube[:, :, grid4.n_x // 2] = 1.0
         dspec = apply_derivative(SpectralField(grid4, cube.ravel()), "x")
         assert np.all(dspec.data == 0.0)
 
     def test_invalid_axis(self, grid4):
-        f = SpectralField(grid4, np.zeros(grid4.n_total, dtype=complex))
+        f = SpectralField(grid4, np.zeros(grid4.n_spectral, dtype=complex))
         with pytest.raises(ValueError, match="axis"):
             apply_derivative(f, "w")
 
@@ -161,7 +201,8 @@ class TestBatch:
         spec = dft3_forward(PhysicalField(grid, data)).data
         deriv = apply_derivative(SpectralField(grid, spec), "y").data
         back = dft3_inverse(SpectralField(grid, spec)).data
-        assert spec.shape == deriv.shape == back.shape == data.shape
+        assert spec.shape == deriv.shape == (2, 3, grid.n_spectral)
+        assert back.shape == data.shape
         for i in range(2):
             for j in range(3):
                 row = dft3_forward(PhysicalField(grid, data[i, j])).data
@@ -187,15 +228,18 @@ class TestProperties:
 
     def test_parseval(self, grid8, rng):
         data = rng.standard_normal(grid8.n_total)
-        spec = dft3_forward(PhysicalField(grid8, data)).data
+        spec = dft3_forward(PhysicalField(grid8, data)).data.reshape(grid8.spectral_shape)
         n_s = grid8.n_total
         physical = np.sum(data**2) / n_s
-        spectral = np.sum(np.abs(spec) ** 2) / n_s**2
+        # Interior x-columns stand for themselves and their conjugates.
+        weights = np.array([1.0, 2.0, 2.0, 2.0, 1.0])
+        spectral = np.sum(weights * np.abs(spec) ** 2) / n_s**2
         assert spectral == pytest.approx(physical, rel=1e-12)
 
     def test_derivatives_commute(self, grid4, rng):
         spec = SpectralField(
-            grid4, rng.standard_normal(grid4.n_total) + 1j * rng.standard_normal(grid4.n_total)
+            grid4,
+            rng.standard_normal(grid4.n_spectral) + 1j * rng.standard_normal(grid4.n_spectral),
         )
         xy = apply_derivative(apply_derivative(spec, "x"), "y").data
         yx = apply_derivative(apply_derivative(spec, "y"), "x").data
@@ -203,20 +247,32 @@ class TestProperties:
         assert np.max(np.abs(xy - yx)) <= 1e-13 * scale
 
     def test_conjugate_symmetry_of_real_transform(self, grid4, rng):
+        # Inside the half spectrum only the kx = 0 and kx = n/2 columns hold
+        # conjugate pairs (m and -m mod n fall in the same column there).
         spec = dft3_forward(
             PhysicalField(grid4, rng.standard_normal(grid4.n_total))
-        ).data.reshape(grid4.shape)
+        ).data.reshape(grid4.spectral_shape)
         n = 4
         for mz in range(n):
             for my in range(n):
-                for mx in range(n):
+                for mx in (0, n // 2):
                     a = spec[mz, my, mx]
-                    b = spec[(-mz) % n, (-my) % n, (-mx) % n]
+                    b = spec[(-mz) % n, (-my) % n, mx]
                     assert abs(a - np.conj(b)) < 1e-12 * grid4.n_total
 
     def test_band_limited_helper_round_trips(self, grid4, rng):
         data = random_band_limited_field(grid4, rng)
-        spec = dft3_forward(PhysicalField(grid4, data)).data.reshape(grid4.shape)
+        spec = dft3_forward(PhysicalField(grid4, data)).data.reshape(grid4.spectral_shape)
         assert np.max(np.abs(spec[:, :, 2])) < 1e-10
         assert np.max(np.abs(spec[:, 2, :])) < 1e-10
         assert np.max(np.abs(spec[2, :, :])) < 1e-10
+
+
+def test_import_leaves_scipy_out():
+    # The transforms are numpy only; importing the package loads no scipy.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, psmaxwell; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, timeout=60
+    )
+    assert result.returncode == 0
