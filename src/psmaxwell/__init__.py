@@ -10,8 +10,6 @@ helicity, momentum, symplecticity, and divergence-free conservation laws.
 from .grid import DomainSpec, GridSpec, build_grid, flatten_index, unflatten_index
 from .spectral import (
     ImaginaryResidueError,
-    PhysicalField,
-    SpectralField,
     apply_derivative,
     dft3_forward,
     dft3_inverse,
@@ -53,8 +51,6 @@ __all__ = [
     "build_grid",
     "flatten_index",
     "unflatten_index",
-    "PhysicalField",
-    "SpectralField",
     "ImaginaryResidueError",
     "dft3_forward",
     "dft3_inverse",

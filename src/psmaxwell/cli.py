@@ -64,6 +64,16 @@ class ConfigError(ValueError):
     """A run configuration failed validation."""
 
 
+def _number(name: str, value) -> float:
+    """A real-valued config field as a float; bool, str, None and the like are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} is out of the float range, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated experiment configuration."""
@@ -97,8 +107,8 @@ class RunConfig:
                 raise ConfigError(f"t_end entries must be finite, got {t!r}")
 
     def build_case(self) -> AnalyticCase:
-        medium = MediumParams(mu=self.mu, eps=self.eps)
         try:
+            medium = MediumParams(mu=self.mu, eps=self.eps)
             if self.case == "standing":
                 return StandingWave(self.k_x, self.k_y, self.k_z, medium)
             return TravelingWave(medium)
@@ -132,17 +142,14 @@ class RunConfig:
             if missing:
                 raise ConfigError(f"incomplete domain bounds: missing {missing}")
             try:
-                domain = DomainSpec(*(float(raw[name]) for name in _DOMAIN_FIELDS))
+                domain = DomainSpec(*(_number(name, raw[name]) for name in _DOMAIN_FIELDS))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         t_end = raw.get("t_end", DEFAULT_T_END)
-        if isinstance(t_end, (int, float)):
-            t_end = (float(t_end),)
+        if isinstance(t_end, (list, tuple)):
+            t_end = tuple(_number("t_end", t) for t in t_end)
         else:
-            try:
-                t_end = tuple(float(t) for t in t_end)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("t_end must be a number or list of numbers") from exc
+            t_end = (_number("t_end", t_end),)
         kwargs = {}
         for name in ("n_x", "n_y", "n_z", "k_x", "k_y", "k_z", "report_axis"):
             if name in raw:
@@ -152,7 +159,7 @@ class RunConfig:
                 kwargs[name] = value
         for name in ("mu", "eps"):
             if name in raw:
-                kwargs[name] = float(raw[name])
+                kwargs[name] = _number(name, raw[name])
         return cls(case=raw["case"], t_end=t_end, domain=domain, **kwargs)
 
 

@@ -34,8 +34,10 @@ one.  Two identities hold exactly rather than to roundoff: ``e5``/``e6`` are
 0.0, because the symbol ``i b_k`` is imaginary and ``Re(i b_k |U|^2)``
 vanishes mode by mode, and ``m2 = -m1``, because D_k is skew-adjoint.  A
 state given in spectral representation is taken to be the spectrum of real
-fields.  A non-finite sample or mode raises :class:`ImaginaryResidueError`
-instead of giving NaN invariants; so does a non-finite :func:`error_norms`.
+fields.  The spectra are row views of the state's ``(6, n_spectral)`` array,
+and :func:`inner_product_N` takes two plain flat arrays of equal shape.  A
+non-finite sample or mode raises :class:`ImaginaryResidueError` instead of
+giving NaN invariants; so does a non-finite :func:`error_norms`.
 
 Grid reductions rely on numpy's pairwise summation, which keeps them
 deterministic for a fixed build.
@@ -49,14 +51,7 @@ import numpy as np
 
 from .analytic import AnalyticCase, sample_exact
 from .propagator import PHYSICAL, FieldState, to_physical, to_spectral
-from .spectral import (
-    ImaginaryResidueError,
-    PhysicalField,
-    SpectralField,
-    cross,
-    dft3_inverse,
-    wavenumbers,
-)
+from .spectral import ImaginaryResidueError, cross, dft3_inverse, wavenumbers
 
 __all__ = [
     "InvariantReport",
@@ -82,12 +77,12 @@ NEAR_ZERO_ABS = 1e-12
 _AXES = (0, 1, 2)
 
 
-def inner_product_N(u: PhysicalField, v: PhysicalField) -> float | complex:
-    """Normalized grid inner product; conjugates the second argument."""
-    if u.grid != v.grid:
-        raise ValueError("inner product requires fields on the same grid")
-    value = np.sum(u.data * np.conj(v.data)) / u.grid.n_total
-    if np.iscomplexobj(u.data) or np.iscomplexobj(v.data):
+def inner_product_N(u: np.ndarray, v: np.ndarray) -> float | complex:
+    """Normalized grid inner product of two flat fields; conjugates the second."""
+    if u.shape != v.shape:
+        raise ValueError(f"inner product requires equal shapes, got {u.shape} and {v.shape}")
+    value = np.sum(u * np.conj(v)) / u.size
+    if np.iscomplexobj(u) or np.iscomplexobj(v):
         return complex(value)
     return float(value.real) if np.iscomplexobj(value) else float(value)
 
@@ -265,7 +260,7 @@ def _divergences(state: FieldState, s: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # kx = n_x/2 planes up to roundoff, which the real inverse drops.  They
     # skip the Hermitian-plane check: a divergence-free field is legitimately
     # zero and must not trip the flag for its own roundoff.
-    div_e, div_h = dft3_inverse(SpectralField(grid, spectra.reshape(2, -1))).data
+    div_e, div_h = dft3_inverse(grid, spectra.reshape(2, -1))
     return div_e, div_h, float(np.max(np.abs(div_e))), float(np.max(np.abs(div_h)))
 
 
@@ -305,12 +300,15 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     if state.representation != PHYSICAL:
         raise ValueError("error_norms expects a state in physical representation")
     grid = state.grid
-    errors = np.abs(state.data - sample_exact(case, grid, state.time))
+    # One full-size buffer: |exact - data| equals |data - exact| exactly.
+    errors = sample_exact(case, grid, state.time)
+    np.subtract(errors, state.data, out=errors)
+    np.abs(errors, out=errors)
     per_row = np.max(errors, axis=1)
     linf = float(np.max(per_row))
     if not np.isfinite(linf):
         raise ImaginaryResidueError(f"non-finite solution error {linf}")
-    l2 = float(np.sqrt(np.sum(errors * errors) / grid.n_total))
+    l2 = float(np.sqrt(np.sum(np.square(errors, out=errors)) / grid.n_total))
     return ErrorReport(l2=l2, linf=linf, component_linf=tuple(float(v) for v in per_row))
 
 

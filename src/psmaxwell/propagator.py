@@ -11,14 +11,16 @@ any target time -- there is no time-step marching and no CFL restriction --
 and the map is exactly unitary per mode, which is what makes every quadratic
 invariant drift only at roundoff level.
 
-A spectral state holds the half spectrum of :mod:`psmaxwell.spectral` (the
-``kx >= 0`` columns), and ``r1``, ``r2`` are stored on that layout.  Total
-cost of :func:`propagate` is one batched real-to-complex transform of the six
-components, O(n_spectral) elementwise work (two per-mode cross products per
-field), the Hermitian-plane check of :func:`psmaxwell.spectral.realize`, and
-one batched complex-to-real transform.  The per-mode accessors of
-:class:`PropagatorCoefficients` (``b_x``, ``c11``, ``cos_block``, ...) keep the
-full flat mode layout of all ``n_total`` modes.
+A state is one ``(6, N)`` array, which the transforms of
+:mod:`psmaxwell.spectral` take as it is, together with the grid.  A spectral
+state holds the half spectrum (the ``kx >= 0`` columns), and ``r1``, ``r2``
+are stored on that layout.  Total cost of :func:`propagate` is one batched
+real-to-complex transform of the six components, O(n_spectral) elementwise
+work (two per-mode cross products per field), the Hermitian-plane check of
+:func:`psmaxwell.spectral.realize`, and one batched complex-to-real
+transform.  The per-mode accessors of :class:`PropagatorCoefficients`
+(``b_x``, ``c11``, ``cos_block``, ...) keep the full flat mode layout of all
+``n_total`` modes.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ import numpy as np
 from .grid import GridSpec, unflatten_index
 from .spectral import (
     ImaginaryResidueError,
-    PhysicalField,
-    SpectralField,
     cross,
     dft3_forward,
     dft3_inverse,
@@ -74,11 +74,11 @@ SPECTRAL = "spectral"
 class FieldState:
     """The six electromagnetic components on one grid at one instant.
 
-    ``data`` is one array whose rows are e_x, e_y, e_z, h_x, h_y, h_z.  Its
-    dtype is the representation: float64 holds physical samples, shape
-    ``(6, n_total)`` in the flat layout of :mod:`psmaxwell.grid`, and
-    complex128 holds half-spectrum DFT coefficients, shape
-    ``(6, n_spectral)``.  ``imag_residue`` records the largest imaginary
+    ``data`` is one array whose rows are e_x, e_y, e_z, h_x, h_y, h_z, so
+    ``data[:3]`` is E and ``data[3:]`` is H.  Its dtype is the
+    representation: float64 holds physical samples, shape ``(6, n_total)``
+    in the flat layout of :mod:`psmaxwell.grid`, and complex128 holds
+    half-spectrum DFT coefficients, shape ``(6, n_spectral)``.  ``imag_residue`` records the largest imaginary
     residue :func:`psmaxwell.spectral.realize` found when the state was last
     transformed back to physical samples.
     """
@@ -105,13 +105,6 @@ class FieldState:
     @property
     def representation(self) -> str:
         return SPECTRAL if self.data.dtype == np.complex128 else PHYSICAL
-
-    def _fields(self, rows: np.ndarray) -> tuple:
-        kind = SpectralField if self.representation == SPECTRAL else PhysicalField
-        return tuple(kind(self.grid, row) for row in rows)
-
-    e = property(lambda self: self._fields(self.data[:3]), doc="E as fields viewing ``data``.")
-    h = property(lambda self: self._fields(self.data[3:]), doc="H as fields viewing ``data``.")
 
     def component_arrays(self) -> tuple[np.ndarray, ...]:
         """(e_x, e_y, e_z, h_x, h_y, h_z) as row views of ``data``."""
@@ -287,7 +280,7 @@ def to_spectral(state: FieldState) -> FieldState:
     """Forward-transform all six components to half spectra in one batch."""
     if state.representation == SPECTRAL:
         return state
-    return replace(state, data=dft3_forward(PhysicalField(state.grid, state.data)).data)
+    return replace(state, data=dft3_forward(state.grid, state.data))
 
 
 def to_physical(state: FieldState) -> FieldState:
@@ -301,8 +294,8 @@ def to_physical(state: FieldState) -> FieldState:
     """
     if state.representation == PHYSICAL:
         return state
-    spectrum, residue = realize(SpectralField(state.grid, state.data))
-    real = dft3_inverse(spectrum).data
+    spectrum, residue = realize(state.grid, state.data)
+    real = dft3_inverse(state.grid, spectrum)
     return replace(state, data=real, imag_residue=max(state.imag_residue, residue))
 
 

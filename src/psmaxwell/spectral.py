@@ -13,11 +13,12 @@ Fields are real, so their spectra are conjugate-symmetric and only the half
 spectrum is kept: the ``kx >= 0`` columns, ``n_x//2 + 1`` of them, over the
 ``(n_z, n_y, n_x//2 + 1)`` box of :attr:`GridSpec.spectral_shape` (numpy's
 ``rfftn`` layout).  The forward transform is one ``numpy.fft.rfftn`` and the
-inverse one ``irfftn`` with real output.  Physical fields are flat vectors of
-length ``n_total`` in the x-fastest layout of :mod:`psmaxwell.grid`, spectra
-flat vectors of length ``n_spectral``; both may be stacked along leading
-batch axes, so the six components of a state go through one batched
-transform each way.
+inverse one ``irfftn`` with real output.  Every function takes the grid and
+plain arrays: physical fields are flat vectors of length ``n_total`` in the
+x-fastest layout of :mod:`psmaxwell.grid`, spectra flat vectors of length
+``n_spectral``; both may be stacked along leading batch axes, so the six
+components of a state go through one batched transform each way.  An array
+whose last axis has another length raises ``ValueError``.
 
 Inside the two self-conjugate planes ``kx = 0`` and ``kx = n_x/2`` a half
 spectrum can still carry content no real field has, which ``irfftn`` would
@@ -28,15 +29,13 @@ roundoff.  Only numpy is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .grid import GridSpec
 
 __all__ = [
-    "PhysicalField",
-    "SpectralField",
     "ImaginaryResidueError",
     "IMAG_RESIDUE_RTOL",
     "dft3_forward",
@@ -61,43 +60,12 @@ class ImaginaryResidueError(RuntimeError):
     """A spectrum came back non-finite or with content no real field has."""
 
 
-def _check_length(data: np.ndarray, n: int) -> None:
+def _cube(data: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """View of flat ``(..., n)`` data as ``(...,) + shape``; ``n`` must be its size."""
+    data = np.asarray(data)
+    n = math.prod(shape)
     if data.ndim < 1 or data.shape[-1] != n:
         raise ValueError(f"field length {data.shape} does not match grid size {n}")
-
-
-@dataclass(frozen=True, eq=False)
-class PhysicalField:
-    """Samples at the collocation points (flat layout, batch axes first).
-
-    ``data`` is normally real; :func:`psmaxwell.diagnostics.inner_product_N`
-    also accepts complex samples.
-    """
-
-    grid: GridSpec
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data)
-        _check_length(data, self.grid.n_total)
-        object.__setattr__(self, "data", data)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Half-spectrum DFT coefficients: flat ``(..., n_spectral)``, batch axes first."""
-
-    grid: GridSpec
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.complex128)
-        _check_length(data, self.grid.n_spectral)
-        object.__setattr__(self, "data", data)
-
-
-def _cube(data: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """View of flat ``(..., n)`` data as ``(...,) + shape``."""
     return data.reshape(data.shape[:-1] + shape)
 
 
@@ -123,30 +91,28 @@ def cross(b: tuple, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def dft3_forward(f: PhysicalField) -> SpectralField:
-    """Unnormalized forward 3D DFT of a real flat field: its half spectrum."""
-    grid = f.grid
-    cube = _cube(f.data, grid.shape)
+def dft3_forward(grid: GridSpec, f: np.ndarray) -> np.ndarray:
+    """Unnormalized forward 3D DFT of real flat fields: their half spectra."""
+    cube = _cube(f, grid.shape)
     out = np.empty(cube.shape[:-3] + grid.spectral_shape, np.complex128)
     np.fft.rfftn(cube, axes=_CUBE_AXES, out=out)
-    return SpectralField(grid, out.reshape(f.data.shape[:-1] + (grid.n_spectral,)))
+    return out.reshape(cube.shape[:-3] + (grid.n_spectral,))
 
 
-def dft3_inverse(F: SpectralField) -> PhysicalField:
+def dft3_inverse(grid: GridSpec, F: np.ndarray) -> np.ndarray:
     """Inverse 3D DFT of a half spectrum to real samples; carries 1/n_total.
 
     Anti-Hermitian content of the ``kx = 0`` and ``kx = n_x/2`` planes is
     dropped; :func:`realize` checks that there is none beyond roundoff.
     """
-    grid = F.grid
-    cube = _cube(F.data, grid.spectral_shape)
+    cube = _cube(F, grid.spectral_shape)
     # No out= buffer: irfftn then allocates the real output after its first
     # complex pass is freed, so the peak is the input plus two spectra.
     out = np.fft.irfftn(cube, s=grid.shape, axes=_CUBE_AXES)
-    return PhysicalField(grid, out.reshape(F.data.shape[:-1] + (grid.n_total,)))
+    return out.reshape(cube.shape[:-3] + (grid.n_total,))
 
 
-def apply_derivative(F: SpectralField, axis: int | str) -> SpectralField:
+def apply_derivative(grid: GridSpec, F: np.ndarray, axis: int | str) -> np.ndarray:
     """Directional derivative in spectral space: multiply by ``i * kvec[axis]``."""
     if isinstance(axis, str):
         try:
@@ -155,14 +121,13 @@ def apply_derivative(F: SpectralField, axis: int | str) -> SpectralField:
             raise ValueError(f"axis must be one of x, y, z or 0..2, got {axis!r}")
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be one of x, y, z or 0..2, got {axis!r}")
-    grid = F.grid
-    derivative = 1j * wavenumbers(grid)[axis] * _cube(F.data, grid.spectral_shape)
-    return SpectralField(grid, derivative.reshape(F.data.shape))
+    derivative = 1j * wavenumbers(grid)[axis] * _cube(F, grid.spectral_shape)
+    return derivative.reshape(derivative.shape[:-3] + (grid.n_spectral,))
 
 
 def realize(
-    F: SpectralField, rtol: float = IMAG_RESIDUE_RTOL
-) -> tuple[SpectralField, float]:
+    grid: GridSpec, F: np.ndarray, rtol: float = IMAG_RESIDUE_RTOL
+) -> tuple[np.ndarray, float]:
     """Check that a half spectrum is the spectrum of finite real fields.
 
     Returns ``F`` unchanged together with its imaginary residue: the largest
@@ -178,8 +143,7 @@ def realize(
     component of a stacked state which happens to be identically zero is not
     flagged for its own roundoff.
     """
-    grid = F.grid
-    cube = _cube(F.data, grid.spectral_shape)
+    cube = _cube(F, grid.spectral_shape)
     scale = float(np.max(np.abs(cube), initial=0.0))
     if not np.isfinite(scale):
         raise ImaginaryResidueError(f"non-finite spectrum magnitude {scale}")

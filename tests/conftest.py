@@ -75,4 +75,4 @@ def perturb_plane(spec: np.ndarray, grid: GridSpec, column: int, size: float) ->
 
 
 def state_norm(state: FieldState) -> float:
-    return max(float(np.max(np.abs(c.data))) for c in state.e + state.h)
+    return float(np.max(np.abs(state.data)))

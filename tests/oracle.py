@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from psmaxwell.grid import GridSpec
-from psmaxwell.spectral import PhysicalField
 
 __all__ = [
     "dense_diff_matrix",
@@ -135,11 +134,11 @@ def dense_dft_matrix(grid: GridSpec) -> np.ndarray:
     return np.exp(-2.0j * np.pi * phase)
 
 
-def naive_dft3(f: PhysicalField) -> np.ndarray:
+def naive_dft3(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     """Direct O(n_total^2) evaluation of the forward DFT sum: the full spectrum.
 
     Returns all ``n_total`` modes in the flat layout; the half spectrum of
     :func:`psmaxwell.spectral.dft3_forward` is its first ``n_x//2 + 1``
     x-columns.
     """
-    return dense_dft_matrix(f.grid) @ f.data
+    return dense_dft_matrix(grid) @ f

@@ -23,6 +23,10 @@ from psmaxwell.spectral import ImaginaryResidueError
 from conftest import perturb_plane
 
 
+# The standing wave's default domain, [0, 2]^3, spelled out field by field.
+_STANDING_DOMAIN = {"x_lo": 0, "x_hi": 2, "y_lo": 0, "y_hi": 2, "z_lo": 0, "z_hi": 2}
+
+
 def write_config(tmp_path, payload):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
@@ -202,6 +206,33 @@ class TestMainEntry:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert cli.main(["run", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"eps": "inf"},
+            {"eps": float("inf")},
+            {"mu": -1.0},
+            {"eps": -2},
+            {"mu": "abc"},
+            {"eps": None},
+            {"mu": True},
+            pytest.param({"mu": 10**400}, id="{'mu': 10**400}"),  # beyond float range
+            {"t_end": "12"},
+            {"t_end": True},
+            {"t_end": [1.0, None]},
+            {**_STANDING_DOMAIN, "x_lo": None},
+            {**_STANDING_DOMAIN, "z_hi": "2"},
+        ],
+        ids=repr,
+    )
+    def test_bad_numeric_field_exits_config(self, tmp_path, capsys, fields):
+        # Each config is valid but for one numeric field.
+        path = write_config(tmp_path, {"case": "standing", **fields})
+        assert cli.main(["run", "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err
 
     def test_odd_n_exits_config(self, capsys):
         assert cli.main(["run", "--case", "standing", "--n", "7"]) == EXIT_CONFIG

@@ -9,7 +9,6 @@ from psmaxwell import (
     ImaginaryResidueError,
     InvariantReport,
     MediumParams,
-    PhysicalField,
     StandingWave,
     TravelingWave,
     apply_derivative,
@@ -42,19 +41,18 @@ def _axis_coordinate(grid, axis):
 
 
 def _spectral_derivative(grid, values, axis):
-    spec = apply_derivative(dft3_forward(PhysicalField(grid, values)), axis)
-    return dft3_inverse(spec).data
+    return dft3_inverse(grid, apply_derivative(grid, dft3_forward(grid, values), axis))
 
 
 class TestInnerProduct:
     def test_normalization(self, grid8):
-        ones = PhysicalField(grid8, np.ones(grid8.n_total))
+        ones = np.ones(grid8.n_total)
         assert inner_product_N(ones, ones) == pytest.approx(1.0, rel=1e-15)
 
     def test_discrete_orthogonality(self, grid8):
         x = _axis_coordinate(grid8, 0)
-        u = PhysicalField(grid8, np.sin(grid8.nu_x * x))
-        v = PhysicalField(grid8, np.cos(grid8.nu_x * x))
+        u = np.sin(grid8.nu_x * x)
+        v = np.cos(grid8.nu_x * x)
         assert abs(inner_product_N(u, v)) <= 1e-14
 
     def test_matches_brute_force_loop(self, grid4, rng):
@@ -64,18 +62,18 @@ class TestInnerProduct:
         for p in range(grid4.n_total):
             brute += u[p] * v[p]
         brute /= grid4.n_total
-        got = inner_product_N(PhysicalField(grid4, u), PhysicalField(grid4, v))
+        got = inner_product_N(u, v)
         assert got == pytest.approx(brute, rel=1e-13)
 
     def test_grid_mismatch(self, grid4, grid8):
-        u = PhysicalField(grid4, np.zeros(grid4.n_total))
-        v = PhysicalField(grid8, np.zeros(grid8.n_total))
-        with pytest.raises(ValueError, match="same grid"):
+        u = np.zeros(grid4.n_total)
+        v = np.zeros(grid8.n_total)
+        with pytest.raises(ValueError, match="equal shapes"):
             inner_product_N(u, v)
 
     def test_conjugates_second_argument(self, grid4):
-        u = PhysicalField(grid4, np.full(grid4.n_total, 1.0 + 1.0j))
-        v = PhysicalField(grid4, np.full(grid4.n_total, 0.0 + 1.0j))
+        u = np.full(grid4.n_total, 1.0 + 1.0j)
+        v = np.full(grid4.n_total, 0.0 + 1.0j)
         assert inner_product_N(u, v) == pytest.approx(1.0 - 1.0j)
 
 
@@ -250,12 +248,8 @@ class TestMomenta:
         for axis in range(3):
             du = _spectral_derivative(grid4, u, axis)
             dv = _spectral_derivative(grid4, v, axis)
-            lhs = inner_product_N(
-                PhysicalField(grid4, du), PhysicalField(grid4, v)
-            )
-            rhs = -inner_product_N(
-                PhysicalField(grid4, u), PhysicalField(grid4, dv)
-            )
+            lhs = inner_product_N(du, v)
+            rhs = -inner_product_N(u, dv)
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -391,8 +385,7 @@ def _physical_space_report(state) -> dict:
     def d(values, axis):
         return _spectral_derivative(grid, values, axis)
 
-    def ip(u, v):
-        return inner_product_N(PhysicalField(grid, u), PhysicalField(grid, v))
+    ip = inner_product_N
 
     def curl(f):
         fx, fy, fz = f

@@ -6,7 +6,6 @@ import pytest
 from psmaxwell import (
     DomainSpec,
     MediumParams,
-    PhysicalField,
     apply_derivative,
     build_grid,
     dft3_forward,
@@ -71,8 +70,7 @@ class TestDenseCurl:
         dense = dense_curl(grid4) @ stacked
 
         def d(axis, values):
-            spec = apply_derivative(dft3_forward(PhysicalField(grid4, values)), axis)
-            return dft3_inverse(spec).data
+            return dft3_inverse(grid4, apply_derivative(grid4, dft3_forward(grid4, values), axis))
 
         spectral = np.concatenate([
             d(1, comps[2]) - d(2, comps[1]),
@@ -142,22 +140,20 @@ class TestDenseExpm:
 
 class TestNaiveDft:
     def test_constant_is_dc_only(self, grid4):
-        f = PhysicalField(grid4, np.full(grid4.n_total, -1.25))
-        spec = naive_dft3(f)
+        spec = naive_dft3(grid4, np.full(grid4.n_total, -1.25))
         assert spec[0] == pytest.approx(-1.25 * grid4.n_total, rel=1e-13)
         assert np.max(np.abs(spec[1:])) < 1e-12 * grid4.n_total
 
     def test_single_harmonic_two_modes(self, grid4):
         x = np.broadcast_to(grid4.points_x.reshape(1, 1, -1), grid4.shape).ravel()
-        spec = naive_dft3(PhysicalField(grid4, np.cos(grid4.nu_x * x)))
+        spec = naive_dft3(grid4, np.cos(grid4.nu_x * x))
         nonzero = np.flatnonzero(np.abs(spec) > 1e-10)
         assert set(nonzero) == {1, 3}
 
     def test_agrees_with_fast_transform(self, grid4, rng):
         data = rng.standard_normal(grid4.n_total)
-        f = PhysicalField(grid4, data)
-        slow = naive_dft3(f).reshape(grid4.shape)[..., : grid4.n_x // 2 + 1].ravel()
-        fast = dft3_forward(f).data
+        slow = naive_dft3(grid4, data).reshape(grid4.shape)[..., : grid4.n_x // 2 + 1].ravel()
+        fast = dft3_forward(grid4, data)
         assert np.max(np.abs(slow - fast)) <= 1e-12 * np.max(np.abs(data)) * grid4.n_total
 
     def test_dense_matrix_is_unitary_up_to_scale(self, grid4):
@@ -168,4 +164,4 @@ class TestNaiveDft:
     def test_size_guard(self):
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 16, 4, 4)
         with pytest.raises(ValueError, match="test-only"):
-            naive_dft3(PhysicalField(grid, np.zeros(grid.n_total)))
+            naive_dft3(grid, np.zeros(grid.n_total))

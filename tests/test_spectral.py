@@ -12,8 +12,6 @@ import pytest
 from psmaxwell import (
     DomainSpec,
     ImaginaryResidueError,
-    PhysicalField,
-    SpectralField,
     apply_derivative,
     build_grid,
     dft3_forward,
@@ -32,8 +30,7 @@ def _half(grid, full_flat):
 
 class TestForward:
     def test_constant_field_is_dc_only(self, grid4):
-        f = PhysicalField(grid4, np.full(grid4.n_total, 2.5))
-        spec = dft3_forward(f).data
+        spec = dft3_forward(grid4, np.full(grid4.n_total, 2.5))
         assert spec[0] == pytest.approx(2.5 * grid4.n_total, rel=1e-14)
         assert np.max(np.abs(spec[1:])) < 1e-12 * grid4.n_total
 
@@ -43,8 +40,7 @@ class TestForward:
         x = np.broadcast_to(
             grid4.points_x.reshape(1, 1, -1), grid4.shape
         ).ravel()
-        f = PhysicalField(grid4, np.cos(grid4.nu_x * x))
-        spec = dft3_forward(f).data
+        spec = dft3_forward(grid4, np.cos(grid4.nu_x * x))
         n_s = grid4.n_total
         assert spec.shape == (grid4.n_spectral,)
         assert spec[1] == pytest.approx(n_s / 2, abs=1e-11)
@@ -54,15 +50,11 @@ class TestForward:
     def test_matches_naive_dft(self, rng):
         for counts in ((4, 4, 4), (2, 4, 6), (6, 8, 4)):
             grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
-            f = PhysicalField(grid, rng.standard_normal(grid.n_total))
-            fast = dft3_forward(f).data
-            slow = _half(grid, naive_dft3(f))
+            f = rng.standard_normal(grid.n_total)
+            fast = dft3_forward(grid, f)
+            slow = _half(grid, naive_dft3(grid, f))
             scale = np.max(np.abs(slow))
             assert np.max(np.abs(fast - slow)) < 1e-12 * scale
-
-    def test_size_mismatch_rejected(self, grid4):
-        with pytest.raises(ValueError, match="does not match"):
-            PhysicalField(grid4, np.zeros(10))
 
 
 class TestInverse:
@@ -70,17 +62,17 @@ class TestInverse:
     def test_round_trip(self, n, rng):
         grid = build_grid(DomainSpec.cube(0.0, 1.0), n, n, n)
         data = rng.standard_normal(grid.n_total)
-        back = dft3_inverse(dft3_forward(PhysicalField(grid, data))).data
+        back = dft3_inverse(grid, dft3_forward(grid, data))
         assert np.max(np.abs(back - data)) <= 1e-13 * np.max(np.abs(data))
 
     def test_zero_spectrum(self, grid4):
-        out = dft3_inverse(SpectralField(grid4, np.zeros(grid4.n_spectral))).data
+        out = dft3_inverse(grid4, np.zeros(grid4.n_spectral, dtype=complex))
         assert np.all(out == 0.0)
 
     def test_dc_spectrum_gives_constant_one(self, grid4):
         spec = np.zeros(grid4.n_spectral, dtype=complex)
         spec[0] = grid4.n_total
-        out = dft3_inverse(SpectralField(grid4, spec)).data
+        out = dft3_inverse(grid4, spec)
         assert out.dtype == np.float64
         np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-14)
 
@@ -88,64 +80,64 @@ class TestInverse:
     def test_round_trip_anisotropic(self, counts, rng):
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
         data = rng.standard_normal((2, grid.n_total))
-        spec = dft3_forward(PhysicalField(grid, data)).data
+        spec = dft3_forward(grid, data)
         assert spec.shape == (2, grid.n_spectral)
-        back = dft3_inverse(SpectralField(grid, spec)).data
+        back = dft3_inverse(grid, spec)
         assert np.max(np.abs(back - data)) <= 1e-13 * np.max(np.abs(data))
 
 
 class TestRealize:
     def test_real_input_passthrough(self, grid4, rng):
         # The half spectrum of real samples passes, returned as it is.
-        spec = dft3_forward(PhysicalField(grid4, rng.standard_normal(grid4.n_total)))
-        out, residue = realize(spec)
+        spec = dft3_forward(grid4, rng.standard_normal(grid4.n_total))
+        out, residue = realize(grid4, spec)
         assert out is spec
-        assert residue <= 1e-15 * np.max(np.abs(spec.data)) / grid4.n_total
+        assert residue <= 1e-15 * np.max(np.abs(spec)) / grid4.n_total
 
     def test_records_small_residue(self, grid4):
         spec = np.zeros(grid4.n_spectral, dtype=complex)
         spec[0] = 1.0
         for column in (0, grid4.n_x // 2):  # kx = 0 and kx = n_x/2
             bad = perturb_plane(spec, grid4, column, 2e-14)
-            _, residue = realize(SpectralField(grid4, bad))
+            _, residue = realize(grid4, bad)
             assert residue == pytest.approx(1e-14 / grid4.n_total)
 
     def test_flags_large_residue(self, grid4, rng):
-        spec = dft3_forward(PhysicalField(grid4, rng.standard_normal(grid4.n_total))).data
+        spec = dft3_forward(grid4, rng.standard_normal(grid4.n_total))
         for column in (0, grid4.n_x // 2):  # kx = 0 and kx = n_x/2
             bad = perturb_plane(spec, grid4, column, 1e-6 * np.max(np.abs(spec)))
             with pytest.raises(ImaginaryResidueError, match="Hermitian"):
-                realize(SpectralField(grid4, bad))
+                realize(grid4, bad)
 
     def test_other_columns_may_carry_any_phase(self, grid4):
         # Off the two self-conjugate planes every mode is free.
         spec = np.zeros(grid4.n_spectral, dtype=complex)
         spec[1] = 1.0j
-        assert realize(SpectralField(grid4, spec))[1] == 0.0
+        assert realize(grid4, spec)[1] == 0.0
 
     def test_stack_magnitude_allows_zero_component(self, grid4):
         # Roundoff-level defect in an essentially zero component is fine when
         # judged against the magnitude of the full stacked state.
         tiny = perturb_plane(np.zeros(grid4.n_spectral, dtype=complex), grid4, 0, 2e-16)
         with pytest.raises(ImaginaryResidueError):
-            realize(SpectralField(grid4, tiny))
+            realize(grid4, tiny)
         big = np.zeros(grid4.n_spectral, dtype=complex)
         big[0] = 1.0
-        out, residue = realize(SpectralField(grid4, np.stack([big, tiny])))
+        out, residue = realize(grid4, np.stack([big, tiny]))
         assert residue == pytest.approx(1e-16 / grid4.n_total)
-        assert out.data.shape == (2, grid4.n_spectral)
+        assert out.shape == (2, grid4.n_spectral)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_flags_non_finite_magnitude(self, grid4, bad):
         data = np.ones(grid4.n_spectral, dtype=complex)
         data[3] = bad
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
-            realize(SpectralField(grid4, data))
+            realize(grid4, data)
         # A non-finite mode in any row of a stack, not only the first.
         stack = np.ones((3, grid4.n_spectral), dtype=complex)
         stack[2, 3] = bad
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
-            realize(SpectralField(grid4, stack))
+            realize(grid4, stack)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_flags_non_finite_real_input(self, grid4, bad):
@@ -153,44 +145,42 @@ class TestRealize:
         data = np.ones((2, grid4.n_spectral))
         data[1, 5] = bad
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
-            realize(SpectralField(grid4, data))
+            realize(grid4, data)
 
 
 class TestDerivative:
     def test_sin_becomes_cos(self, grid8):
         x = np.broadcast_to(grid8.points_x.reshape(1, 1, -1), grid8.shape).ravel()
-        f = PhysicalField(grid8, np.sin(grid8.nu_x * x))
-        dspec = apply_derivative(dft3_forward(f), "x")
-        df = dft3_inverse(dspec)
+        dspec = apply_derivative(grid8, dft3_forward(grid8, np.sin(grid8.nu_x * x)), "x")
+        df = dft3_inverse(grid8, dspec)
         expected = grid8.nu_x * np.cos(grid8.nu_x * x)
-        assert np.max(np.abs(df.data - expected)) <= 1e-12 * grid8.nu_x
+        assert np.max(np.abs(df - expected)) <= 1e-12 * grid8.nu_x
 
     def test_constant_derivative_is_zero(self, grid4):
-        f = PhysicalField(grid4, np.full(grid4.n_total, 3.0))
+        spec = dft3_forward(grid4, np.full(grid4.n_total, 3.0))
         for axis in ("x", "y", "z"):
-            dspec = apply_derivative(dft3_forward(f), axis)
-            out = dft3_inverse(dspec).data
+            out = dft3_inverse(grid4, apply_derivative(grid4, spec, axis))
             assert np.max(np.abs(out)) < 1e-13
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_matches_dense_cotangent_matrix(self, grid8, rng, axis):
         data = rng.standard_normal(grid8.n_total)
         dense = dense_diff_operator(grid8, axis) @ data
-        spec = apply_derivative(dft3_forward(PhysicalField(grid8, data)), axis)
-        fast = dft3_inverse(spec)
-        assert np.max(np.abs(fast.data - dense)) <= 1e-11 * max(np.max(np.abs(dense)), 1.0)
+        spec = apply_derivative(grid8, dft3_forward(grid8, data), axis)
+        fast = dft3_inverse(grid8, spec)
+        assert np.max(np.abs(fast - dense)) <= 1e-11 * max(np.max(np.abs(dense)), 1.0)
 
     def test_nyquist_mode_annihilated(self, grid4):
         # Pure Nyquist sawtooth along x: derivative must be exactly zero.
         cube = np.zeros(grid4.spectral_shape, dtype=complex)
         cube[:, :, grid4.n_x // 2] = 1.0
-        dspec = apply_derivative(SpectralField(grid4, cube.ravel()), "x")
-        assert np.all(dspec.data == 0.0)
+        dspec = apply_derivative(grid4, cube.ravel(), "x")
+        assert np.all(dspec == 0.0)
 
     def test_invalid_axis(self, grid4):
-        f = SpectralField(grid4, np.zeros(grid4.n_spectral, dtype=complex))
+        f = np.zeros(grid4.n_spectral, dtype=complex)
         with pytest.raises(ValueError, match="axis"):
-            apply_derivative(f, "w")
+            apply_derivative(grid4, f, "w")
 
 
 class TestBatch:
@@ -198,21 +188,17 @@ class TestBatch:
         # Leading batch axes transform each row exactly as on its own.
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 6, 4, 8)
         data = rng.standard_normal((2, 3, grid.n_total))
-        spec = dft3_forward(PhysicalField(grid, data)).data
-        deriv = apply_derivative(SpectralField(grid, spec), "y").data
-        back = dft3_inverse(SpectralField(grid, spec)).data
+        spec = dft3_forward(grid, data)
+        deriv = apply_derivative(grid, spec, "y")
+        back = dft3_inverse(grid, spec)
         assert spec.shape == deriv.shape == (2, 3, grid.n_spectral)
         assert back.shape == data.shape
         for i in range(2):
             for j in range(3):
-                row = dft3_forward(PhysicalField(grid, data[i, j])).data
+                row = dft3_forward(grid, data[i, j])
                 np.testing.assert_array_equal(spec[i, j], row)
-                np.testing.assert_array_equal(
-                    deriv[i, j], apply_derivative(SpectralField(grid, row), "y").data
-                )
-                np.testing.assert_array_equal(
-                    back[i, j], dft3_inverse(SpectralField(grid, row)).data
-                )
+                np.testing.assert_array_equal(deriv[i, j], apply_derivative(grid, row, "y"))
+                np.testing.assert_array_equal(back[i, j], dft3_inverse(grid, row))
 
 
 class TestProperties:
@@ -220,15 +206,13 @@ class TestProperties:
         f = rng.standard_normal(grid4.n_total)
         g = rng.standard_normal(grid4.n_total)
         a, b = 1.7, -0.3
-        lhs = dft3_forward(PhysicalField(grid4, a * f + b * g)).data
-        rhs = a * dft3_forward(PhysicalField(grid4, f)).data + b * dft3_forward(
-            PhysicalField(grid4, g)
-        ).data
+        lhs = dft3_forward(grid4, a * f + b * g)
+        rhs = a * dft3_forward(grid4, f) + b * dft3_forward(grid4, g)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
     def test_parseval(self, grid8, rng):
         data = rng.standard_normal(grid8.n_total)
-        spec = dft3_forward(PhysicalField(grid8, data)).data.reshape(grid8.spectral_shape)
+        spec = dft3_forward(grid8, data).reshape(grid8.spectral_shape)
         n_s = grid8.n_total
         physical = np.sum(data**2) / n_s
         # Interior x-columns stand for themselves and their conjugates.
@@ -237,21 +221,18 @@ class TestProperties:
         assert spectral == pytest.approx(physical, rel=1e-12)
 
     def test_derivatives_commute(self, grid4, rng):
-        spec = SpectralField(
-            grid4,
-            rng.standard_normal(grid4.n_spectral) + 1j * rng.standard_normal(grid4.n_spectral),
-        )
-        xy = apply_derivative(apply_derivative(spec, "x"), "y").data
-        yx = apply_derivative(apply_derivative(spec, "y"), "x").data
+        spec = rng.standard_normal(grid4.n_spectral) + 1j * rng.standard_normal(grid4.n_spectral)
+        xy = apply_derivative(grid4, apply_derivative(grid4, spec, "x"), "y")
+        yx = apply_derivative(grid4, apply_derivative(grid4, spec, "y"), "x")
         scale = max(np.max(np.abs(xy)), 1e-300)
         assert np.max(np.abs(xy - yx)) <= 1e-13 * scale
 
     def test_conjugate_symmetry_of_real_transform(self, grid4, rng):
         # Inside the half spectrum only the kx = 0 and kx = n/2 columns hold
         # conjugate pairs (m and -m mod n fall in the same column there).
-        spec = dft3_forward(
-            PhysicalField(grid4, rng.standard_normal(grid4.n_total))
-        ).data.reshape(grid4.spectral_shape)
+        spec = dft3_forward(grid4, rng.standard_normal(grid4.n_total)).reshape(
+            grid4.spectral_shape
+        )
         n = 4
         for mz in range(n):
             for my in range(n):
@@ -262,10 +243,26 @@ class TestProperties:
 
     def test_band_limited_helper_round_trips(self, grid4, rng):
         data = random_band_limited_field(grid4, rng)
-        spec = dft3_forward(PhysicalField(grid4, data)).data.reshape(grid4.spectral_shape)
+        spec = dft3_forward(grid4, data).reshape(grid4.spectral_shape)
         assert np.max(np.abs(spec[:, :, 2])) < 1e-10
         assert np.max(np.abs(spec[:, 2, :])) < 1e-10
         assert np.max(np.abs(spec[2, :, :])) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid: dft3_forward(grid, np.zeros(grid.n_spectral)),
+        lambda grid: dft3_inverse(grid, np.zeros((6, grid.n_total), dtype=complex)),
+        lambda grid: apply_derivative(grid, np.zeros(grid.n_total, dtype=complex), "x"),
+        lambda grid: realize(grid, np.zeros(10, dtype=complex)),
+    ],
+    ids=["dft3_forward", "dft3_inverse", "apply_derivative", "realize"],
+)
+def test_wrong_length_rejected(grid4, call):
+    # Each function checks the last axis against the grid, batched or not.
+    with pytest.raises(ValueError, match="does not match grid size"):
+        call(grid4)
 
 
 def test_import_leaves_scipy_out():
