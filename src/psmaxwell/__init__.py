@@ -19,7 +19,6 @@ from .propagator import (
     FieldState,
     MediumParams,
     PropagatorCoefficients,
-    broadcast_wavenumbers,
     build_coefficients,
     propagate,
     step,
@@ -59,7 +58,6 @@ __all__ = [
     "MediumParams",
     "FieldState",
     "PropagatorCoefficients",
-    "broadcast_wavenumbers",
     "build_coefficients",
     "step",
     "propagate",

@@ -33,8 +33,8 @@ class StandingWave:
     ``omega * pi`` with ``omega = sqrt((k_x^2 + k_y^2 + k_z^2) / (eps * mu))``.
     The component amplitudes satisfy the curl equations only when the
     wavevector components sum to zero and ``mu == 1`` (any ``eps > 0`` works),
-    so the constructor enforces both; the defaults are ``k = (1, 2, -3)``
-    with ``eps = mu = 1``.
+    so the constructor enforces both, as well as a finite ``omega``; the
+    defaults are ``k = (1, 2, -3)`` with ``eps = mu = 1``.
     """
 
     k_x: int = 1
@@ -57,6 +57,15 @@ class StandingWave:
             raise ValueError(
                 "the standing-wave amplitudes assume mu == 1; "
                 f"got mu = {self.medium.mu}"
+            )
+        try:
+            in_range = math.isfinite(self.omega)
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError(
+                "wavevector is out of the float range: "
+                "omega = sqrt(|k|^2 / (eps * mu)) overflows"
             )
 
     @property

@@ -36,7 +36,7 @@ from .diagnostics import (
     relative_change,
 )
 from .grid import DomainSpec, build_grid
-from .propagator import MediumParams, propagate
+from .propagator import FieldState, MediumParams, propagate
 from .spectral import ImaginaryResidueError
 
 __all__ = ["RunConfig", "main", "run_records", "drift_records", "convergence_records"]
@@ -112,15 +112,6 @@ class RunConfig:
             if self.case == "standing":
                 return StandingWave(self.k_x, self.k_y, self.k_z, medium)
             return TravelingWave(medium)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def build_grid(self, n: tuple[int, int, int] | None = None):
-        case = self.build_case()
-        domain = self.domain if self.domain is not None else case.default_domain
-        nx, ny, nz = n if n is not None else (self.n_x, self.n_y, self.n_z)
-        try:
-            return build_grid(domain, nx, ny, nz)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -222,14 +213,21 @@ def _drifts_dict(d: InvariantDrifts) -> dict:
     return out
 
 
+def _initial_state(
+    config: RunConfig, case: AnalyticCase, counts: tuple[int, int, int]
+) -> FieldState:
+    """The case sampled at t = 0 on the configured domain with ``counts`` points."""
+    domain = config.domain if config.domain is not None else case.default_domain
+    try:
+        return sample_initial(case, build_grid(domain, *counts))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def run_records(config: RunConfig) -> list[dict]:
     """One record per configured t_end."""
     case = config.build_case()
-    grid = config.build_grid()
-    try:
-        initial = sample_initial(case, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    initial = _initial_state(config, case, (config.n_x, config.n_y, config.n_z))
     before = invariant_report(initial)
     axis = config.report_axis - 1
     records = []
@@ -243,9 +241,9 @@ def run_records(config: RunConfig) -> list[dict]:
         records.append(
             {
                 "case": config.case,
-                "nx": grid.n_x,
-                "ny": grid.n_y,
-                "nz": grid.n_z,
+                "nx": initial.grid.n_x,
+                "ny": initial.grid.n_y,
+                "nz": initial.grid.n_z,
                 "t_end": _sig16(t_end),
                 "report_axis": config.report_axis,
                 "l2": _sig16(errors.l2),
@@ -318,11 +316,7 @@ def drift_records(config: RunConfig, t_max: float, samples: int) -> list[dict]:
     if not np.isfinite(t_max):
         raise ConfigError(f"t_max must be finite, got {t_max}")
     case = config.build_case()
-    grid = config.build_grid()
-    try:
-        initial = sample_initial(case, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    initial = _initial_state(config, case, (config.n_x, config.n_y, config.n_z))
     before = invariant_report(initial)
     records = []
     for i in range(1, samples + 1):
@@ -355,11 +349,7 @@ def convergence_records(config: RunConfig, n_list: list[int]) -> list[dict]:
     )
     records = []
     for n in n_list:
-        grid = config.build_grid((n, n, n))
-        try:
-            initial = sample_initial(case, grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        initial = _initial_state(config, case, (n, n, n))
         for t_end in config.t_end:
             start = time.perf_counter()
             final = propagate(initial, t_end)

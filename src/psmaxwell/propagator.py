@@ -18,9 +18,7 @@ are stored on that layout.  Total cost of :func:`propagate` is one batched
 real-to-complex transform of the six components, O(n_spectral) elementwise
 work (two per-mode cross products per field), the Hermitian-plane check of
 :func:`psmaxwell.spectral.realize`, and one batched complex-to-real
-transform.  The per-mode accessors of :class:`PropagatorCoefficients`
-(``b_x``, ``c11``, ``cos_block``, ...) keep the full flat mode layout of all
-``n_total`` modes.
+transform.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridSpec, unflatten_index
+from .grid import GridSpec
 from .spectral import (
     ImaginaryResidueError,
     cross,
@@ -44,7 +42,6 @@ __all__ = [
     "MediumParams",
     "FieldState",
     "PropagatorCoefficients",
-    "broadcast_wavenumbers",
     "build_coefficients",
     "step",
     "propagate",
@@ -111,18 +108,9 @@ class FieldState:
         return tuple(self.data)
 
 
-def broadcast_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis wavenumber ladders broadcast to the full flat mode layout.
-
-    ``b_x[flat(j,k,l)] = kvec_x[j]`` and likewise for y, z, over all
-    ``n_total`` modes.
-    """
-    ladders = (grid.kvec_x, grid.kvec_y[:, None], grid.kvec_z[:, None, None])
-    return tuple(np.broadcast_to(b, grid.shape).ravel() for b in ladders)
-
-
-def _flow_factors(kappa: float, bx, by, bz) -> tuple[np.ndarray, np.ndarray]:
-    """``r1``, ``r2`` at ``theta = |kappa| |b|`` for broadcastable wavenumbers."""
+def _flow_factors(kappa: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``r1``, ``r2`` at ``theta = |kappa| |b|`` over the half-spectrum modes."""
+    bx, by, bz = wavenumbers(grid)
     theta = np.sqrt(kappa * kappa * (bx * bx + by * by + bz * bz))
     # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
     return -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2, np.sinc(theta / np.pi)
@@ -133,24 +121,18 @@ class PropagatorCoefficients:
     """Per-mode closed-form flow coefficients for one time increment ``t``.
 
     With ``kappa = t / sqrt(mu*eps)``, ``b`` the mode's wavenumber triple
-    and ``theta = |kappa| |b|`` (``psi = theta^2``), two real arrays in the
-    flat half-spectrum layout (``n_spectral`` modes) carry the whole flow:
+    and ``theta = |kappa| |b|``, two real arrays in the flat half-spectrum
+    layout (``n_spectral`` modes) carry the whole flow:
 
     - ``r1 = (cos(theta) - 1) / theta^2``, computed as ``-sinc^2(theta/2)/2``
       so small angles lose no relative accuracy; ``-1/2`` at theta = 0.
     - ``r2 = sin(theta) / theta``; ``1`` at theta = 0.
 
-    On the impedance-scaled fields ``(sqrt(mu) H, sqrt(eps) E)`` the flow
-    is the cosine block ``C = I - kappa^2 r1 [b]x^2`` and the purely
-    imaginary sine block ``S = i kappa r2 [b]x``.  Their entries
-    (``c11 = 1 + kappa^2 (b_y^2 + b_z^2) r1`` and cyclic analogues, and the
-    sine magnitudes ``s12 = kappa b_z r2`` and cyclic, the factor ``i``
-    applied where they are used), ``psi`` and the broadcast wavenumbers
-    ``b_x``, ``b_y``, ``b_z`` are read-only properties derived on demand over
-    the full flat layout of all ``n_total`` modes, as are ``cos_block`` and
-    ``sin_block`` at a full flat mode index; :func:`step` never materializes
-    them.  ``r1`` and ``r2`` are immutable and reusable across any number of
-    states.
+    :func:`step` applies them as the cosine block
+    ``C = I - kappa^2 r1 [b]x^2`` and the purely imaginary sine block
+    ``S = i kappa r2 [b]x`` through per-mode cross products, without
+    materializing either block.  ``r1`` and ``r2`` are immutable and
+    reusable across any number of states.
     """
 
     grid: GridSpec
@@ -159,53 +141,6 @@ class PropagatorCoefficients:
     kappa: float
     r1: np.ndarray
     r2: np.ndarray
-
-    @property
-    def _b(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return broadcast_wavenumbers(self.grid)
-
-    def _cos(self, i: int, j: int) -> np.ndarray:
-        b = self._b
-        k2r1 = self.kappa * self.kappa * _flow_factors(self.kappa, *b)[0]
-        if i != j:
-            return -b[i] * b[j] * k2r1
-        o1, o2 = (b[a] for a in range(3) if a != i)
-        return 1.0 + (o1 * o1 + o2 * o2) * k2r1
-
-    def _sin(self, axis: int) -> np.ndarray:
-        b = self._b
-        return self.kappa * b[axis] * _flow_factors(self.kappa, *b)[1]
-
-    b_x = property(lambda self: self._b[0])
-    b_y = property(lambda self: self._b[1])
-    b_z = property(lambda self: self._b[2])
-    psi = property(lambda self: self.kappa * self.kappa * sum(b * b for b in self._b))
-    c11 = property(lambda self: self._cos(0, 0))
-    c12 = property(lambda self: self._cos(0, 1))
-    c13 = property(lambda self: self._cos(0, 2))
-    c22 = property(lambda self: self._cos(1, 1))
-    c23 = property(lambda self: self._cos(1, 2))
-    c33 = property(lambda self: self._cos(2, 2))
-    s12 = property(lambda self: self._sin(2))
-    s13 = property(lambda self: self._sin(1))
-    s23 = property(lambda self: self._sin(0))
-
-    def _mode(self, mode: int) -> tuple[np.ndarray, float, float]:
-        """``[b]x``, ``r1`` and ``r2`` at one full flat mode index."""
-        j, k, l = unflatten_index(mode, self.grid)
-        bx, by, bz = self.grid.kvec_x[j], self.grid.kvec_y[k], self.grid.kvec_z[l]
-        r1, r2 = _flow_factors(self.kappa, bx, by, bz)
-        return np.array([[0.0, -bz, by], [bz, 0.0, -bx], [-by, bx, 0.0]]), r1, r2
-
-    def cos_block(self, mode: int) -> np.ndarray:
-        """Symmetric 3x3 cosine block at one full flat mode index."""
-        k, r1, _ = self._mode(mode)
-        return np.eye(3) - self.kappa * self.kappa * r1 * (k @ k)
-
-    def sin_block(self, mode: int) -> np.ndarray:
-        """Antisymmetric purely imaginary 3x3 sine block at one full flat mode index."""
-        k, _, r2 = self._mode(mode)
-        return 1j * self.kappa * r2 * k
 
 
 def build_coefficients(
@@ -233,7 +168,7 @@ def build_coefficients(
             f"non-finite propagator coefficient psi = kappa^2 |b|^2 "
             f"= {kappa * kappa * b_sq_max} at t = {t}"
         )
-    r1, r2 = (r.ravel() for r in _flow_factors(kappa, *wavenumbers(grid)))
+    r1, r2 = (r.ravel() for r in _flow_factors(kappa, grid))
     r1.setflags(write=False)
     r2.setflags(write=False)
     return PropagatorCoefficients(grid, medium, float(t), kappa, r1, r2)

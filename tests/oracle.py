@@ -6,6 +6,12 @@ blocks, Taylor-series matrix exponential) and shares no code with the fast
 paths beyond the grid conventions.  Size guards reject anything bigger than
 desk-test scale so these O(n^2)-O(n^3) routines cannot leak into production
 use or benchmarks.
+
+The flow-coefficient helpers at the end are the exception on purpose: they
+take a :class:`psmaxwell.PropagatorCoefficients` and read the package's own
+half-spectrum ``r1``, ``r2``, mirrored to the full mode layout, so the
+per-mode blocks checked against the series exponential are built from the
+package's numbers rather than from an independent evaluation.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ import numpy as np
 from psmaxwell.grid import GridSpec
 
 __all__ = [
+    "broadcast_wavenumbers",
+    "full_flow_factors",
+    "flow_blocks",
     "dense_diff_matrix",
     "dense_diff_operator",
     "dense_curl",
@@ -142,3 +151,43 @@ def naive_dft3(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     x-columns.
     """
     return dense_dft_matrix(grid) @ f
+
+
+def broadcast_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis wavenumber ladders broadcast to the full flat mode layout.
+
+    ``b_x[flat(j,k,l)] = kvec_x[j]`` and likewise for y, z, over all
+    ``n_total`` modes.
+    """
+    ladders = (grid.kvec_x, grid.kvec_y[:, None], grid.kvec_z[:, None, None])
+    return tuple(np.broadcast_to(b, grid.shape).ravel() for b in ladders)
+
+
+def full_flow_factors(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The package's ``r1``, ``r2`` mirrored to all ``n_total`` modes.
+
+    Both depend on ``b_x`` only through ``b_x^2``, so full column ``n_x - j``
+    repeats half-spectrum column ``j``.
+    """
+    grid = coeffs.grid
+    mirror = slice(grid.n_x // 2 - 1, 0, -1)
+    halves = (r.reshape(grid.spectral_shape) for r in (coeffs.r1, coeffs.r2))
+    return tuple(np.concatenate([h, h[..., mirror]], axis=-1).ravel() for h in halves)
+
+
+def flow_blocks(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode cosine and sine blocks over the full flat mode layout.
+
+    Returns ``C = I - kappa^2 r1 [b]x^2`` and ``S = i kappa r2 [b]x``, each
+    of shape ``(n_total, 3, 3)``, built from :func:`full_flow_factors`.
+    """
+    b = broadcast_wavenumbers(coeffs.grid)
+    b_cross = np.zeros((coeffs.grid.n_total, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        b_cross[:, i, j] = -b[k]
+        b_cross[:, j, i] = b[k]
+    r1, r2 = full_flow_factors(coeffs)
+    kappa = coeffs.kappa
+    cos = np.eye(3) - (kappa * kappa * r1)[:, None, None] * (b_cross @ b_cross)
+    sin = 1j * kappa * r2[:, None, None] * b_cross
+    return cos, sin

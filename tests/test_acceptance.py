@@ -28,7 +28,13 @@ from psmaxwell import (
 from psmaxwell.grid import DomainSpec
 
 from conftest import random_band_limited_state, state_norm
-from oracle import dense_curl, dense_diff_operator, dense_expm
+from oracle import (
+    broadcast_wavenumbers,
+    dense_curl,
+    dense_diff_operator,
+    dense_expm,
+    flow_blocks,
+)
 
 T_TABLE = (1.0, 5.0, 10.0, 15.0, 20.0)
 
@@ -198,22 +204,23 @@ def test_criterion_7_oracle_equivalence():
 
     # Closed-form per-mode blocks against the series exponential.
     kappa = 0.7
-    coeffs = build_coefficients(grid, medium, kappa)
+    cos, sin = flow_blocks(build_coefficients(grid, medium, kappa))
+    b_x, b_y, b_z = broadcast_wavenumbers(grid)
     worst_block = 0.0
     for m in range(n):
         k_cross = np.array(
             [
-                [0.0, -coeffs.b_z[m], coeffs.b_y[m]],
-                [coeffs.b_z[m], 0.0, -coeffs.b_x[m]],
-                [-coeffs.b_y[m], coeffs.b_x[m], 0.0],
+                [0.0, -b_z[m], b_y[m]],
+                [b_z[m], 0.0, -b_x[m]],
+                [-b_y[m], b_x[m], 0.0],
             ]
         )
         u_plus = dense_expm(1j * kappa * 1j * k_cross)
         u_minus = dense_expm(-1j * kappa * 1j * k_cross)
         worst_block = max(
             worst_block,
-            np.max(np.abs(coeffs.cos_block(m) - (u_plus + u_minus) / 2.0)),
-            np.max(np.abs(coeffs.sin_block(m) - (u_plus - u_minus) / 2j)),
+            np.max(np.abs(cos[m] - (u_plus + u_minus) / 2.0)),
+            np.max(np.abs(sin[m] - (u_plus - u_minus) / 2j)),
         )
     ok_blocks = worst_block <= 1e-11
     _check(
@@ -259,23 +266,27 @@ def test_criterion_8_structural_properties():
     details.append(f"group={group_err:.2e} (<=1e-11), reversal={rev_err:.2e} (<=1e-12)")
 
     # Per-mode unitarity and corrected divergence identities.
-    coeffs = build_coefficients(grid, medium, 1.3)
+    cos, sin = flow_blocks(build_coefficients(grid, medium, 1.3))
     unit_err = 0.0
     for m in range(grid.n_total):
-        c = coeffs.cos_block(m)
-        s = coeffs.sin_block(m)
+        c = cos[m]
+        s = sin[m]
         unit_err = max(
             unit_err, np.max(np.abs(c.conj().T @ c + s.conj().T @ s - np.eye(3)))
         )
-    bx, by, bz = coeffs.b_x, coeffs.b_y, coeffs.b_z
+    c11, c12, c13 = cos[:, 0].T
+    c22, c23, c33 = cos[:, 1, 1], cos[:, 1, 2], cos[:, 2, 2]
+    # The sine magnitudes s12 = kappa b_z r2 and cyclic: S = i kappa r2 [b]x.
+    s12, s13, s23 = -sin[:, 0, 1].imag, sin[:, 0, 2].imag, -sin[:, 1, 2].imag
+    bx, by, bz = broadcast_wavenumbers(grid)
     b_scale = max(np.max(np.abs(bx)), np.max(np.abs(by)), np.max(np.abs(bz)), 1.0)
     div_err = max(
-        np.max(np.abs(bx * coeffs.c11 + by * coeffs.c12 + bz * coeffs.c13 - bx)),
-        np.max(np.abs(bx * coeffs.c12 + by * coeffs.c22 + bz * coeffs.c23 - by)),
-        np.max(np.abs(bx * coeffs.c13 + by * coeffs.c23 + bz * coeffs.c33 - bz)),
-        np.max(np.abs(-bx * coeffs.s12 + bz * coeffs.s23)),
-        np.max(np.abs(by * coeffs.s12 - bz * coeffs.s13)),
-        np.max(np.abs(bx * coeffs.s13 - by * coeffs.s23)),
+        np.max(np.abs(bx * c11 + by * c12 + bz * c13 - bx)),
+        np.max(np.abs(bx * c12 + by * c22 + bz * c23 - by)),
+        np.max(np.abs(bx * c13 + by * c23 + bz * c33 - bz)),
+        np.max(np.abs(-bx * s12 + bz * s23)),
+        np.max(np.abs(by * s12 - bz * s13)),
+        np.max(np.abs(bx * s13 - by * s23)),
     ) / b_scale
     ok &= unit_err <= 1e-12 and div_err <= 1e-13
     details.append(f"unitarity={unit_err:.2e} (<=1e-12), div-ids={div_err:.2e} (<=1e-13)")

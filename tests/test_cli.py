@@ -218,6 +218,10 @@ class TestMainEntry:
             {"eps": None},
             {"mu": True},
             pytest.param({"mu": 10**400}, id="{'mu': 10**400}"),  # beyond float range
+            pytest.param(
+                {"k_x": 10**400, "k_y": -10**400, "k_z": 0},
+                id="{'k_x': 10**400, 'k_y': -10**400, 'k_z': 0}",
+            ),
             {"t_end": "12"},
             {"t_end": True},
             {"t_end": [1.0, None]},

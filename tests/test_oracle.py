@@ -12,8 +12,11 @@ from psmaxwell import (
     dft3_inverse,
 )
 
+from psmaxwell.grid import unflatten_index
+
 from conftest import random_band_limited_field
 from oracle import (
+    broadcast_wavenumbers,
     dense_curl,
     dense_dft_matrix,
     dense_diff_matrix,
@@ -165,3 +168,41 @@ class TestNaiveDft:
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 16, 4, 4)
         with pytest.raises(ValueError, match="test-only"):
             naive_dft3(grid, np.zeros(grid.n_total))
+
+
+class TestBroadcastWavenumbers:
+    def test_pattern_on_two_pi_cube(self, grid4):
+        b_x, b_y, b_z = broadcast_wavenumbers(grid4)
+        np.testing.assert_array_equal(b_x, np.tile([0.0, 1.0, 0.0, -1.0], 16))
+        # b_y constant over each x-run of length n_x
+        np.testing.assert_array_equal(b_y[:4], 0.0)
+        np.testing.assert_array_equal(b_y[4:8], 1.0)
+
+    def test_b_z_constant_per_slab(self, grid4):
+        _, _, b_z = broadcast_wavenumbers(grid4)
+        slab = grid4.n_x * grid4.n_y
+        for l in range(4):
+            chunk = b_z[l * slab:(l + 1) * slab]
+            assert np.all(chunk == grid4.kvec_z[l])
+
+    def test_positions_match_flatten(self, grid4):
+        b_x, b_y, b_z = broadcast_wavenumbers(grid4)
+        for flat in range(grid4.n_total):
+            j, k, l = unflatten_index(flat, grid4)
+            assert b_x[flat] == grid4.kvec_x[j]
+            assert b_y[flat] == grid4.kvec_y[k]
+            assert b_z[flat] == grid4.kvec_z[l]
+
+    def test_sum_of_squares_matches_brute_force(self, grid4):
+        b_x, b_y, b_z = broadcast_wavenumbers(grid4)
+        total = np.sum(b_x**2 + b_y**2 + b_z**2)
+        brute = 0.0
+        for l in range(4):
+            for k in range(4):
+                for j in range(4):
+                    brute += (
+                        grid4.kvec_x[j] ** 2
+                        + grid4.kvec_y[k] ** 2
+                        + grid4.kvec_z[l] ** 2
+                    )
+        assert total == pytest.approx(brute, rel=1e-14)

@@ -11,9 +11,9 @@ from psmaxwell import (
     MediumParams,
     StandingWave,
     TravelingWave,
-    broadcast_wavenumbers,
     build_coefficients,
     build_grid,
+    divergences,
     error_norms,
     propagate,
     sample_initial,
@@ -21,7 +21,7 @@ from psmaxwell import (
     to_physical,
     to_spectral,
 )
-from psmaxwell.grid import flatten_index, unflatten_index
+from psmaxwell.grid import flatten_index
 from psmaxwell.spectral import ImaginaryResidueError
 
 from conftest import (
@@ -30,7 +30,13 @@ from conftest import (
     state_norm,
     zero_state,
 )
-from oracle import dense_curl, dense_expm
+from oracle import (
+    broadcast_wavenumbers,
+    dense_curl,
+    dense_expm,
+    flow_blocks,
+    full_flow_factors,
+)
 
 
 def scaled_flat_vector(state: FieldState) -> np.ndarray:
@@ -56,80 +62,50 @@ def dense_evolution(state: FieldState, t: float) -> list[np.ndarray]:
     return e + h
 
 
-class TestBroadcastWavenumbers:
-    def test_pattern_on_two_pi_cube(self, grid4):
-        b_x, b_y, b_z = broadcast_wavenumbers(grid4)
-        np.testing.assert_array_equal(b_x, np.tile([0.0, 1.0, 0.0, -1.0], 16))
-        # b_y constant over each x-run of length n_x
-        np.testing.assert_array_equal(b_y[:4], 0.0)
-        np.testing.assert_array_equal(b_y[4:8], 1.0)
-
-    def test_b_z_constant_per_slab(self, grid4):
-        _, _, b_z = broadcast_wavenumbers(grid4)
-        slab = grid4.n_x * grid4.n_y
-        for l in range(4):
-            chunk = b_z[l * slab:(l + 1) * slab]
-            assert np.all(chunk == grid4.kvec_z[l])
-
-    def test_positions_match_flatten(self, grid4):
-        b_x, b_y, b_z = broadcast_wavenumbers(grid4)
-        for flat in range(grid4.n_total):
-            j, k, l = unflatten_index(flat, grid4)
-            assert b_x[flat] == grid4.kvec_x[j]
-            assert b_y[flat] == grid4.kvec_y[k]
-            assert b_z[flat] == grid4.kvec_z[l]
-
-    def test_sum_of_squares_matches_brute_force(self, grid4):
-        b_x, b_y, b_z = broadcast_wavenumbers(grid4)
-        total = np.sum(b_x**2 + b_y**2 + b_z**2)
-        brute = 0.0
-        for l in range(4):
-            for k in range(4):
-                for j in range(4):
-                    brute += (
-                        grid4.kvec_x[j] ** 2
-                        + grid4.kvec_y[k] ** 2
-                        + grid4.kvec_z[l] ** 2
-                    )
-        assert total == pytest.approx(brute, rel=1e-14)
-
-
 class TestBuildCoefficients:
     def test_zero_time_is_identity(self, grid4):
         c = build_coefficients(grid4, MediumParams(), 0.0)
         np.testing.assert_array_equal(c.r1, -0.5)
         np.testing.assert_array_equal(c.r2, 1.0)
-        np.testing.assert_array_equal(c.c11, 1.0)
-        np.testing.assert_array_equal(c.c22, 1.0)
-        np.testing.assert_array_equal(c.c33, 1.0)
-        for arr in (c.c12, c.c13, c.c23, c.s12, c.s13, c.s23):
-            np.testing.assert_array_equal(arr, 0.0)
+        cos, sin = flow_blocks(c)
+        np.testing.assert_array_equal(cos[:, 0, 0], 1.0)
+        np.testing.assert_array_equal(cos[:, 1, 1], 1.0)
+        np.testing.assert_array_equal(cos[:, 2, 2], 1.0)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            np.testing.assert_array_equal(cos[:, i, j], 0.0)
+            np.testing.assert_array_equal(sin[:, i, j], 0.0)
 
     def test_theta_pi_mode(self, grid4):
         # Mode b = (1, 0, 0) with kappa = pi: theta = pi, sin(pi) = 0.
+        # r1 lives on the half spectrum, the sine blocks on the full layout.
         c = build_coefficients(grid4, MediumParams(), np.pi)
         m = flatten_index(1, 0, 0, grid4)
-        assert abs(c.s12[m]) < 1e-15
-        assert abs(c.s13[m]) < 1e-15
-        assert abs(c.s23[m]) < 1e-15
-        assert c.r1[m] == pytest.approx(-2.0 / np.pi**2, rel=1e-14)
+        half = np.ravel_multi_index((0, 0, 1), grid4.spectral_shape)
+        _, sin = flow_blocks(c)
+        assert abs(sin[m, 0, 1]) < 1e-15
+        assert abs(sin[m, 0, 2]) < 1e-15
+        assert abs(sin[m, 1, 2]) < 1e-15
+        assert c.r1[half] == pytest.approx(-2.0 / np.pi**2, rel=1e-14)
 
     def test_zero_wavenumber_modes_get_identity_block(self, grid4):
         c = build_coefficients(grid4, MediumParams(), 3.7)
-        b_sq = c.b_x**2 + c.b_y**2 + c.b_z**2
+        b_x, b_y, b_z = broadcast_wavenumbers(c.grid)
+        b_sq = b_x**2 + b_y**2 + b_z**2
+        cos, sin = flow_blocks(c)
         # Eight such modes at N=4: indices in {0, 2} per axis.
         zero_modes = np.flatnonzero(b_sq == 0.0)
         assert len(zero_modes) == 8
         for m in zero_modes:
-            np.testing.assert_allclose(c.cos_block(m), np.eye(3), rtol=0, atol=0)
-            np.testing.assert_array_equal(c.sin_block(m), np.zeros((3, 3)))
+            np.testing.assert_allclose(cos[m], np.eye(3), rtol=0, atol=0)
+            np.testing.assert_array_equal(sin[m], np.zeros((3, 3)))
 
     def test_blocks_match_dense_matrix_functions(self, grid4):
         # Per-mode cosine/sine blocks vs cos/sin of the per-mode generator
         # computed by the series exponential (kappa = 0.7).
         kappa = 0.7
         c = build_coefficients(grid4, MediumParams(), 0.7)
-        b_x, b_y, b_z = c.b_x, c.b_y, c.b_z
+        b_x, b_y, b_z = broadcast_wavenumbers(c.grid)
+        cos, sin = flow_blocks(c)
         for m in range(grid4.n_total):
             k_cross = np.array(
                 [
@@ -143,27 +119,21 @@ class TestBuildCoefficients:
             u_minus = dense_expm(-1j * kappa * lam)
             cos_ref = (u_plus + u_minus) / 2.0
             sin_ref = (u_plus - u_minus) / 2j
-            np.testing.assert_allclose(c.cos_block(m), cos_ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(c.sin_block(m), sin_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cos[m], cos_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sin[m], sin_ref, rtol=0, atol=1e-12)
 
     def test_half_layout_matches_full_accessors(self):
-        # r1/r2 cover the half spectrum; the accessors the full mode layout.
+        # r1/r2 cover the half spectrum; mirrored to the full mode layout they
+        # equal the closed forms evaluated there directly.
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 6, 4, 2)
         c = build_coefficients(grid, MediumParams(mu=2.0, eps=0.5), 0.9)
         assert c.r1.shape == c.r2.shape == (grid.n_spectral,)
-        r1 = c.r1.reshape(grid.spectral_shape)
-        r2 = c.r2.reshape(grid.spectral_shape)
-        for half in range(grid.n_spectral):
-            l, k, j = np.unravel_index(half, grid.spectral_shape)
-            m = flatten_index(j, k, l, grid)
-            b = np.array([c.b_x[m], c.b_y[m], c.b_z[m]])
-            k_cross = np.array([[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]])
-            cos_ref = np.eye(3) - c.kappa**2 * r1[l, k, j] * (k_cross @ k_cross)
-            np.testing.assert_allclose(c.cos_block(m), cos_ref, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(
-                c.sin_block(m), 1j * c.kappa * r2[l, k, j] * k_cross, rtol=0, atol=1e-15
-            )
-            assert c.s23[m] == pytest.approx(c.kappa * b[0] * r2[l, k, j], abs=1e-15)
+        b_x, b_y, b_z = broadcast_wavenumbers(grid)
+        theta = np.sqrt(c.kappa**2 * (b_x**2 + b_y**2 + b_z**2))
+        r1, r2 = full_flow_factors(c)
+        r1_ref = -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+        np.testing.assert_allclose(r1, r1_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(r2, np.sinc(theta / np.pi), rtol=0, atol=1e-15)
 
     def test_non_finite_time_rejected(self, grid4):
         with pytest.raises(ValueError, match="finite"):
@@ -185,11 +155,12 @@ class TestBuildCoefficients:
 
     def test_per_mode_block_unitarity(self, grid4):
         coeffs = build_coefficients(grid4, MediumParams(mu=2.0, eps=0.5), 1.3)
+        cos, sin = flow_blocks(coeffs)
         worst_norm = 0.0
         worst_commute = 0.0
         for m in range(grid4.n_total):
-            c = coeffs.cos_block(m)
-            s = coeffs.sin_block(m)
+            c = cos[m]
+            s = sin[m]
             worst_norm = max(
                 worst_norm,
                 np.max(np.abs(c.conj().T @ c + s.conj().T @ s - np.eye(3))),
@@ -204,16 +175,20 @@ class TestBuildCoefficients:
         # The cosine rows contract against the wavenumbers back to the
         # wavenumbers themselves, and the sine combinations cancel; this is
         # what propagates the divergence constraint exactly.
-        c = build_coefficients(grid4, MediumParams(), 0.9)
-        bx, by, bz = c.b_x, c.b_y, c.b_z
+        cos, sin = flow_blocks(build_coefficients(grid4, MediumParams(), 0.9))
+        c11, c12, c13 = cos[:, 0].T
+        c22, c23, c33 = cos[:, 1, 1], cos[:, 1, 2], cos[:, 2, 2]
+        # The sine magnitudes s12 = kappa b_z r2 and cyclic: S = i kappa r2 [b]x.
+        s12, s13, s23 = -sin[:, 0, 1].imag, sin[:, 0, 2].imag, -sin[:, 1, 2].imag
+        bx, by, bz = broadcast_wavenumbers(grid4)
         scale = max(np.max(np.abs(bx)), np.max(np.abs(by)), np.max(np.abs(bz)))
         tol = 1e-13 * max(scale, 1.0)
-        assert np.max(np.abs(bx * c.c11 + by * c.c12 + bz * c.c13 - bx)) <= tol
-        assert np.max(np.abs(bx * c.c12 + by * c.c22 + bz * c.c23 - by)) <= tol
-        assert np.max(np.abs(bx * c.c13 + by * c.c23 + bz * c.c33 - bz)) <= tol
-        assert np.max(np.abs(-bx * c.s12 + bz * c.s23)) <= tol
-        assert np.max(np.abs(by * c.s12 - bz * c.s13)) <= tol
-        assert np.max(np.abs(bx * c.s13 - by * c.s23)) <= tol
+        assert np.max(np.abs(bx * c11 + by * c12 + bz * c13 - bx)) <= tol
+        assert np.max(np.abs(bx * c12 + by * c22 + bz * c23 - by)) <= tol
+        assert np.max(np.abs(bx * c13 + by * c23 + bz * c33 - bz)) <= tol
+        assert np.max(np.abs(-bx * s12 + bz * s23)) <= tol
+        assert np.max(np.abs(by * s12 - bz * s13)) <= tol
+        assert np.max(np.abs(bx * s13 - by * s23)) <= tol
 
 
 class TestStep:
@@ -379,6 +354,104 @@ class TestPropagate:
         data = perturb_plane(spectral.data, grid, column, size)
         with pytest.raises(ImaginaryResidueError, match="Hermitian"):
             to_physical(FieldState(grid, spectral.medium, data))
+
+
+def random_setup(rng: np.random.Generator, max_total: int = 512):
+    """A random anisotropic grid (n <= 8 per axis, random box) and medium."""
+    while True:
+        counts = [int(n) for n in rng.choice([2, 4, 6, 8], size=3)]
+        if np.prod(counts) <= max_total:
+            break
+    lo = rng.uniform(-2.0, 2.0, size=3)
+    hi = lo + rng.uniform(0.5, 4.0, size=3)
+    domain = DomainSpec(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
+    mu, eps = (float(v) for v in rng.uniform(0.25, 4.0, size=2))
+    return build_grid(domain, *counts), MediumParams(mu=mu, eps=eps)
+
+
+def random_time(rng: np.random.Generator, max_exponent: float) -> float:
+    """A time of either sign with magnitude log-uniform in [0.1, 10**max_exponent]."""
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, max_exponent))
+
+
+def theta_max(grid, medium: MediumParams, t: float) -> float:
+    """Largest per-mode flow angle |kappa| |b| on the grid."""
+    b_sq = sum(
+        (nu * (n // 2 - 1)) ** 2
+        for nu, n in zip((grid.nu_x, grid.nu_y, grid.nu_z), grid.counts())
+    )
+    return abs(t) / np.sqrt(medium.mu * medium.eps) * np.sqrt(b_sq)
+
+
+class TestSeededProperties:
+    """Flow properties on random anisotropic grids, media and times up to 1e6."""
+
+    TRIALS = 20
+
+    def test_group_law(self):
+        # Each mode's angle theta is rounded once per coefficient build, so
+        # composed and direct flows differ by about eps * theta_max.
+        rng = np.random.default_rng(101)
+        for _ in range(self.TRIALS):
+            grid, medium = random_setup(rng)
+            state = random_band_limited_state(grid, rng, medium)
+            t1, t2 = random_time(rng, 6.0), random_time(rng, 6.0)
+            composed = propagate(propagate(state, t1), t2)
+            direct = propagate(state, t1 + t2)
+            theta = max(theta_max(grid, medium, t) for t in (t1, t2, t1 + t2))
+            tol = (1e-13 + 4.0 * np.finfo(float).eps * theta) * state_norm(state)
+            assert np.max(np.abs(composed.data - direct.data)) <= tol
+            assert composed.time == t1 + t2
+
+    def test_reversibility(self):
+        # r1, r2 are even in t, so the backward flow reuses the same rounded
+        # angles and undoes the forward one to roundoff at any |t|.
+        rng = np.random.default_rng(102)
+        for _ in range(self.TRIALS):
+            grid, medium = random_setup(rng)
+            state = random_band_limited_state(grid, rng, medium)
+            t = random_time(rng, 6.0)
+            back = propagate(propagate(state, t), -t)
+            assert np.max(np.abs(back.data - state.data)) <= 1e-12 * state_norm(state)
+
+    def test_energy_unitarity(self):
+        rng = np.random.default_rng(103)
+        for _ in range(self.TRIALS):
+            grid, medium = random_setup(rng)
+            state = random_band_limited_state(grid, rng, medium)
+            out = propagate(state, random_time(rng, 6.0))
+
+            def energy(s):
+                e, h = s.data[:3], s.data[3:]
+                return medium.eps * np.sum(e * e) + medium.mu * np.sum(h * h)
+
+            assert abs(energy(out) - energy(state)) <= 1e-13 * energy(state)
+
+    def test_divergence_preserved(self):
+        # Random states are not divergence-free; the flow keeps their
+        # divergence fields as they are.
+        rng = np.random.default_rng(104)
+        for _ in range(self.TRIALS):
+            grid, medium = random_setup(rng)
+            state = random_band_limited_state(grid, rng, medium)
+            out = propagate(state, random_time(rng, 6.0))
+            div_e, div_h, _, _ = divergences(state)
+            out_e, out_h, _, _ = divergences(out)
+            assert np.max(np.abs(out_e - div_e)) <= 1e-13 * np.max(np.abs(div_e))
+            assert np.max(np.abs(out_h - div_h)) <= 1e-13 * np.max(np.abs(div_h))
+
+    def test_matches_dense_expm(self):
+        # 6 * n_total <= 600 keeps the dense operator within the oracle's guard.
+        rng = np.random.default_rng(105)
+        for _ in range(12):
+            grid, medium = random_setup(rng, max_total=100)
+            state = random_band_limited_state(grid, rng, medium)
+            t = random_time(rng, 2.0)
+            fast = propagate(state, t)
+            oracle = dense_evolution(state, t)
+            scale = state_norm(state)
+            for got, ref in zip(fast.component_arrays(), oracle):
+                assert np.max(np.abs(got - ref)) <= 1e-11 * scale
 
 
 class TestSymplecticity:
