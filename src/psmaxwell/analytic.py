@@ -44,8 +44,12 @@ class StandingWave:
 
     def __post_init__(self) -> None:
         k = (self.k_x, self.k_y, self.k_z)
-        if any(int(v) != v for v in k):
-            raise ValueError(f"wavevector components must be integers, got {k}")
+        try:
+            integral = all(int(v) == v for v in k)
+        except (OverflowError, ValueError):  # int() of an infinity or a NaN
+            integral = False
+        if not integral:
+            raise ValueError(f"wavevector components must be finite integers, got {k}")
         if k == (0, 0, 0):
             raise ValueError("wavevector must be nonzero")
         if self.k_x + self.k_y + self.k_z != 0:

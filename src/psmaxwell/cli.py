@@ -11,6 +11,14 @@ Subcommands:
   cases are band-limited, so errors sit at the roundoff floor for every
   resolving grid rather than decaying algebraically.
 
+Each command forward-transforms its initial state once per grid and hands
+that spectrum to :func:`psmaxwell.propagator.propagate` for every target
+time, so a record's ``wall_seconds`` covers the coefficients, the flow, the
+Hermitian-plane check and the inverse transform, not the initial transform.
+Record invariants are measured on the returned physical fields.  Each
+record is built by its own helper, so a record's states are freed before
+the next time is propagated.
+
 Configuration comes from a JSON file plus flag overrides; unknown config
 fields are rejected.  Exit codes: 0 success, 2 configuration error,
 3 numerical-flag error (non-finite fields or excess imaginary residue).
@@ -36,7 +44,7 @@ from .diagnostics import (
     relative_change,
 )
 from .grid import DomainSpec, build_grid
-from .propagator import FieldState, MediumParams, propagate
+from .propagator import FieldState, MediumParams, propagate, to_spectral
 from .spectral import ImaginaryResidueError
 
 __all__ = ["RunConfig", "main", "run_records", "drift_records", "convergence_records"]
@@ -225,46 +233,53 @@ def _initial_state(
 
 
 def run_records(config: RunConfig) -> list[dict]:
-    """One record per configured t_end."""
+    """One record per configured t_end, all reached from one initial spectrum."""
     case = config.build_case()
-    initial = _initial_state(config, case, (config.n_x, config.n_y, config.n_z))
+    initial = to_spectral(
+        _initial_state(config, case, (config.n_x, config.n_y, config.n_z))
+    )
     before = invariant_report(initial)
+    return [_run_record(config, case, initial, before, t_end) for t_end in config.t_end]
+
+
+def _run_record(
+    config: RunConfig,
+    case: AnalyticCase,
+    initial: FieldState,
+    before: InvariantReport,
+    t_end: float,
+) -> dict:
+    start = time.perf_counter()
+    final = propagate(initial, t_end)
+    wall_seconds = time.perf_counter() - start
+    after = invariant_report(final)
+    drifts = relative_change(before, after)
+    errors = error_norms(final, case)
     axis = config.report_axis - 1
-    records = []
-    for t_end in config.t_end:
-        start = time.perf_counter()
-        final = propagate(initial, t_end)
-        wall_seconds = time.perf_counter() - start
-        after = invariant_report(final)
-        drifts = relative_change(before, after)
-        errors = error_norms(final, case)
-        records.append(
-            {
-                "case": config.case,
-                "nx": initial.grid.n_x,
-                "ny": initial.grid.n_y,
-                "nz": initial.grid.n_z,
-                "t_end": _sig16(t_end),
-                "report_axis": config.report_axis,
-                "l2": _sig16(errors.l2),
-                "linf": _sig16(errors.linf),
-                "component_linf": [_sig16(v) for v in errors.component_linf],
-                "wall_seconds": _sig16(wall_seconds),
-                "invariants_initial": _report_dict(before),
-                "invariants_final": _report_dict(after),
-                "drifts": _drifts_dict(drifts),
-                "div_e": _sig16(after.div_e_norm),
-                "div_h": _sig16(after.div_h_norm),
-                "imag_residue": _sig16(final.imag_residue),
-                "axis_drifts_reported": {
-                    "re_m1": _drift_dict(drifts.m1[axis]),
-                    "re_m2": _drift_dict(drifts.m2[axis]),
-                    "re_e3": _drift_dict(drifts.e3[axis]),
-                    "re_e4": _drift_dict(drifts.e4[axis]),
-                },
-            }
-        )
-    return records
+    return {
+        "case": config.case,
+        "nx": initial.grid.n_x,
+        "ny": initial.grid.n_y,
+        "nz": initial.grid.n_z,
+        "t_end": _sig16(t_end),
+        "report_axis": config.report_axis,
+        "l2": _sig16(errors.l2),
+        "linf": _sig16(errors.linf),
+        "component_linf": [_sig16(v) for v in errors.component_linf],
+        "wall_seconds": _sig16(wall_seconds),
+        "invariants_initial": _report_dict(before),
+        "invariants_final": _report_dict(after),
+        "drifts": _drifts_dict(drifts),
+        "div_e": _sig16(after.div_e_norm),
+        "div_h": _sig16(after.div_h_norm),
+        "imag_residue": _sig16(final.imag_residue),
+        "axis_drifts_reported": {
+            "re_m1": _drift_dict(drifts.m1[axis]),
+            "re_m2": _drift_dict(drifts.m2[axis]),
+            "re_e3": _drift_dict(drifts.e3[axis]),
+            "re_e4": _drift_dict(drifts.e4[axis]),
+        },
+    }
 
 
 CSV_COLUMNS = (
@@ -316,26 +331,27 @@ def drift_records(config: RunConfig, t_max: float, samples: int) -> list[dict]:
     if not np.isfinite(t_max):
         raise ConfigError(f"t_max must be finite, got {t_max}")
     case = config.build_case()
-    initial = _initial_state(config, case, (config.n_x, config.n_y, config.n_z))
+    initial = to_spectral(
+        _initial_state(config, case, (config.n_x, config.n_y, config.n_z))
+    )
     before = invariant_report(initial)
-    records = []
-    for i in range(1, samples + 1):
-        t_i = t_max * i / samples
-        final = propagate(initial, t_i)
-        after = invariant_report(final)
-        d = relative_change(before, after)
-        records.append(
-            {
-                "t": _sig16(t_i),
-                "re_e1": _drift_dict(d.e1),
-                "re_e2": _drift_dict(d.e2),
-                "re_e3": [_drift_dict(v) for v in d.e3],
-                "re_e4": [_drift_dict(v) for v in d.e4],
-                "re_e5": [_drift_dict(v) for v in d.e5],
-                "re_e6": [_drift_dict(v) for v in d.e6],
-            }
-        )
-    return records
+    return [
+        _drift_record(initial, before, t_max * i / samples)
+        for i in range(1, samples + 1)
+    ]
+
+
+def _drift_record(initial: FieldState, before: InvariantReport, t: float) -> dict:
+    d = relative_change(before, invariant_report(propagate(initial, t)))
+    return {
+        "t": _sig16(t),
+        "re_e1": _drift_dict(d.e1),
+        "re_e2": _drift_dict(d.e2),
+        "re_e3": [_drift_dict(v) for v in d.e3],
+        "re_e4": [_drift_dict(v) for v in d.e4],
+        "re_e5": [_drift_dict(v) for v in d.e5],
+        "re_e6": [_drift_dict(v) for v in d.e6],
+    }
 
 
 def convergence_records(config: RunConfig, n_list: list[int]) -> list[dict]:
@@ -349,24 +365,30 @@ def convergence_records(config: RunConfig, n_list: list[int]) -> list[dict]:
     )
     records = []
     for n in n_list:
-        initial = _initial_state(config, case, (n, n, n))
-        for t_end in config.t_end:
-            start = time.perf_counter()
-            final = propagate(initial, t_end)
-            wall_seconds = time.perf_counter() - start
-            errors = error_norms(final, case)
-            records.append(
-                {
-                    "case": config.case,
-                    "n": n,
-                    "t_end": _sig16(t_end),
-                    "l2": _sig16(errors.l2),
-                    "linf": _sig16(errors.linf),
-                    "wall_seconds": _sig16(wall_seconds),
-                    "note": note,
-                }
-            )
+        initial = to_spectral(_initial_state(config, case, (n, n, n)))
+        records += [
+            _convergence_record(config, case, initial, t_end, note)
+            for t_end in config.t_end
+        ]
     return records
+
+
+def _convergence_record(
+    config: RunConfig, case: AnalyticCase, initial: FieldState, t_end: float, note: str
+) -> dict:
+    start = time.perf_counter()
+    final = propagate(initial, t_end)
+    wall_seconds = time.perf_counter() - start
+    errors = error_norms(final, case)
+    return {
+        "case": config.case,
+        "n": initial.grid.n_x,
+        "t_end": _sig16(t_end),
+        "l2": _sig16(errors.l2),
+        "linf": _sig16(errors.linf),
+        "wall_seconds": _sig16(wall_seconds),
+        "note": note,
+    }
 
 
 def _emit(text: str, out_path: str | None) -> None:

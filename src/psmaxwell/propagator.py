@@ -15,9 +15,10 @@ A state is one ``(6, N)`` array, which the transforms of
 :mod:`psmaxwell.spectral` take as it is, together with the grid.  A spectral
 state holds the half spectrum (the ``kx >= 0`` columns), and ``r1``, ``r2``
 are stored on that layout.  Total cost of :func:`propagate` is one batched
-real-to-complex transform of the six components, O(n_spectral) elementwise
-work (two per-mode cross products per field), the Hermitian-plane check of
-:func:`psmaxwell.spectral.realize`, and one batched complex-to-real
+real-to-complex transform of the six components (none when the state is
+already spectral), one copy of the spectrum with O(n_spectral) elementwise
+work on it (two per-mode cross products per field), the Hermitian-plane
+check of :func:`psmaxwell.spectral.realize`, and one batched complex-to-real
 transform.
 """
 
@@ -184,6 +185,10 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
     with the impedance scaling folded into the sine factors, so ``t = 0``
     returns the input bitwise.  The map is exactly unitary in the energy
     norm ``eps |E|^2 + mu |H|^2``, up to roundoff.
+
+    The input is left unmodified: its spectrum is copied once and the copy
+    is updated in place a block of z-planes at a time, so besides the copy
+    only block-sized temporaries are allocated.
     """
     if state.representation != SPECTRAL:
         raise ValueError("step requires a state in spectral representation")
@@ -191,24 +196,48 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
         raise ValueError("state and coefficients use different grids")
     if state.medium != coeffs.medium:
         raise ValueError("state and coefficients use different media")
+    spectrum = state.data.copy()
+    _evolve(spectrum, coeffs)
+    return replace(state, data=spectrum, time=state.time + coeffs.t)
 
-    shape = state.grid.spectral_shape
-    b = wavenumbers(state.grid)
-    fields = state.data.reshape((6,) + shape)
-    curls = np.empty_like(fields)  # b x E, then b x H
-    cross(b, fields[:3], curls[:3])
-    cross(b, fields[3:], curls[3:])
-    out = np.empty_like(fields)
-    cross(b, curls[:3], out[:3])
-    cross(b, curls[3:], out[3:])
-    out *= (-coeffs.kappa * coeffs.kappa) * coeffs.r1.reshape(shape)
-    out += fields
-    curls *= coeffs.t * coeffs.r2.reshape(shape)
-    curls[:3] *= -1j / state.medium.mu
-    curls[3:] *= 1j / state.medium.eps
-    out[:3] += curls[3:]
-    out[3:] += curls[:3]
-    return replace(state, data=out.reshape(6, -1), time=state.time + coeffs.t)
+
+# Modes per block of z-planes in _evolve: the block's temporaries stay in
+# cache, and one-plane blocks on small grids cost more in loop overhead.
+_BLOCK_MODES = 4096
+
+
+def _evolve(spectrum: np.ndarray, coeffs: PropagatorCoefficients) -> None:
+    """Apply the flow of :func:`step` to a ``(6, n_spectral)`` spectrum in place.
+
+    Works on blocks of whole z-planes of about ``_BLOCK_MODES`` modes (never
+    less than one plane); each block's per-mode operations are those of the
+    whole-array formula in the same order, so the result does not depend on
+    the block size.
+    """
+    grid, medium = coeffs.grid, coeffs.medium
+    n_z, n_y, n_xh = grid.spectral_shape
+    kx, ky, kz = wavenumbers(grid)
+    fields = spectrum.reshape(6, n_z, n_y, n_xh)
+    r1 = coeffs.r1.reshape(grid.spectral_shape)
+    r2 = coeffs.r2.reshape(grid.spectral_shape)
+    planes = max(1, _BLOCK_MODES // (n_y * n_xh))
+    for z0 in range(0, n_z, planes):
+        block = slice(z0, z0 + planes)
+        f = fields[:, block]
+        b = (kx, ky, kz[block])
+        curls = np.empty_like(f)  # b x E, then b x H
+        cross(b, f[:3], curls[:3])
+        cross(b, f[3:], curls[3:])
+        out = np.empty_like(f)
+        cross(b, curls[:3], out[:3])
+        cross(b, curls[3:], out[3:])
+        out *= (-coeffs.kappa * coeffs.kappa) * r1[block]
+        f += out
+        curls *= coeffs.t * r2[block]
+        curls[:3] *= -1j / medium.mu
+        curls[3:] *= 1j / medium.eps
+        f[:3] += curls[3:]
+        f[3:] += curls[:3]
 
 
 def to_spectral(state: FieldState) -> FieldState:
@@ -235,11 +264,12 @@ def to_physical(state: FieldState) -> FieldState:
 
 
 def propagate(initial: FieldState, t_end: float) -> FieldState:
-    """Evolve a physical state by the time increment ``t_end`` in one shot.
+    """Evolve a state by the time increment ``t_end`` in one shot.
 
-    Transform, apply the closed-form flow once, check and transform back.
+    Transform, apply the closed-form flow once, check and transform back;
+    the result is always physical.  ``initial`` may be in either
+    representation: a spectral one is used as given and left unmodified, so
+    a caller that reaches many times from one state transforms it once.
     """
-    if initial.representation != PHYSICAL:
-        raise ValueError("propagate expects a state in physical representation")
     coeffs = build_coefficients(initial.grid, initial.medium, t_end)
     return to_physical(step(to_spectral(initial), coeffs))

@@ -13,8 +13,9 @@ Fields are real, so their spectra are conjugate-symmetric and only the half
 spectrum is kept: the ``kx >= 0`` columns, ``n_x//2 + 1`` of them, over the
 ``(n_z, n_y, n_x//2 + 1)`` box of :attr:`GridSpec.spectral_shape` (numpy's
 ``rfftn`` layout).  The forward transform is one ``numpy.fft.rfftn`` and the
-inverse one ``irfftn`` with real output.  Every function takes the grid and
-plain arrays: physical fields are flat vectors of length ``n_total`` in the
+inverse the three passes of ``irfftn`` (two complex ``ifft`` and one
+``irfft``) with real output.  Every function takes the grid and plain
+arrays: physical fields are flat vectors of length ``n_total`` in the
 x-fastest layout of :mod:`psmaxwell.grid`, spectra flat vectors of length
 ``n_spectral``; both may be stacked along leading batch axes, so the six
 components of a state go through one batched transform each way.  An array
@@ -104,11 +105,15 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray) -> np.ndarray:
 
     Anti-Hermitian content of the ``kx = 0`` and ``kx = n_x/2`` planes is
     dropped; :func:`realize` checks that there is none beyond roundoff.
+    The passes are those of ``irfftn`` in its order (z, y, then the real x
+    pass), so the result is bitwise the same, but ``F`` is left untouched
+    and only one intermediate spectrum is allocated: the z pass writes a new
+    buffer and the y pass overwrites it.
     """
     cube = _cube(F, grid.spectral_shape)
-    # No out= buffer: irfftn then allocates the real output after its first
-    # complex pass is freed, so the peak is the input plus two spectra.
-    out = np.fft.irfftn(cube, s=grid.shape, axes=_CUBE_AXES)
+    work = np.fft.ifft(cube, axis=-3)
+    np.fft.ifft(work, axis=-2, out=work)
+    out = np.fft.irfft(work, n=grid.n_x, axis=-1)
     return out.reshape(cube.shape[:-3] + (grid.n_total,))
 
 

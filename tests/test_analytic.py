@@ -55,6 +55,14 @@ class TestStandingWave:
         with pytest.raises(ValueError, match="nonzero"):
             StandingWave(0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "k", [(math.inf, -math.inf, 0.0), (math.nan, 1, -1), (0.5, -0.5, 0)]
+    )
+    def test_rejects_non_integer_wavevector(self, k):
+        # inf and NaN have no int(); they fail like any other non-integer.
+        with pytest.raises(ValueError, match="finite integers"):
+            StandingWave(*k)
+
     def test_rejects_unbalanced_wavevector(self):
         # Without a zero component sum the printed amplitudes do not solve
         # the curl equations.

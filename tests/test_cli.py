@@ -257,6 +257,30 @@ class TestMainEntry:
         records = json.loads(capsys.readouterr().out)
         assert [r["n"] for r in records] == [4, 8]
 
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            # One initial transform, then one per record for its invariants.
+            (["run", "--case", "standing", "--t-end", "1,2,3,4,5,6,7,8"], 9),
+            # Errors only: the initial transform is the one forward call.
+            (["convergence", "--case", "traveling", "--n-list", "8",
+              "--t-end", "1,2,3"], 1),
+            (["drift", "--case", "standing", "--t-max", "10", "--samples", "4"], 5),
+        ],
+        ids=["run", "convergence", "drift"],
+    )
+    def test_initial_state_transformed_once(self, monkeypatch, capsys, argv, calls):
+        forward = propagator.dft3_forward
+        counted = []
+
+        def counting_forward(*args, **kwargs):
+            counted.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(propagator, "dft3_forward", counting_forward)
+        assert cli.main(argv) == EXIT_OK
+        assert len(counted) == calls
+
     def test_numerical_flag_exits_three(self, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise ImaginaryResidueError("synthetic residue failure")

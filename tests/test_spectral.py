@@ -86,6 +86,22 @@ class TestInverse:
         assert np.max(np.abs(back - data)) <= 1e-13 * np.max(np.abs(data))
 
 
+    @pytest.mark.parametrize("counts", [(32, 32, 32), (2, 4, 6), (6, 8, 4)])
+    def test_matches_irfftn_bitwise(self, counts, rng):
+        # Arbitrary half spectra, Hermitian planes or not: the passes are
+        # irfftn's own, and the input is left as it was.
+        grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
+        shape = (6, grid.n_spectral)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kept = spec.copy()
+        out = dft3_inverse(grid, spec)
+        ref = np.fft.irfftn(
+            spec.reshape((6,) + grid.spectral_shape), s=grid.shape, axes=(-3, -2, -1)
+        )
+        np.testing.assert_array_equal(out, ref.reshape(6, grid.n_total))
+        np.testing.assert_array_equal(spec, kept)
+
+
 class TestRealize:
     def test_real_input_passthrough(self, grid4, rng):
         # The half spectrum of real samples passes, returned as it is.
