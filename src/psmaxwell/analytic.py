@@ -15,6 +15,7 @@ import numpy as np
 
 from .grid import DomainSpec, GridSpec
 from .propagator import FieldState, MediumParams
+from .spectral import _for_slabs
 
 __all__ = [
     "StandingWave",
@@ -85,8 +86,14 @@ class StandingWave:
         """Angular spatial frequencies per axis."""
         return (abs(self.k_x) * np.pi, abs(self.k_y) * np.pi, abs(self.k_z) * np.pi)
 
-    def evaluate(self, x, y, z, t: float):
-        """Six exact component values (e_x, e_y, e_z, h_x, h_y, h_z)."""
+    def evaluate(self, x, y, z, t: float, out=None):
+        """Six exact component values (e_x, e_y, e_z, h_x, h_y, h_z).
+
+        They are the rows of one array over the broadcast shape of the
+        coordinates: ``out`` when given, else a new one.
+        """
+        if out is None:
+            out = np.empty((6,) + np.broadcast(x, y, z).shape)
         kx, ky, kz = self.k_x, self.k_y, self.k_z
         eps, mu = self.medium.eps, self.medium.mu
         omega = self.omega
@@ -96,13 +103,15 @@ class StandingWave:
         cx, sx = np.cos(kx * np.pi * x), np.sin(kx * np.pi * x)
         cy, sy = np.cos(ky * np.pi * y), np.sin(ky * np.pi * y)
         cz, sz = np.cos(kz * np.pi * z), np.sin(kz * np.pi * z)
-        e_x = (ky - kz) * pre * cos_t * cx * sy * sz
-        e_y = (kz - kx) * pre * cos_t * sx * cy * sz
-        e_z = (kx - ky) * pre * cos_t * sx * sy * cz
-        h_x = sin_t * sx * cy * cz
-        h_y = sin_t * cx * sy * cz
-        h_z = sin_t * cx * cy * sz
-        return e_x, e_y, e_z, h_x, h_y, h_z
+        # The last factor of each product is the one that carries z.  A row
+        # is out[i, ...], which is a view even for scalar coordinates.
+        np.multiply((ky - kz) * pre * cos_t * cx * sy, sz, out=out[0, ...])
+        np.multiply((kz - kx) * pre * cos_t * sx * cy, sz, out=out[1, ...])
+        np.multiply((kx - ky) * pre * cos_t * sx * sy, cz, out=out[2, ...])
+        np.multiply(sin_t * sx * cy, cz, out=out[3, ...])
+        np.multiply(sin_t * cx * sy, cz, out=out[4, ...])
+        np.multiply(sin_t * cx * cy, sz, out=out[5, ...])
+        return out
 
 
 @dataclass(frozen=True)
@@ -126,10 +135,27 @@ class TravelingWave:
     def frequencies(self) -> tuple[float, float, float]:
         return (2.0 * np.pi, 2.0 * np.pi, 2.0 * np.pi)
 
-    def evaluate(self, x, y, z, t: float):
-        e_x = np.cos(2.0 * np.pi * (x + y + z) - 2.0 * math.sqrt(3.0) * np.pi * t)
+    def evaluate(self, x, y, z, t: float, out=None):
+        """Six exact component values (e_x, e_y, e_z, h_x, h_y, h_z).
+
+        They are the rows of one array over the broadcast shape of the
+        coordinates: ``out`` when given, else a new one.  ``e_x`` is
+        computed once, in its row, and the other rows are its multiples.
+        """
+        if out is None:
+            out = np.empty((6,) + np.broadcast(x, y, z).shape)
         sqrt3 = math.sqrt(3.0)
-        return e_x, -2.0 * e_x, e_x, sqrt3 * e_x, np.zeros_like(e_x), -sqrt3 * e_x
+        # cos(2 pi (x + y + z) - 2 sqrt(3) pi t), built up in the e_x row.
+        e_x = np.add(x + y, z, out=out[0, ...])
+        e_x *= 2.0 * np.pi
+        e_x -= 2.0 * sqrt3 * np.pi * t
+        np.cos(e_x, out=e_x)
+        np.multiply(-2.0, e_x, out=out[1, ...])
+        out[2, ...] = e_x
+        np.multiply(sqrt3, e_x, out=out[3, ...])
+        out[4, ...] = 0.0
+        np.multiply(-sqrt3, e_x, out=out[5, ...])
+        return out
 
 
 AnalyticCase = StandingWave | TravelingWave
@@ -164,14 +190,18 @@ def sample_exact(case: AnalyticCase, grid: GridSpec, t: float) -> np.ndarray:
 
     Evaluated on the sparse (broadcasting) coordinate axes, so each axis
     factor is computed once per axis rather than once per point, and written
-    into one ``(6, n_total)`` float64 array in the layout of :class:`FieldState`.
+    slab of z-planes by slab straight into one ``(6, n_total)`` float64 array
+    in the layout of :class:`FieldState`.
     """
     z, y, x = np.meshgrid(
         grid.points_z, grid.points_y, grid.points_x, indexing="ij", sparse=True
     )
     out = np.empty((6,) + grid.shape)
-    for row, comp in zip(out, case.evaluate(x, y, z, t)):
-        row[...] = comp
+
+    def sample(planes: slice) -> None:
+        case.evaluate(x, y, z[planes], t, out=out[:, planes])
+
+    _for_slabs(sample, grid.n_z, out.size)
     return out.reshape(6, grid.n_total)
 
 

@@ -32,6 +32,8 @@ import numpy as np
 from .grid import GridSpec
 from .spectral import (
     ImaginaryResidueError,
+    _for_slabs,
+    _planes_per_block,
     cross,
     dft3_forward,
     dft3_inverse,
@@ -112,9 +114,18 @@ class FieldState:
 def _flow_factors(kappa: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """``r1``, ``r2`` at ``theta = |kappa| |b|`` over the half-spectrum modes."""
     bx, by, bz = wavenumbers(grid)
-    theta = np.sqrt(kappa * kappa * (bx * bx + by * by + bz * bz))
-    # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
-    return -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2, np.sinc(theta / np.pi)
+    b_xy = bx * bx + by * by
+    r1 = np.empty(grid.spectral_shape)
+    r2 = np.empty(grid.spectral_shape)
+
+    def factors(planes: slice) -> None:
+        theta = np.sqrt(kappa * kappa * (b_xy + bz[planes] * bz[planes]))
+        # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
+        np.multiply(-0.5, np.sinc(theta / (2.0 * np.pi)) ** 2, out=r1[planes])
+        r2[planes] = np.sinc(theta / np.pi)
+
+    _for_slabs(factors, grid.spectral_shape[0], r1.size, _planes_per_block(grid))
+    return r1, r2
 
 
 @dataclass(frozen=True)
@@ -186,9 +197,9 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
     returns the input bitwise.  The map is exactly unitary in the energy
     norm ``eps |E|^2 + mu |H|^2``, up to roundoff.
 
-    The input is left unmodified: its spectrum is copied once and the copy
-    is updated in place a block of z-planes at a time, so besides the copy
-    only block-sized temporaries are allocated.
+    The input is left unmodified: each block of z-planes of its spectrum is
+    copied into the output and updated there, so besides the output only
+    block-sized temporaries are allocated.
     """
     if state.representation != SPECTRAL:
         raise ValueError("step requires a state in spectral representation")
@@ -196,34 +207,32 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
         raise ValueError("state and coefficients use different grids")
     if state.medium != coeffs.medium:
         raise ValueError("state and coefficients use different media")
-    spectrum = state.data.copy()
-    _evolve(spectrum, coeffs)
+    spectrum = np.empty_like(state.data)
+    _evolve(state.data, coeffs, spectrum)
     return replace(state, data=spectrum, time=state.time + coeffs.t)
 
 
-# Modes per block of z-planes in _evolve: the block's temporaries stay in
-# cache, and one-plane blocks on small grids cost more in loop overhead.
-_BLOCK_MODES = 4096
-
-
-def _evolve(spectrum: np.ndarray, coeffs: PropagatorCoefficients) -> None:
-    """Apply the flow of :func:`step` to a ``(6, n_spectral)`` spectrum in place.
+def _evolve(
+    spectrum: np.ndarray, coeffs: PropagatorCoefficients, dest: np.ndarray
+) -> None:
+    """Write the flow of :func:`step` of a ``(6, n_spectral)`` spectrum into ``dest``.
 
     Works on blocks of whole z-planes of about ``_BLOCK_MODES`` modes (never
-    less than one plane); each block's per-mode operations are those of the
-    whole-array formula in the same order, so the result does not depend on
-    the block size.
+    less than one plane), each copied into ``dest`` and updated there; each
+    block's per-mode operations are those of the whole-array formula in the
+    same order, so the result does not depend on the block size or on
+    which thread runs the block.
     """
     grid, medium = coeffs.grid, coeffs.medium
-    n_z, n_y, n_xh = grid.spectral_shape
     kx, ky, kz = wavenumbers(grid)
-    fields = spectrum.reshape(6, n_z, n_y, n_xh)
+    source = spectrum.reshape((6,) + grid.spectral_shape)
+    fields = dest.reshape((6,) + grid.spectral_shape)
     r1 = coeffs.r1.reshape(grid.spectral_shape)
     r2 = coeffs.r2.reshape(grid.spectral_shape)
-    planes = max(1, _BLOCK_MODES // (n_y * n_xh))
-    for z0 in range(0, n_z, planes):
-        block = slice(z0, z0 + planes)
+
+    def flow(block: slice) -> None:
         f = fields[:, block]
+        f[...] = source[:, block]
         b = (kx, ky, kz[block])
         curls = np.empty_like(f)  # b x E, then b x H
         cross(b, f[:3], curls[:3])
@@ -238,6 +247,8 @@ def _evolve(spectrum: np.ndarray, coeffs: PropagatorCoefficients) -> None:
         curls[3:] *= 1j / medium.eps
         f[:3] += curls[3:]
         f[3:] += curls[:3]
+
+    _for_slabs(flow, grid.spectral_shape[0], spectrum.size, _planes_per_block(grid))
 
 
 def to_spectral(state: FieldState) -> FieldState:

@@ -26,11 +26,18 @@ spectrum can still carry content no real field has, which ``irfftn`` would
 drop without a trace.  :func:`realize` is the one guard against that: it
 rejects a non-finite spectrum or one whose planes are not Hermitian beyond
 roundoff.  Only numpy is used.
+
+Large arrays are worked on by one thread per CPU in the process's affinity
+mask (:func:`_for_slabs`): the transforms split the batch into row groups,
+the other stages split the z-planes into slabs.  Every slab goes through
+the same elementwise operations and FFT lines as the whole array would, so
+the results are bitwise those of one thread, whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -55,6 +62,73 @@ _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
 # The (n_z, n_y, n_x) cube is the last three axes of a batched field.
 _CUBE_AXES = (-3, -2, -1)
+
+# Arrays with fewer elements than this stay on the calling thread.  On two
+# CPUs the forward transform of six 32^3 fields (196608 samples) took 0.62 ms
+# on one thread and 0.68 ms on two; at 64^3 it took 5.4 ms and 2.5 ms.
+_PARALLEL_MIN_SIZE = 1 << 18
+
+# Modes per block of z-planes where a stage works block by block: the
+# block's temporaries stay in cache, and one-plane blocks on small grids
+# cost more in loop overhead.
+_BLOCK_MODES = 4096
+
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity masks on this platform
+    _WORKERS = os.cpu_count() or 1
+
+_pool = None
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the pool's threads; it makes its own.
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _for_slabs(fn, n: int, size: int, block: int | None = None) -> None:
+    """Call ``fn(slab)`` over contiguous slices ``slab`` that cover ``range(n)``.
+
+    When ``size``, the element count of the array being worked on, is below
+    ``_PARALLEL_MIN_SIZE`` or there is one CPU, this runs on the calling
+    thread; otherwise ``range(n)`` is cut into one slab per worker and the
+    slabs run on a thread pool, created on first use with one thread per
+    CPU.  Within its slab, or within ``range(n)`` on the calling thread,
+    ``fn`` is called on one slice, or in order on slices ``block`` long.
+    ``fn`` must only write its own slab of any array.  An exception raised
+    by ``fn`` reaches the caller once every slab has finished.
+    """
+    global _pool
+    workers = 1 if size < _PARALLEL_MIN_SIZE else min(_WORKERS, n)
+
+    def run(start: int, stop: int) -> None:
+        width = block or max(1, stop - start)
+        for first in range(start, stop, width):
+            fn(slice(first, min(first + width, stop)))
+
+    if workers <= 1:
+        run(0, n)
+        return
+    import concurrent.futures
+
+    if _pool is None:
+        _pool = concurrent.futures.ThreadPoolExecutor(_WORKERS, "psmaxwell-slab")
+    bounds = [n * i // workers for i in range(workers + 1)]
+    futures = [_pool.submit(run, *pair) for pair in zip(bounds, bounds[1:])]
+    concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _planes_per_block(grid: GridSpec) -> int:
+    """Whole half-spectrum z-planes in a block of about ``_BLOCK_MODES`` modes."""
+    n_z, n_y, n_xh = grid.spectral_shape
+    return max(1, _BLOCK_MODES // (n_y * n_xh))
 
 
 class ImaginaryResidueError(RuntimeError):
@@ -92,11 +166,21 @@ def cross(b: tuple, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rows(cube: np.ndarray) -> np.ndarray:
+    """A batched cube with its batch axes merged into one leading row axis."""
+    return cube.reshape((-1,) + cube.shape[-3:])
+
+
 def dft3_forward(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     """Unnormalized forward 3D DFT of real flat fields: their half spectra."""
     cube = _cube(f, grid.shape)
     out = np.empty(cube.shape[:-3] + grid.spectral_shape, np.complex128)
-    np.fft.rfftn(cube, axes=_CUBE_AXES, out=out)
+    src, dst = _rows(cube), _rows(out)
+
+    def forward(rows: slice) -> None:
+        np.fft.rfftn(src[rows], axes=_CUBE_AXES, out=dst[rows])
+
+    _for_slabs(forward, len(src), cube.size)
     return out.reshape(cube.shape[:-3] + (grid.n_spectral,))
 
 
@@ -107,13 +191,19 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray) -> np.ndarray:
     dropped; :func:`realize` checks that there is none beyond roundoff.
     The passes are those of ``irfftn`` in its order (z, y, then the real x
     pass), so the result is bitwise the same, but ``F`` is left untouched
-    and only one intermediate spectrum is allocated: the z pass writes a new
-    buffer and the y pass overwrites it.
+    and only one intermediate spectrum is allocated, one piece per row
+    group: the z pass writes a new buffer and the y pass overwrites it.
     """
     cube = _cube(F, grid.spectral_shape)
-    work = np.fft.ifft(cube, axis=-3)
-    np.fft.ifft(work, axis=-2, out=work)
-    out = np.fft.irfft(work, n=grid.n_x, axis=-1)
+    out = np.empty(cube.shape[:-3] + grid.shape)
+    src, dst = _rows(cube), _rows(out)
+
+    def inverse(rows: slice) -> None:
+        work = np.fft.ifft(src[rows], axis=-3)
+        np.fft.ifft(work, axis=-2, out=work)
+        np.fft.irfft(work, n=grid.n_x, axis=-1, out=dst[rows])
+
+    _for_slabs(inverse, len(src), cube.size)
     return out.reshape(cube.shape[:-3] + (grid.n_total,))
 
 
@@ -149,7 +239,14 @@ def realize(
     flagged for its own roundoff.
     """
     cube = _cube(F, grid.spectral_shape)
-    scale = float(np.max(np.abs(cube), initial=0.0))
+    # The magnitude block by block: a max does not depend on the order.
+    maxima = np.zeros(grid.n_z)
+
+    def magnitude(planes: slice) -> None:
+        maxima[planes] = np.max(np.abs(cube[..., planes, :, :]), initial=0.0)
+
+    _for_slabs(magnitude, grid.n_z, cube.size, _planes_per_block(grid))
+    scale = float(np.max(maxima, initial=0.0))
     if not np.isfinite(scale):
         raise ImaginaryResidueError(f"non-finite spectrum magnitude {scale}")
     planes = cube[..., :: grid.n_x // 2]  # the kx = 0 and kx = n_x/2 columns

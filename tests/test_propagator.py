@@ -21,7 +21,7 @@ from psmaxwell import (
     to_physical,
     to_spectral,
 )
-from psmaxwell import propagator
+from psmaxwell import spectral
 from psmaxwell.grid import flatten_index
 from psmaxwell.spectral import ImaginaryResidueError, cross, wavenumbers
 
@@ -221,11 +221,11 @@ class TestStep:
         # than one block holds, so each block is a single plane.
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
         plane = grid.n_y * grid.spectral_shape[-1]
-        planes = max(1, propagator._BLOCK_MODES // plane)
+        planes = max(1, spectral._BLOCK_MODES // plane)
         if counts == (32, 32, 32):
             assert 1 < planes < grid.n_z and grid.n_z % planes != 0
         else:
-            assert plane > propagator._BLOCK_MODES
+            assert plane > spectral._BLOCK_MODES
         medium = MediumParams(mu=2.0, eps=0.5)
         state = to_spectral(random_band_limited_state(grid, rng, medium))
         kept = state.data.copy()
