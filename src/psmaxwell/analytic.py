@@ -185,23 +185,32 @@ def _check_resolution(case: AnalyticCase, grid: GridSpec) -> None:
             )
 
 
-def sample_exact(case: AnalyticCase, grid: GridSpec, t: float) -> np.ndarray:
-    """The case's six components at time ``t`` on every collocation point.
+def _plane_sampler(case: AnalyticCase, grid: GridSpec, t: float, out: np.ndarray):
+    """``sample(planes)``: write the case at time ``t`` on a slice of z-planes.
 
-    Evaluated on the sparse (broadcasting) coordinate axes, so each axis
-    factor is computed once per axis rather than once per point, and written
-    slab of z-planes by slab straight into one ``(6, n_total)`` float64 array
-    in the layout of :class:`FieldState`.
+    ``out`` is a ``(6, n_z, n_y, n_x)`` float64 array; each call fills its
+    ``out[:, planes]`` slab.  The coordinates are the sparse (broadcasting)
+    axes, so each axis factor is computed once per axis and call rather than
+    once per point, and every point gets the same bits whatever the slabs.
     """
     z, y, x = np.meshgrid(
         grid.points_z, grid.points_y, grid.points_x, indexing="ij", sparse=True
     )
-    out = np.empty((6,) + grid.shape)
 
     def sample(planes: slice) -> None:
         case.evaluate(x, y, z[planes], t, out=out[:, planes])
 
-    _for_slabs(sample, grid.n_z, out.size)
+    return sample
+
+
+def sample_exact(case: AnalyticCase, grid: GridSpec, t: float) -> np.ndarray:
+    """The case's six components at time ``t`` on every collocation point.
+
+    Written slab of z-planes by slab straight into one ``(6, n_total)``
+    float64 array in the layout of :class:`FieldState`.
+    """
+    out = np.empty((6,) + grid.shape)
+    _for_slabs(_plane_sampler(case, grid, t, out), grid.n_z, out.size)
     return out.reshape(6, grid.n_total)
 
 

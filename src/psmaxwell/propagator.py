@@ -112,19 +112,30 @@ class FieldState:
 
 
 def _flow_factors(kappa: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``r1``, ``r2`` at ``theta = |kappa| |b|`` over the half-spectrum modes."""
+    """``r1``, ``r2`` at ``theta = |kappa| |b|`` over the half-spectrum modes.
+
+    The wavenumber ladders at ``-m`` are bitwise minus those at ``m``, and
+    ``theta`` sees them only squared, so the formula runs on the z-planes and
+    y-rows with ``kz, ky >= 0``; the others are reversed copies of those.
+    """
+    n_z, n_y, _ = grid.spectral_shape
+    hz, hy = n_z // 2 + 1, n_y // 2 + 1
     bx, by, bz = wavenumbers(grid)
-    b_xy = bx * bx + by * by
+    b_xy = bx * bx + by[:hy] * by[:hy]
     r1 = np.empty(grid.spectral_shape)
     r2 = np.empty(grid.spectral_shape)
 
     def factors(planes: slice) -> None:
         theta = np.sqrt(kappa * kappa * (b_xy + bz[planes] * bz[planes]))
         # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
-        np.multiply(-0.5, np.sinc(theta / (2.0 * np.pi)) ** 2, out=r1[planes])
-        r2[planes] = np.sinc(theta / np.pi)
+        np.multiply(-0.5, np.sinc(theta / (2.0 * np.pi)) ** 2, out=r1[planes, :hy])
+        r2[planes, :hy] = np.sinc(theta / np.pi)
+        for r in (r1, r2):
+            r[planes, hy:] = r[planes, hy - 2 : 0 : -1]
 
-    _for_slabs(factors, grid.spectral_shape[0], r1.size, _planes_per_block(grid))
+    _for_slabs(factors, hz, r1.size, _planes_per_block(grid, r1.size))
+    for r in (r1, r2):
+        r[hz:] = r[hz - 2 : 0 : -1]
     return r1, r2
 
 
@@ -217,11 +228,11 @@ def _evolve(
 ) -> None:
     """Write the flow of :func:`step` of a ``(6, n_spectral)`` spectrum into ``dest``.
 
-    Works on blocks of whole z-planes of about ``_BLOCK_MODES`` modes (never
-    less than one plane), each copied into ``dest`` and updated there; each
-    block's per-mode operations are those of the whole-array formula in the
-    same order, so the result does not depend on the block size or on
-    which thread runs the block.
+    Works on blocks of whole z-planes (never less than one plane, larger on
+    the thread pool: :func:`psmaxwell.spectral._planes_per_block`), each
+    copied into ``dest`` and updated there; each block's per-mode operations
+    are those of the whole-array formula in the same order, so the result
+    does not depend on the block size or on which thread runs the block.
     """
     grid, medium = coeffs.grid, coeffs.medium
     kx, ky, kz = wavenumbers(grid)
@@ -248,7 +259,9 @@ def _evolve(
         f[:3] += curls[3:]
         f[3:] += curls[:3]
 
-    _for_slabs(flow, grid.spectral_shape[0], spectrum.size, _planes_per_block(grid))
+    _for_slabs(
+        flow, grid.spectral_shape[0], spectrum.size, _planes_per_block(grid, spectrum.size)
+    )
 
 
 def to_spectral(state: FieldState) -> FieldState:
@@ -258,19 +271,22 @@ def to_spectral(state: FieldState) -> FieldState:
     return replace(state, data=dft3_forward(state.grid, state.data))
 
 
-def to_physical(state: FieldState) -> FieldState:
+def to_physical(state: FieldState, *, overwrite: bool = False) -> FieldState:
     """Check, then inverse-transform all six components to real samples in one batch.
 
     Raises :class:`psmaxwell.spectral.ImaginaryResidueError` if the spectrum
     is non-finite or its ``kx = 0`` / ``kx = n_x/2`` planes are off Hermitian
     beyond roundoff (:func:`psmaxwell.spectral.realize`).  The defect is
     judged against the whole state's magnitude, so an identically zero
-    component is not flagged for its own roundoff.
+    component is not flagged for its own roundoff.  The spectrum is left
+    untouched unless ``overwrite`` is set; then the inverse runs in place on
+    it (:func:`psmaxwell.spectral.dft3_inverse`), after the check, and
+    ``state`` must not be used again.
     """
     if state.representation == PHYSICAL:
         return state
     spectrum, residue = realize(state.grid, state.data)
-    real = dft3_inverse(state.grid, spectrum)
+    real = dft3_inverse(state.grid, spectrum, overwrite=overwrite)
     return replace(state, data=real, imag_residue=max(state.imag_residue, residue))
 
 
@@ -281,6 +297,11 @@ def propagate(initial: FieldState, t_end: float) -> FieldState:
     the result is always physical.  ``initial`` may be in either
     representation: a spectral one is used as given and left unmodified, so
     a caller that reaches many times from one state transforms it once.
+    The coefficients die before the inverse transform, which runs in place
+    on the stepped spectrum, so besides ``initial`` at most two spectra and
+    the output are alive at once.
     """
     coeffs = build_coefficients(initial.grid, initial.medium, t_end)
-    return to_physical(step(to_spectral(initial), coeffs))
+    stepped = step(to_spectral(initial), coeffs)
+    del coeffs
+    return to_physical(stepped, overwrite=True)

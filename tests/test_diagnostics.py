@@ -27,6 +27,7 @@ from psmaxwell import (
     sample_initial,
     spectral_time_derivative,
 )
+from psmaxwell.analytic import sample_exact
 from psmaxwell.diagnostics import NEAR_ZERO_ABS
 
 from conftest import random_band_limited_state, zero_state
@@ -301,7 +302,33 @@ class TestDivergences:
         assert div_h <= 1e-12
 
 
+def whole_array_error_norms(state, case) -> tuple[float, float, tuple]:
+    """(l2, linf, component_linf) by whole-array operations on the exact samples."""
+    errors = np.abs(sample_exact(case, state.grid, state.time) - state.data)
+    per_row = np.max(errors, axis=1)
+    l2 = float(np.sqrt(np.sum(np.square(errors)) / state.grid.n_total))
+    return l2, float(np.max(per_row)), tuple(float(v) for v in per_row)
+
+
 class TestErrorNorms:
+    @pytest.mark.parametrize(
+        "counts", [(2, 4, 6), (32, 32, 32), (128, 64, 4)], ids=lambda c: "x".join(map(str, c))
+    )
+    @pytest.mark.parametrize(
+        "case", [StandingWave(medium=MediumParams(eps=0.5)), TravelingWave()],
+        ids=["standing", "traveling"],
+    )
+    def test_blocks_match_whole_array_formula(self, case, counts, rng):
+        # Evaluated, subtracted and squared block by block of z-planes into
+        # one buffer, then summed once: the bits of the whole-array formula.
+        grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
+        state = random_band_limited_state(grid, rng, MediumParams(mu=2.0, eps=0.5))
+        state = FieldState(grid, state.medium, state.data, time=0.7)
+        report = error_norms(state, case)
+        assert (report.l2, report.linf, report.component_linf) == whole_array_error_norms(
+            state, case
+        )
+
     def test_exact_state_has_zero_error(self):
         case = StandingWave()
         grid = build_grid(case.default_domain, 8, 8, 8)

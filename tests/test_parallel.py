@@ -28,6 +28,7 @@ from psmaxwell import (
     cli,
     dft3_forward,
     dft3_inverse,
+    error_norms,
     realize,
     spectral,
     step,
@@ -119,6 +120,16 @@ def test_sample_exact(workers, case, counts):
     grid = grid_for(counts)
     serial, parallel = one_and_three(workers, lambda: sample_exact(case, grid, 0.7))
     np.testing.assert_array_equal(serial, parallel)
+
+
+@pytest.mark.parametrize(
+    "case", [StandingWave(medium=MediumParams(eps=0.5)), TravelingWave()],
+    ids=["standing", "traveling"],
+)
+def test_error_norms(workers, case, state):
+    state = FieldState(state.grid, state.medium, state.data, time=0.7)
+    serial, parallel = one_and_three(workers, lambda: error_norms(state, case))
+    assert serial == parallel
 
 
 @pytest.mark.parametrize(

@@ -89,7 +89,8 @@ class TestInverse:
     @pytest.mark.parametrize("counts", [(32, 32, 32), (2, 4, 6), (6, 8, 4)])
     def test_matches_irfftn_bitwise(self, counts, rng):
         # Arbitrary half spectra, Hermitian planes or not: the passes are
-        # irfftn's own, and the input is left as it was.
+        # irfftn's own, out of place or in place.  By default the input is
+        # left as it was; with overwrite it is the buffer the passes ran in.
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
         shape = (6, grid.n_spectral)
         spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -100,6 +101,9 @@ class TestInverse:
         )
         np.testing.assert_array_equal(out, ref.reshape(6, grid.n_total))
         np.testing.assert_array_equal(spec, kept)
+        in_place = dft3_inverse(grid, spec, overwrite=True)
+        np.testing.assert_array_equal(in_place, out)
+        assert not np.array_equal(spec, kept)
 
 
 class TestRealize:
