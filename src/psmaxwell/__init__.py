@@ -7,7 +7,7 @@ with no step-size restriction.  Diagnostics cover the discrete energy,
 helicity, momentum, symplecticity, and divergence-free conservation laws.
 """
 
-from .grid import DomainSpec, GridSpec, build_grid, flatten_index, unflatten_index
+from .grid import DomainSpec, GridSpec, build_grid
 from .spectral import (
     ImaginaryResidueError,
     apply_derivative,
@@ -48,8 +48,6 @@ __all__ = [
     "DomainSpec",
     "GridSpec",
     "build_grid",
-    "flatten_index",
-    "unflatten_index",
     "ImaginaryResidueError",
     "dft3_forward",
     "dft3_inverse",

@@ -16,42 +16,65 @@ conserved by the propagator exactly up to roundoff:
 - divergence fields of ``eps*E`` and ``mu*H`` with their max norms.
 
 Every form has a diagonal Fourier symbol (``i b_k`` for D_k, ``i b x`` for
-the curl, with ``b`` the per-axis wavenumbers), so by Parseval it is
-evaluated directly on the forward spectra of real fields,
+the curl, with ``b`` the per-axis wavenumbers), so by Parseval it is a sum
+over the modes of the forward spectra of a closed-form scalar of
+``(E, H, b)``, divided by ``N^2`` with ``N = n_x n_y n_z``.  With
+``E = Er + i Ei`` and likewise ``H``, the per-mode scalars are
 
-    <u, v>_N = (1/N^2) * Re sum_m U(m) * conj(V(m)),   N = n_x n_y n_z,
+- ``w1 = eps |E|^2 / 2 + mu |H|^2 / 2``: ``e1`` sums it, ``e3_k`` sums
+  ``b_k^2 w1``;
+- ``w2 = (|b|^2 |H|^2 - |b.H|^2) / (2 eps) + (|b|^2 |E|^2 - |b.E|^2) / (2 mu)``,
+  the ``w1`` of the rates ``dE/dt = (i/eps) b x H``, ``dH/dt = -(i/mu) b x E``:
+  ``e2`` sums it, ``e4_k`` sums ``b_k^2 w2``;
+- ``p = sum_c (Hi_c Er_c - Hr_c Ei_c)``: ``m1_k`` sums ``b_k p``;
+- ``rho = b.(Hr x Hi) / eps + b.(Er x Ei) / mu``: ``h1`` sums it and ``h2``
+  sums ``|b|^2 rho / (mu eps)``,
 
-with the symbols applied per mode.  The spectra are half spectra (the
-``kx >= 0`` columns of :mod:`psmaxwell.spectral`); the symbols map the
-spectrum of a real field to that of a real field, so the summand at ``-m``
-equals the one at ``m`` and the full sum is the half sum with every x-column
-counted twice, except the self-conjugate columns ``kx = 0`` and
-``kx = n_x/2``, which hold both members of each pair and count once (for
-``n_x = 2`` these are the only two).  A report forward-transforms the six
-components once, in one batched transform, and inverse-transforms only the
-two divergence fields, whose max norms need physical samples, in a second
-one.  Two identities hold exactly rather than to roundoff: ``e5``/``e6`` are
-0.0, because the symbol ``i b_k`` is imaginary and ``Re(i b_k |U|^2)``
-vanishes mode by mode, and ``m2 = -m1``, because D_k is skew-adjoint.  A
-state given in spectral representation is taken to be the spectrum of real
-fields.  The spectra are row views of the state's ``(6, n_spectral)`` array,
-and :func:`inner_product_N` takes two plain flat arrays of equal shape.  A
-non-finite sample or mode raises :class:`ImaginaryResidueError` instead of
-giving NaN invariants; so does a non-finite :func:`error_norms`.
+so no rate spectrum, curl or squared-magnitude field is ever formed.  The
+spectra are half spectra (the ``kx >= 0`` columns of
+:mod:`psmaxwell.spectral`); the symbols map the spectrum of a real field to
+that of a real field, so the summand at ``-m`` equals the one at ``m`` and
+the full sum is the half sum with every x-column counted twice, except the
+self-conjugate columns ``kx = 0`` and ``kx = n_x/2``, which hold both
+members of each pair and count once (for ``n_x = 2`` these are the only
+two).  Two identities hold exactly rather than to roundoff: ``e5``/``e6``
+are 0.0, because the symbol ``i b_k`` is imaginary and ``Re(i b_k |U|^2)``
+vanishes mode by mode, and ``m2 = -m1``, because D_k is skew-adjoint.
 
-Grid reductions rely on numpy's pairwise summation, which keeps them
-deterministic for a fixed build.
+A report forward-transforms the six components once, in one batched
+transform (a state given in spectral representation is taken to be the
+spectrum of real fields and used as it is), and makes one pass over blocks
+of z-planes, on the thread pool for large grids
+(:func:`psmaxwell.spectral._for_slabs`).  Each block writes one row of
+partial sums per z-plane, and every invariant is one sum over those rows
+in plane order; the rows do not depend on how the planes are cut into
+blocks, so a report is bitwise the same for any worker count.  The same
+pass writes the divergence spectra ``i eps b.E`` and ``i mu b.H`` into one
+two-row buffer, which one batched inverse turns in place into the two
+divergence fields, whose max norms need physical samples.
+:func:`energies`, :func:`helicities`, :func:`momenta` and
+:func:`divergences` are projections of that pass.  A non-finite sample or
+mode raises :class:`ImaginaryResidueError` instead of giving NaN
+invariants; so does a non-finite :func:`error_norms`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .analytic import AnalyticCase, _plane_sampler
 from .propagator import PHYSICAL, FieldState, to_physical, to_spectral
-from .spectral import ImaginaryResidueError, _for_slabs, cross, dft3_inverse, wavenumbers
+from .spectral import (
+    ImaginaryResidueError,
+    _for_slabs,
+    _planes_per_block,
+    cross,
+    dft3_inverse,
+    wavenumbers,
+)
 
 __all__ = [
     "InvariantReport",
@@ -94,14 +117,6 @@ def inner_product_N(u: np.ndarray, v: np.ndarray) -> float | complex:
     return float(value.real) if np.iscomplexobj(value) else float(value)
 
 
-def _spectra(state: FieldState) -> np.ndarray:
-    """The six component half spectra (E then H) as a (6, n_z, n_y, n_x//2+1) view."""
-    s = to_spectral(state).data
-    if not np.isfinite(s).all():
-        raise ImaginaryResidueError("non-finite mode in the state's spectrum")
-    return s.reshape((6,) + state.grid.spectral_shape)
-
-
 def _parseval_weights(state: FieldState) -> np.ndarray:
     """Per-x-column multiplicity of the half spectrum in the full Parseval sum."""
     w = np.full(state.grid.spectral_shape[-1], 2.0)
@@ -109,27 +124,9 @@ def _parseval_weights(state: FieldState) -> np.ndarray:
     return w
 
 
-def _curl(b: tuple, f: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """Spectrum of ``scale * curl F``: ``scale * i b x F`` for a stacked triple ``f``."""
-    cross(b, f, out)
-    out *= 1j * scale
-    return out
-
-
-def _rates(state: FieldState, s: np.ndarray) -> np.ndarray:
-    """Spectra of dE/dt = (1/eps) curl H and dH/dt = -(1/mu) curl E."""
-    b = wavenumbers(state.grid)
-    medium = state.medium
-    d = np.empty_like(s)
-    _curl(b, s[3:], 1.0 / medium.eps, d[:3])
-    _curl(b, s[:3], -1.0 / medium.mu, d[3:])
-    return d
-
-
-def _dot(state: FieldState, u: np.ndarray, v: np.ndarray) -> float:
-    """``Re sum U * conj(V)`` over the full spectrum and all components (unnormalized)."""
-    w = _parseval_weights(state)
-    return sum(float(np.sum(w * (a.real * c.real + a.imag * c.imag))) for a, c in zip(u, v))
+def _abs_sq(f: np.ndarray) -> np.ndarray:
+    """Squared magnitude of complex ``f``, elementwise."""
+    return f.real * f.real + f.imag * f.imag
 
 
 def spectral_time_derivative(state: FieldState) -> FieldState:
@@ -139,8 +136,14 @@ def spectral_time_derivative(state: FieldState) -> FieldState:
     exact spectral derivatives and returns a state in the representation of
     the input.  The returned ``time`` matches the input state.
     """
-    rates = _rates(state, _spectra(state)).reshape(6, -1)
-    deriv = FieldState(state.grid, state.medium, rates, time=state.time)
+    s = to_spectral(state).data.reshape((6,) + state.grid.spectral_shape)
+    b = wavenumbers(state.grid)
+    rates = np.empty_like(s)
+    cross(b, s[3:], rates[:3])
+    rates[:3] *= 1j / state.medium.eps
+    cross(b, s[:3], rates[3:])
+    rates[3:] *= -1j / state.medium.mu
+    deriv = FieldState(state.grid, state.medium, rates.reshape(6, -1), time=state.time)
     if state.representation == PHYSICAL:
         return to_physical(deriv, overwrite=True)
     return deriv
@@ -196,110 +199,102 @@ class InvariantDrifts:
     m2: tuple[DriftValue, DriftValue, DriftValue]
 
 
-def _energy(state: FieldState, s: np.ndarray) -> tuple[float, tuple]:
-    """The energy of ``s`` and the energies of its axis-k derivatives."""
-    norm = state.grid.n_total ** 2
+def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
+    """Every invariant of a state in one pass, and its two divergence fields.
+
+    Block by block of z-planes, the per-mode closed forms of the module
+    docstring are summed over each plane into one row of ``rows``, and the
+    divergence spectra are written into the block's planes of ``div``.
+    """
+    grid = state.grid
     mu, eps = state.medium.mu, state.medium.eps
-    sq = [c.real * c.real + c.imag * c.imag for c in s]
-    # Per-mode energy density; the D_k symbol i b_k weights it by b_k^2.
-    w = 0.5 * eps * (sq[0] + sq[1] + sq[2]) + 0.5 * mu * (sq[3] + sq[4] + sq[5])
-    w *= _parseval_weights(state)
-    per_axis = tuple(float(np.sum(bk * bk * w)) / norm for bk in wavenumbers(state.grid))
-    return float(np.sum(w)) / norm, per_axis
+    s = to_spectral(state).data.reshape((6,) + grid.spectral_shape)
+    bx, by, bz = wavenumbers(grid)
+    w = _parseval_weights(state)
+    # One row per z-plane; the columns are e1, e3 (3), e2, e4 (3), m1 (3),
+    # h1 and mu eps h2.
+    rows = np.empty((grid.n_z, 13))
+    div = np.empty((2,) + grid.spectral_shape, np.complex128)
+
+    def block(planes: slice) -> None:
+        if not np.isfinite(s[:, planes]).all():
+            raise ImaginaryResidueError("non-finite mode in the state's spectrum")
+        e, h = s[:3, planes], s[3:, planes]
+        b = (bx, by, bz[planes])
+        b_sq = tuple(bk * bk for bk in b)
+        bb = b_sq[0] + b_sq[1] + b_sq[2]
+        be = b[0] * e[0] + b[1] * e[1] + b[2] * e[2]
+        bh = b[0] * h[0] + b[1] * h[1] + b[2] * h[2]
+        np.multiply(1j * eps, be, out=div[0, planes])
+        np.multiply(1j * mu, bh, out=div[1, planes])
+        e_sq, h_sq = np.sum(_abs_sq(e), axis=0), np.sum(_abs_sq(h), axis=0)
+        w1 = w * (0.5 * eps * e_sq + 0.5 * mu * h_sq)
+        w2 = w * (0.5 * (bb * h_sq - _abs_sq(bh)) / eps + 0.5 * (bb * e_sq - _abs_sq(be)) / mu)
+        p = w * np.sum(h.imag * e.real - h.real * e.imag, axis=0)
+        # b.(Fr x Fi) = Fi.(b x Fr) for each of F = E, H.
+        work = np.empty(e.shape)
+        rho = np.sum(cross(b, h.real, work) * h.imag, axis=0) / eps
+        rho += np.sum(cross(b, e.real, work) * e.imag, axis=0) / mu
+        rho *= w
+        terms = chain(
+            (w1,), (bk * w1 for bk in b_sq), (w2,), (bk * w2 for bk in b_sq),
+            (bk * p for bk in b), (rho, bb * rho),
+        )
+        for column, term in enumerate(terms):
+            rows[planes, column] = np.sum(term.reshape(len(term), -1), axis=1)
+
+    _for_slabs(block, grid.n_z, s.size, _planes_per_block(grid, s.size))
+    totals = (np.sum(rows, axis=0) / grid.n_total ** 2).tolist()
+    fields = dft3_inverse(grid, div.reshape(2, -1), overwrite=True)
+    m1 = tuple(totals[8:11])
+    report = InvariantReport(
+        time=state.time,
+        e1=totals[0],
+        e2=totals[4],
+        e3=tuple(totals[1:4]),
+        e4=tuple(totals[5:8]),
+        e5=(0.0, 0.0, 0.0),
+        e6=(0.0, 0.0, 0.0),
+        h1=totals[11],
+        h2=totals[12] / (mu * eps),
+        m1=m1,
+        # 0.0 - m rather than -m keeps an exactly zero momentum unsigned.
+        m2=tuple(0.0 - m for m in m1),
+        div_e_norm=float(np.max(np.abs(fields[0]))),
+        div_h_norm=float(np.max(np.abs(fields[1]))),
+    )
+    return report, fields
 
 
-def _energies(state: FieldState, s: np.ndarray, d: np.ndarray) -> tuple:
-    e1, e3 = _energy(state, s)
-    e2, e4 = _energy(state, d)
-    # e5/e6 are exactly zero for real fields (module docstring).
-    return e1, e2, e3, e4, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+def invariant_report(state: FieldState) -> InvariantReport:
+    """Compute every invariant of a state in one pass over its spectrum."""
+    return _report(state)[0]
 
 
 def energies(state: FieldState) -> tuple[float, float, tuple, tuple, tuple, tuple]:
     """(e1, e2, e3, e4, e5, e6); axis-indexed entries are per-axis 3-tuples."""
-    s = _spectra(state)
-    return _energies(state, s, _rates(state, s))
-
-
-def _helicity(state: FieldState, s: np.ndarray) -> float:
-    """<H, curl H>/(2 eps) + <E, curl E>/(2 mu) of the spectra ``s``."""
-    b = wavenumbers(state.grid)
-    mu, eps = state.medium.mu, state.medium.eps
-    e, h = s[:3], s[3:]
-    curl = np.empty_like(e)
-    total = (
-        _dot(state, h, _curl(b, h, 0.5 / eps, curl))
-        + _dot(state, e, _curl(b, e, 0.5 / mu, curl))
-    )
-    return total / state.grid.n_total ** 2
+    r = invariant_report(state)
+    return r.e1, r.e2, r.e3, r.e4, r.e5, r.e6
 
 
 def helicities(state: FieldState) -> tuple[float, float]:
     """(h1, h2): field and time-derivative helicity."""
-    s = _spectra(state)
-    return _helicity(state, s), _helicity(state, _rates(state, s))
-
-
-def _momenta(state: FieldState, s: np.ndarray) -> tuple[tuple, tuple]:
-    norm = state.grid.n_total ** 2
-    # <H, D_k E> = Re sum H conj(i b_k E) = sum b_k Im(H conj E).
-    p = sum(h.imag * e.real - h.real * e.imag for e, h in zip(s[:3], s[3:]))
-    p *= _parseval_weights(state)
-    m1 = tuple(float(np.sum(bk * p)) / norm for bk in wavenumbers(state.grid))
-    # 0.0 - m rather than -m keeps an exactly zero momentum unsigned.
-    return m1, tuple(0.0 - m for m in m1)
+    r = invariant_report(state)
+    return r.h1, r.h2
 
 
 def momenta(state: FieldState) -> tuple[tuple, tuple]:
     """(m1, m2) per axis: <H, D_k E> and <E, D_k H>."""
-    return _momenta(state, _spectra(state))
-
-
-def _divergences(state: FieldState, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    grid = state.grid
-    mu, eps = state.medium.mu, state.medium.eps
-    bx, by, bz = wavenumbers(grid)
-    ex, ey, ez, hx, hy, hz = s
-    spectra = np.stack(
-        (1j * eps * (bx * ex + by * ey + bz * ez), 1j * mu * (bx * hx + by * hy + bz * hz))
-    )
-    # The divergence spectra of real fields are Hermitian in the kx = 0 and
-    # kx = n_x/2 planes up to roundoff, which the real inverse drops.  They
-    # skip the Hermitian-plane check: a divergence-free field is legitimately
-    # zero and must not trip the flag for its own roundoff.
-    div_e, div_h = dft3_inverse(grid, spectra.reshape(2, -1), overwrite=True)
-    return div_e, div_h, float(np.max(np.abs(div_e))), float(np.max(np.abs(div_h)))
+    r = invariant_report(state)
+    return r.m1, r.m2
 
 
 def divergences(
     state: FieldState,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Divergence fields of ``eps*E`` and ``mu*H`` plus their max norms."""
-    return _divergences(state, _spectra(state))
-
-
-def invariant_report(state: FieldState) -> InvariantReport:
-    """Compute every invariant of a state from one set of spectra."""
-    s = _spectra(state)
-    d = _rates(state, s)
-    e1, e2, e3, e4, e5, e6 = _energies(state, s, d)
-    m1, m2 = _momenta(state, s)
-    _, _, div_e_norm, div_h_norm = _divergences(state, s)
-    return InvariantReport(
-        time=state.time,
-        e1=e1,
-        e2=e2,
-        e3=e3,
-        e4=e4,
-        e5=e5,
-        e6=e6,
-        h1=_helicity(state, s),
-        h2=_helicity(state, d),
-        m1=m1,
-        m2=m2,
-        div_e_norm=div_e_norm,
-        div_h_norm=div_h_norm,
-    )
+    r, (div_e, div_h) = _report(state)
+    return div_e, div_h, r.div_e_norm, r.div_h_norm
 
 
 def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:

@@ -20,8 +20,6 @@ __all__ = [
     "DomainSpec",
     "GridSpec",
     "build_grid",
-    "flatten_index",
-    "unflatten_index",
 ]
 
 AXES = ("x", "y", "z")
@@ -182,21 +180,3 @@ class GridSpec:
 def build_grid(domain: DomainSpec, n_x: int, n_y: int, n_z: int) -> GridSpec:
     """Construct the grid for ``domain`` with even point counts per axis."""
     return GridSpec(domain=domain, n_x=n_x, n_y=n_y, n_z=n_z)
-
-
-def flatten_index(j: int, k: int, l: int, grid: GridSpec) -> int:
-    """Flat position of zero-based axis indices ``(j, k, l)``, x fastest."""
-    if not (0 <= j < grid.n_x and 0 <= k < grid.n_y and 0 <= l < grid.n_z):
-        raise IndexError(
-            f"index ({j}, {k}, {l}) out of range for grid {grid.counts()}"
-        )
-    return grid.n_x * grid.n_y * l + grid.n_x * k + j
-
-
-def unflatten_index(flat: int, grid: GridSpec) -> tuple[int, int, int]:
-    """Inverse of :func:`flatten_index`."""
-    if not 0 <= flat < grid.n_total:
-        raise IndexError(f"flat index {flat} out of range for grid {grid.counts()}")
-    l, rem = divmod(flat, grid.n_x * grid.n_y)
-    k, j = divmod(rem, grid.n_x)
-    return j, k, l

@@ -1,5 +1,7 @@
 """Inner products, invariants, drifts, and error metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from psmaxwell import (
     relative_change,
     sample_initial,
     spectral_time_derivative,
+    to_spectral,
 )
 from psmaxwell.analytic import sample_exact
 from psmaxwell.diagnostics import NEAR_ZERO_ABS
@@ -354,12 +357,38 @@ class TestErrorNorms:
         assert report.l2 <= 1e-10
 
     def test_requires_physical_state(self, grid8, rng):
-        from psmaxwell import to_spectral
-
         case = StandingWave()
         state = to_spectral(random_band_limited_state(grid8, rng))
         with pytest.raises(ValueError, match="physical"):
             error_norms(state, case)
+
+
+class TestPeakMemory:
+    """One pass over blocks of z-planes: no rate spectrum, curl or |.|^2 field."""
+
+    @staticmethod
+    def report_peak_in_states(state: FieldState) -> float:
+        """Tracemalloc peak of one report, in real six-component states."""
+        tracemalloc.start()
+        try:
+            invariant_report(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (6 * state.grid.n_total * 8)
+
+    # At 32^3 a physical input holds its forward spectrum (1.06 states),
+    # the two divergence spectra and their fields (0.69) and the block
+    # temporaries: 1.92 states.  A spectral input holds the last two: 0.86.
+    def test_peak_memory_from_physical_input(self, rng):
+        grid = build_grid(DomainSpec.cube(0.0, 1.0), 32, 32, 32)
+        state = random_band_limited_state(grid, rng)
+        assert self.report_peak_in_states(state) <= 2.25
+
+    def test_peak_memory_from_spectral_input(self, rng):
+        grid = build_grid(DomainSpec.cube(0.0, 1.0), 32, 32, 32)
+        state = to_spectral(random_band_limited_state(grid, rng))
+        assert self.report_peak_in_states(state) <= 1.25
 
 
 class TestNonFiniteInput:

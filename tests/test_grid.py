@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from psmaxwell import DomainSpec, build_grid, flatten_index, unflatten_index
+from psmaxwell import DomainSpec, build_grid
 
 
 class TestDomainSpec:
@@ -71,35 +71,14 @@ class TestBuildGrid:
             gaps = np.diff(pts)
             np.testing.assert_allclose(gaps, h, rtol=1e-15)
 
+    def test_shape_is_the_x_fastest_layout(self):
+        # flat = nx*ny*l + nx*k + j (module docstring) is C order over shape.
+        grid = build_grid(DomainSpec.cube(0.0, 1.0), 2, 4, 6)
+        flat = np.arange(grid.n_total)
+        l, k, j = np.unravel_index(flat, grid.shape)
+        np.testing.assert_array_equal(grid.n_x * grid.n_y * l + grid.n_x * k + j, flat)
+
     def test_arrays_read_only(self):
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 4, 4, 4)
         with pytest.raises(ValueError):
             grid.kvec_x[0] = 5.0
-
-
-class TestFlattenIndex:
-    def test_origin(self, grid4):
-        assert flatten_index(0, 0, 0, grid4) == 0
-
-    def test_formula(self, grid4):
-        # nx=4: (3, 1, 0) -> 4*0*4 + 4*1 + 3 = 7
-        assert flatten_index(3, 1, 0, grid4) == 7
-
-    def test_round_trip_exhaustive(self, grid4):
-        seen = set()
-        for l in range(4):
-            for k in range(4):
-                for j in range(4):
-                    flat = flatten_index(j, k, l, grid4)
-                    assert unflatten_index(flat, grid4) == (j, k, l)
-                    seen.add(flat)
-        assert seen == set(range(grid4.n_total))
-
-    @pytest.mark.parametrize("jkl", [(-1, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)])
-    def test_out_of_range_rejected(self, grid4, jkl):
-        with pytest.raises(IndexError):
-            flatten_index(*jkl, grid4)
-
-    def test_unflatten_out_of_range(self, grid4):
-        with pytest.raises(IndexError):
-            unflatten_index(64, grid4)

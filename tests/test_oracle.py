@@ -12,8 +12,6 @@ from psmaxwell import (
     dft3_inverse,
 )
 
-from psmaxwell.grid import unflatten_index
-
 from conftest import random_band_limited_field
 from oracle import (
     broadcast_wavenumbers,
@@ -188,7 +186,7 @@ class TestBroadcastWavenumbers:
     def test_positions_match_flatten(self, grid4):
         b_x, b_y, b_z = broadcast_wavenumbers(grid4)
         for flat in range(grid4.n_total):
-            j, k, l = unflatten_index(flat, grid4)
+            l, k, j = np.unravel_index(flat, grid4.shape)
             assert b_x[flat] == grid4.kvec_x[j]
             assert b_y[flat] == grid4.kvec_y[k]
             assert b_z[flat] == grid4.kvec_z[l]

@@ -29,6 +29,7 @@ from psmaxwell import (
     dft3_forward,
     dft3_inverse,
     error_norms,
+    invariant_report,
     realize,
     spectral,
     step,
@@ -130,6 +131,26 @@ def test_error_norms(workers, case, state):
     state = FieldState(state.grid, state.medium, state.data, time=0.7)
     serial, parallel = one_and_three(workers, lambda: error_norms(state, case))
     assert serial == parallel
+
+
+@pytest.mark.parametrize("representation", ["physical", "spectral"])
+def test_invariant_report(workers, state, representation):
+    if representation == "spectral":
+        state = to_spectral(state)
+    serial, parallel = one_and_three(workers, lambda: invariant_report(state))
+    assert serial == parallel
+
+
+@pytest.mark.parametrize("modes", [1, 10**9], ids=["one-plane", "whole-array"])
+def test_invariant_report_blocks(monkeypatch, state, modes):
+    # One row of partial sums per z-plane: how the planes are cut into
+    # blocks does not show in the report.
+    def reports():
+        return invariant_report(state), invariant_report(to_spectral(state))
+
+    expected = reports()
+    monkeypatch.setattr(spectral, "_BLOCK_MODES", modes)
+    assert reports() == expected
 
 
 @pytest.mark.parametrize(

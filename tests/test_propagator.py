@@ -22,7 +22,6 @@ from psmaxwell import (
     to_spectral,
 )
 from psmaxwell import spectral
-from psmaxwell.grid import flatten_index
 from psmaxwell.spectral import ImaginaryResidueError, cross, wavenumbers
 
 from conftest import (
@@ -101,7 +100,7 @@ class TestBuildCoefficients:
         # Mode b = (1, 0, 0) with kappa = pi: theta = pi, sin(pi) = 0.
         # r1 lives on the half spectrum, the sine blocks on the full layout.
         c = build_coefficients(grid4, MediumParams(), np.pi)
-        m = flatten_index(1, 0, 0, grid4)
+        m = np.ravel_multi_index((0, 0, 1), grid4.shape)
         half = np.ravel_multi_index((0, 0, 1), grid4.spectral_shape)
         _, sin = flow_blocks(c)
         assert abs(sin[m, 0, 1]) < 1e-15
