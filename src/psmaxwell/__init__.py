@@ -35,7 +35,6 @@ from .diagnostics import (
     energies,
     error_norms,
     helicities,
-    inner_product_N,
     invariant_report,
     momenta,
     relative_change,
@@ -69,7 +68,6 @@ __all__ = [
     "ErrorReport",
     "DriftValue",
     "InvariantDrifts",
-    "inner_product_N",
     "spectral_time_derivative",
     "energies",
     "helicities",

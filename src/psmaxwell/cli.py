@@ -17,7 +17,11 @@ time, so a record's ``wall_seconds`` covers the coefficients, the flow, the
 Hermitian-plane check and the inverse transform, not the initial transform.
 Record invariants are measured on the returned physical fields.  Each
 record is built by its own helper, so a record's states are freed before
-the next time is propagated.
+the next time is propagated.  A record's invariants and drifts are
+written field by field from :class:`~psmaxwell.diagnostics.InvariantReport`
+and :class:`~psmaxwell.diagnostics.InvariantDrifts`, in their declared
+order, so those two classes alone list the invariants; floats are written
+to 16 significant digits.
 
 Configuration comes from a JSON file plus flag overrides; unknown config
 fields are rejected.  Exit codes: 0 success, 2 configuration error,
@@ -30,14 +34,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .analytic import AnalyticCase, StandingWave, TravelingWave, sample_initial
 from .diagnostics import (
-    DriftValue,
-    InvariantDrifts,
+    ErrorReport,
     InvariantReport,
     error_norms,
     invariant_report,
@@ -190,35 +193,22 @@ def _sig16(value: float) -> float:
     return float(f"{value:.16g}")
 
 
-def _drift_dict(d: DriftValue) -> dict:
-    return {"value": _sig16(d.value), "absolute": d.absolute}
+def _json(value):
+    """A report, a drift or one of their values as JSON data.
 
-
-def _report_dict(rep: InvariantReport) -> dict:
-    return {
-        "time": _sig16(rep.time),
-        "e1": _sig16(rep.e1),
-        "e2": _sig16(rep.e2),
-        "e3": [_sig16(v) for v in rep.e3],
-        "e4": [_sig16(v) for v in rep.e4],
-        "e5": [_sig16(v) for v in rep.e5],
-        "e6": [_sig16(v) for v in rep.e6],
-        "h1": _sig16(rep.h1),
-        "h2": _sig16(rep.h2),
-        "m1": [_sig16(v) for v in rep.m1],
-        "m2": [_sig16(v) for v in rep.m2],
-        "div_e": _sig16(rep.div_e_norm),
-        "div_h": _sig16(rep.div_h_norm),
-    }
-
-
-def _drifts_dict(d: InvariantDrifts) -> dict:
-    out: dict = {}
-    for name in ("e1", "e2", "h1", "h2"):
-        out[name] = _drift_dict(getattr(d, name))
-    for name in ("e3", "e4", "e5", "e6", "m1", "m2"):
-        out[name] = [_drift_dict(v) for v in getattr(d, name)]
-    return out
+    A dataclass becomes a dict in field order, with ``div_e_norm`` and
+    ``div_h_norm`` keyed ``div_e`` and ``div_h``; a tuple becomes a list, a
+    bool stays as it is and a number becomes its :func:`_sig16` float.
+    """
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if is_dataclass(value):
+        return {
+            f.name.removesuffix("_norm"): _json(getattr(value, f.name)) for f in fields(value)
+        }
+    if isinstance(value, bool):
+        return value
+    return _sig16(value)
 
 
 def _initial_state(
@@ -232,13 +222,28 @@ def _initial_state(
         raise ConfigError(str(exc)) from exc
 
 
-def run_records(config: RunConfig) -> list[dict]:
-    """One record per configured t_end, all reached from one initial spectrum."""
+def _start(config: RunConfig) -> tuple[AnalyticCase, FieldState, InvariantReport]:
+    """The case, its initial spectrum on the configured grid and that spectrum's report."""
     case = config.build_case()
     initial = to_spectral(
         _initial_state(config, case, (config.n_x, config.n_y, config.n_z))
     )
-    before = invariant_report(initial)
+    return case, initial, invariant_report(initial)
+
+
+def _propagated(
+    initial: FieldState, t_end: float, case: AnalyticCase
+) -> tuple[FieldState, float, ErrorReport]:
+    """The state at ``t_end``, the wall time of its ``propagate`` call and its errors."""
+    start = time.perf_counter()
+    final = propagate(initial, t_end)
+    wall_seconds = time.perf_counter() - start
+    return final, wall_seconds, error_norms(final, case)
+
+
+def run_records(config: RunConfig) -> list[dict]:
+    """One record per configured t_end, all reached from one initial spectrum."""
+    case, initial, before = _start(config)
     return [_run_record(config, case, initial, before, t_end) for t_end in config.t_end]
 
 
@@ -249,12 +254,9 @@ def _run_record(
     before: InvariantReport,
     t_end: float,
 ) -> dict:
-    start = time.perf_counter()
-    final = propagate(initial, t_end)
-    wall_seconds = time.perf_counter() - start
+    final, wall_seconds, errors = _propagated(initial, t_end, case)
     after = invariant_report(final)
     drifts = relative_change(before, after)
-    errors = error_norms(final, case)
     axis = config.report_axis - 1
     return {
         "case": config.case,
@@ -265,19 +267,17 @@ def _run_record(
         "report_axis": config.report_axis,
         "l2": _sig16(errors.l2),
         "linf": _sig16(errors.linf),
-        "component_linf": [_sig16(v) for v in errors.component_linf],
+        "component_linf": _json(errors.component_linf),
         "wall_seconds": _sig16(wall_seconds),
-        "invariants_initial": _report_dict(before),
-        "invariants_final": _report_dict(after),
-        "drifts": _drifts_dict(drifts),
+        "invariants_initial": _json(before),
+        "invariants_final": _json(after),
+        "drifts": _json(drifts),
         "div_e": _sig16(after.div_e_norm),
         "div_h": _sig16(after.div_h_norm),
         "imag_residue": _sig16(final.imag_residue),
         "axis_drifts_reported": {
-            "re_m1": _drift_dict(drifts.m1[axis]),
-            "re_m2": _drift_dict(drifts.m2[axis]),
-            "re_e3": _drift_dict(drifts.e3[axis]),
-            "re_e4": _drift_dict(drifts.e4[axis]),
+            f"re_{name}": _json(getattr(drifts, name)[axis])
+            for name in ("m1", "m2", "e3", "e4")
         },
     }
 
@@ -330,11 +330,7 @@ def drift_records(config: RunConfig, t_max: float, samples: int) -> list[dict]:
         raise ConfigError(f"samples must be >= 2, got {samples}")
     if not np.isfinite(t_max):
         raise ConfigError(f"t_max must be finite, got {t_max}")
-    case = config.build_case()
-    initial = to_spectral(
-        _initial_state(config, case, (config.n_x, config.n_y, config.n_z))
-    )
-    before = invariant_report(initial)
+    _, initial, before = _start(config)
     return [
         _drift_record(initial, before, t_max * i / samples)
         for i in range(1, samples + 1)
@@ -343,15 +339,8 @@ def drift_records(config: RunConfig, t_max: float, samples: int) -> list[dict]:
 
 def _drift_record(initial: FieldState, before: InvariantReport, t: float) -> dict:
     d = relative_change(before, invariant_report(propagate(initial, t)))
-    return {
-        "t": _sig16(t),
-        "re_e1": _drift_dict(d.e1),
-        "re_e2": _drift_dict(d.e2),
-        "re_e3": [_drift_dict(v) for v in d.e3],
-        "re_e4": [_drift_dict(v) for v in d.e4],
-        "re_e5": [_drift_dict(v) for v in d.e5],
-        "re_e6": [_drift_dict(v) for v in d.e6],
-    }
+    names = ("e1", "e2", "e3", "e4", "e5", "e6")
+    return {"t": _sig16(t)} | {f"re_{name}": _json(getattr(d, name)) for name in names}
 
 
 def convergence_records(config: RunConfig, n_list: list[int]) -> list[dict]:
@@ -376,10 +365,7 @@ def convergence_records(config: RunConfig, n_list: list[int]) -> list[dict]:
 def _convergence_record(
     config: RunConfig, case: AnalyticCase, initial: FieldState, t_end: float, note: str
 ) -> dict:
-    start = time.perf_counter()
-    final = propagate(initial, t_end)
-    wall_seconds = time.perf_counter() - start
-    errors = error_norms(final, case)
+    _, wall_seconds, errors = _propagated(initial, t_end, case)
     return {
         "case": config.case,
         "n": initial.grid.n_x,
@@ -401,18 +387,16 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind, what: str):
+    """An argparse type for comma-separated ``kind`` values, called ``what`` in errors."""
 
+    def parse(text: str) -> list:
+        try:
+            return [kind(part) for part in text.split(",") if part]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,9 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="grid points per axis (overrides config)")
         p.add_argument("--out", help="output file (default: stdout)")
 
+    times = {"type": _list_of(float, "numbers"), "help": "comma-separated target times"}
+
     p_run = sub.add_parser("run", help="error and conservation tables")
     add_common(p_run)
-    p_run.add_argument("--t-end", type=_float_list, help="comma-separated target times")
+    p_run.add_argument("--t-end", **times)
     p_run.add_argument("--csv", action="store_true", help="emit the fixed CSV schema")
 
     p_drift = sub.add_parser("drift", help="long-time invariant drift series")
@@ -440,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="errors across resolutions")
     add_common(p_conv)
-    p_conv.add_argument("--t-end", type=_float_list, help="comma-separated target times")
-    p_conv.add_argument("--n-list", type=_int_list, required=True,
+    p_conv.add_argument("--t-end", **times)
+    p_conv.add_argument("--n-list", type=_list_of(int, "integers"), required=True,
                         help="comma-separated resolutions, e.g. 8,16,32")
 
     return parser
@@ -454,22 +440,18 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args)
         if args.command == "run":
             records = run_records(config)
-            if args.csv:
-                _emit(records_to_csv(records), args.out)
-            else:
-                _emit(json.dumps(records, indent=2), args.out)
         elif args.command == "drift":
             records = drift_records(config, args.t_max, args.samples)
-            _emit(json.dumps(records, indent=2), args.out)
         else:
             records = convergence_records(config, args.n_list)
-            _emit(json.dumps(records, indent=2), args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ImaginaryResidueError as exc:
         print(f"numerical flag: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    csv = getattr(args, "csv", False)
+    _emit(records_to_csv(records) if csv else json.dumps(records, indent=2), args.out)
     return EXIT_OK
 
 

@@ -55,12 +55,13 @@ divergence fields, whose max norms need physical samples.
 :func:`energies`, :func:`helicities`, :func:`momenta` and
 :func:`divergences` are projections of that pass.  A non-finite sample or
 mode raises :class:`ImaginaryResidueError` instead of giving NaN
-invariants; so does a non-finite :func:`error_norms`.
+invariants; so do finite modes whose squares overflow, and a non-finite
+:func:`error_norms`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -82,7 +83,6 @@ __all__ = [
     "DriftValue",
     "InvariantDrifts",
     "NEAR_ZERO_ABS",
-    "inner_product_N",
     "spectral_time_derivative",
     "energies",
     "helicities",
@@ -97,24 +97,12 @@ __all__ = [
 # absolute drifts: the relative error of a roundoff-scale quantity is noise.
 NEAR_ZERO_ABS = 1e-12
 
-_AXES = (0, 1, 2)
-
 # Samples per component in a block of error_norms, on either path.  Each
 # block evaluates the case's per-axis factors again, which small blocks pay
 # for: in the blocks of the spectral stages (about 4096 modes) the standing
 # wave took about 1.5x as long at 32^3 and 64^3 as in one block per slab,
 # and in 16384-sample blocks 1.6x as long at 128^3 as in these.
 _ERROR_BLOCK_SAMPLES = 32768
-
-
-def inner_product_N(u: np.ndarray, v: np.ndarray) -> float | complex:
-    """Normalized grid inner product of two flat fields; conjugates the second."""
-    if u.shape != v.shape:
-        raise ValueError(f"inner product requires equal shapes, got {u.shape} and {v.shape}")
-    value = np.sum(u * np.conj(v)) / u.size
-    if np.iscomplexobj(u) or np.iscomplexobj(v):
-        return complex(value)
-    return float(value.real) if np.iscomplexobj(value) else float(value)
 
 
 def _parseval_weights(state: FieldState) -> np.ndarray:
@@ -187,14 +175,16 @@ class DriftValue:
 
 @dataclass(frozen=True)
 class InvariantDrifts:
+    """Drift of every conserved invariant of :class:`InvariantReport`, in record order."""
+
     e1: DriftValue
     e2: DriftValue
+    h1: DriftValue
+    h2: DriftValue
     e3: tuple[DriftValue, DriftValue, DriftValue]
     e4: tuple[DriftValue, DriftValue, DriftValue]
     e5: tuple[DriftValue, DriftValue, DriftValue]
     e6: tuple[DriftValue, DriftValue, DriftValue]
-    h1: DriftValue
-    h2: DriftValue
     m1: tuple[DriftValue, DriftValue, DriftValue]
     m2: tuple[DriftValue, DriftValue, DriftValue]
 
@@ -219,33 +209,42 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
     def block(planes: slice) -> None:
         if not np.isfinite(s[:, planes]).all():
             raise ImaginaryResidueError("non-finite mode in the state's spectrum")
-        e, h = s[:3, planes], s[3:, planes]
-        b = (bx, by, bz[planes])
-        b_sq = tuple(bk * bk for bk in b)
-        bb = b_sq[0] + b_sq[1] + b_sq[2]
-        be = b[0] * e[0] + b[1] * e[1] + b[2] * e[2]
-        bh = b[0] * h[0] + b[1] * h[1] + b[2] * h[2]
-        np.multiply(1j * eps, be, out=div[0, planes])
-        np.multiply(1j * mu, bh, out=div[1, planes])
-        e_sq, h_sq = np.sum(_abs_sq(e), axis=0), np.sum(_abs_sq(h), axis=0)
-        w1 = w * (0.5 * eps * e_sq + 0.5 * mu * h_sq)
-        w2 = w * (0.5 * (bb * h_sq - _abs_sq(bh)) / eps + 0.5 * (bb * e_sq - _abs_sq(be)) / mu)
-        p = w * np.sum(h.imag * e.real - h.real * e.imag, axis=0)
-        # b.(Fr x Fi) = Fi.(b x Fr) for each of F = E, H.
-        work = np.empty(e.shape)
-        rho = np.sum(cross(b, h.real, work) * h.imag, axis=0) / eps
-        rho += np.sum(cross(b, e.real, work) * e.imag, axis=0) / mu
-        rho *= w
-        terms = chain(
-            (w1,), (bk * w1 for bk in b_sq), (w2,), (bk * w2 for bk in b_sq),
-            (bk * p for bk in b), (rho, bb * rho),
-        )
-        for column, term in enumerate(terms):
-            rows[planes, column] = np.sum(term.reshape(len(term), -1), axis=1)
+        # Squares of finite modes may overflow; the totals are checked below.
+        # Pool threads do not inherit the caller's error state, so it is set here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, h = s[:3, planes], s[3:, planes]
+            b = (bx, by, bz[planes])
+            b_sq = tuple(bk * bk for bk in b)
+            bb = b_sq[0] + b_sq[1] + b_sq[2]
+            be = b[0] * e[0] + b[1] * e[1] + b[2] * e[2]
+            bh = b[0] * h[0] + b[1] * h[1] + b[2] * h[2]
+            np.multiply(1j * eps, be, out=div[0, planes])
+            np.multiply(1j * mu, bh, out=div[1, planes])
+            e_sq, h_sq = np.sum(_abs_sq(e), axis=0), np.sum(_abs_sq(h), axis=0)
+            w1 = w * (0.5 * eps * e_sq + 0.5 * mu * h_sq)
+            w2 = w * (
+                0.5 * (bb * h_sq - _abs_sq(bh)) / eps + 0.5 * (bb * e_sq - _abs_sq(be)) / mu
+            )
+            p = w * np.sum(h.imag * e.real - h.real * e.imag, axis=0)
+            # b.(Fr x Fi) = Fi.(b x Fr) for each of F = E, H.
+            work = np.empty(e.shape)
+            rho = np.sum(cross(b, h.real, work) * h.imag, axis=0) / eps
+            rho += np.sum(cross(b, e.real, work) * e.imag, axis=0) / mu
+            rho *= w
+            terms = chain(
+                (w1,), (bk * w1 for bk in b_sq), (w2,), (bk * w2 for bk in b_sq),
+                (bk * p for bk in b), (rho, bb * rho),
+            )
+            for column, term in enumerate(terms):
+                rows[planes, column] = np.sum(term.reshape(len(term), -1), axis=1)
 
     _for_slabs(block, grid.n_z, s.size, _planes_per_block(grid, s.size))
-    totals = (np.sum(rows, axis=0) / grid.n_total ** 2).tolist()
-    fields = dft3_inverse(grid, div.reshape(2, -1), overwrite=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.sum(rows, axis=0) / grid.n_total ** 2
+    if not np.isfinite(totals).all():
+        raise ImaginaryResidueError("non-finite invariant: the state's squared modes overflow")
+    totals = totals.tolist()
+    div_fields = dft3_inverse(grid, div.reshape(2, -1), overwrite=True)
     m1 = tuple(totals[8:11])
     report = InvariantReport(
         time=state.time,
@@ -260,10 +259,10 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
         m1=m1,
         # 0.0 - m rather than -m keeps an exactly zero momentum unsigned.
         m2=tuple(0.0 - m for m in m1),
-        div_e_norm=float(np.max(np.abs(fields[0]))),
-        div_h_norm=float(np.max(np.abs(fields[1]))),
+        div_e_norm=float(np.max(np.abs(div_fields[0]))),
+        div_h_norm=float(np.max(np.abs(div_fields[1]))),
     )
-    return report, fields
+    return report, div_fields
 
 
 def invariant_report(state: FieldState) -> InvariantReport:
@@ -333,41 +332,21 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     return ErrorReport(l2=l2, linf=linf, component_linf=tuple(float(v) for v in per_row))
 
 
-def _drift(before: float, after: float, near_zero: float) -> DriftValue:
-    delta = abs(after - before)
-    if abs(before) < near_zero:
-        return DriftValue(delta, absolute=True)
-    return DriftValue(delta / abs(before), absolute=False)
+def relative_change(before: InvariantReport, after: InvariantReport) -> InvariantDrifts:
+    """Per-invariant drift |after - before| / |before|, element-wise for per-axis ones.
 
-
-def relative_change(
-    before: InvariantReport,
-    after: InvariantReport,
-    near_zero: float = NEAR_ZERO_ABS,
-) -> InvariantDrifts:
-    """Per-invariant drift |after - before| / |before|.
-
-    Invariants whose baseline is below ``near_zero`` in magnitude are
+    Invariants whose baseline is below ``NEAR_ZERO_ABS`` in magnitude are
     reported as absolute drifts and flagged, since dividing one roundoff
     residual by another carries no information.
     """
 
-    def scalar(name: str) -> DriftValue:
-        return _drift(getattr(before, name), getattr(after, name), near_zero)
+    def drift(b: float, a: float) -> DriftValue:
+        if abs(b) < NEAR_ZERO_ABS:
+            return DriftValue(abs(a - b), absolute=True)
+        return DriftValue(abs(a - b) / abs(b))
 
-    def triple(name: str) -> tuple[DriftValue, DriftValue, DriftValue]:
-        b, a = getattr(before, name), getattr(after, name)
-        return tuple(_drift(b[k], a[k], near_zero) for k in _AXES)
-
-    return InvariantDrifts(
-        e1=scalar("e1"),
-        e2=scalar("e2"),
-        e3=triple("e3"),
-        e4=triple("e4"),
-        e5=triple("e5"),
-        e6=triple("e6"),
-        h1=scalar("h1"),
-        h2=scalar("h2"),
-        m1=triple("m1"),
-        m2=triple("m2"),
-    )
+    drifts = {}
+    for field in fields(InvariantDrifts):
+        b, a = getattr(before, field.name), getattr(after, field.name)
+        drifts[field.name] = tuple(map(drift, b, a)) if isinstance(b, tuple) else drift(b, a)
+    return InvariantDrifts(**drifts)

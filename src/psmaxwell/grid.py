@@ -22,9 +22,6 @@ __all__ = [
     "build_grid",
 ]
 
-AXES = ("x", "y", "z")
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """Axis-aligned cuboid domain with periodic boundaries.
@@ -172,9 +169,6 @@ class GridSpec:
 
     def counts(self) -> tuple[int, int, int]:
         return (self.n_x, self.n_y, self.n_z)
-
-    def kvec(self, axis: int) -> np.ndarray:
-        return (self.kvec_x, self.kvec_y, self.kvec_z)[axis]
 
 
 def build_grid(domain: DomainSpec, n_x: int, n_y: int, n_z: int) -> GridSpec:

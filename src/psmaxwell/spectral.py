@@ -239,9 +239,7 @@ def apply_derivative(grid: GridSpec, F: np.ndarray, axis: int | str) -> np.ndarr
     return derivative.reshape(derivative.shape[:-3] + (grid.n_spectral,))
 
 
-def realize(
-    grid: GridSpec, F: np.ndarray, rtol: float = IMAG_RESIDUE_RTOL
-) -> tuple[np.ndarray, float]:
+def realize(grid: GridSpec, F: np.ndarray) -> tuple[np.ndarray, float]:
     """Check that a half spectrum is the spectrum of finite real fields.
 
     Returns ``F`` unchanged together with its imaginary residue: the largest
@@ -250,8 +248,9 @@ def realize(
     largest mode that :func:`dft3_inverse` drops.  Each plane must equal its
     own conjugate under ``(ky, kz) -> (-ky, -kz)``.  Raises
     :class:`ImaginaryResidueError` when the spectrum is not finite, or when
-    the anti-Hermitian part exceeds ``rtol`` times the spectrum magnitude,
-    which signals broken conjugate symmetry upstream rather than roundoff.
+    the anti-Hermitian part exceeds ``IMAG_RESIDUE_RTOL`` times the spectrum
+    magnitude, which signals broken conjugate symmetry upstream rather than
+    roundoff.
 
     The magnitude is taken over the whole field, batch axes included, so a
     component of a stacked state which happens to be identically zero is not
@@ -272,9 +271,9 @@ def realize(
     # Flipping and rolling by one maps index m to -m mod n along y and z.
     mirror = np.roll(np.flip(planes, axis=(-3, -2)), 1, axis=(-3, -2))
     defect = 0.5 * float(np.max(np.abs(planes - mirror.conj()), initial=0.0))
-    if defect > rtol * scale:
+    if defect > IMAG_RESIDUE_RTOL * scale:
         raise ImaginaryResidueError(
             f"kx = 0 / n_x/2 planes off Hermitian by {defect:.3e}, over "
-            f"{rtol:.1e} x spectrum magnitude {scale:.3e}"
+            f"{IMAG_RESIDUE_RTOL:.1e} x spectrum magnitude {scale:.3e}"
         )
     return F, defect / grid.n_total

@@ -5,7 +5,9 @@ sums, explicit cotangent differentiation matrices, Kronecker-assembled curl
 blocks, Taylor-series matrix exponential) and shares no code with the fast
 paths beyond the grid conventions.  Size guards reject anything bigger than
 desk-test scale so these O(n^2)-O(n^3) routines cannot leak into production
-use or benchmarks.
+use or benchmarks.  The normalized grid inner product ``inner_product_N``
+defines the physical-space invariants the package's spectral sums are
+checked against; only tests use it.
 
 The flow-coefficient helpers at the end are the exception on purpose: they
 take a :class:`psmaxwell.PropagatorCoefficients` and read the package's own
@@ -30,6 +32,7 @@ __all__ = [
     "dense_dft_matrix",
     "dense_expm",
     "naive_dft3",
+    "inner_product_N",
 ]
 
 _MAX_DIFF_N = 16
@@ -151,6 +154,16 @@ def naive_dft3(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     x-columns.
     """
     return dense_dft_matrix(grid) @ f
+
+
+def inner_product_N(u: np.ndarray, v: np.ndarray) -> float | complex:
+    """Normalized grid inner product of two flat fields; conjugates the second."""
+    if u.shape != v.shape:
+        raise ValueError(f"inner product requires equal shapes, got {u.shape} and {v.shape}")
+    value = np.sum(u * np.conj(v)) / u.size
+    if np.iscomplexobj(u) or np.iscomplexobj(v):
+        return complex(value)
+    return float(value.real) if np.iscomplexobj(value) else float(value)
 
 
 def broadcast_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

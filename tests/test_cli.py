@@ -16,6 +16,7 @@ from psmaxwell.cli import (
     RunConfig,
     convergence_records,
     drift_records,
+    records_to_csv,
     run_records,
 )
 from psmaxwell.spectral import ImaginaryResidueError
@@ -118,6 +119,55 @@ class TestRunRecords:
         cfg = RunConfig.from_mapping({"case": "standing", "n_x": 4, "n_y": 4, "n_z": 4})
         with pytest.raises(ConfigError, match="alias"):
             run_records(cfg)
+
+
+class TestRecordSchema:
+    """The exact ordered keys of each record kind, and the CSV's agreement with JSON."""
+
+    REPORT = ["time", "e1", "e2", "e3", "e4", "e5", "e6", "h1", "h2", "m1", "m2",
+              "div_e", "div_h"]
+    DRIFTS = ["e1", "e2", "h1", "h2", "e3", "e4", "e5", "e6", "m1", "m2"]
+
+    def test_ordered_keys(self):
+        cfg = RunConfig.from_mapping({"case": "traveling", "t_end": [1.0]})
+        (run,) = run_records(cfg)
+        assert list(run) == [
+            "case", "nx", "ny", "nz", "t_end", "report_axis", "l2", "linf",
+            "component_linf", "wall_seconds", "invariants_initial", "invariants_final",
+            "drifts", "div_e", "div_h", "imag_residue", "axis_drifts_reported",
+        ]
+        assert list(run["invariants_initial"]) == self.REPORT
+        assert list(run["invariants_final"]) == self.REPORT
+        assert list(run["drifts"]) == self.DRIFTS
+        assert list(run["drifts"]["e1"]) == ["value", "absolute"]
+        assert [list(d) for d in run["drifts"]["m1"]] == [["value", "absolute"]] * 3
+        assert list(run["axis_drifts_reported"]) == ["re_m1", "re_m2", "re_e3", "re_e4"]
+        drift = drift_records(cfg, t_max=1.0, samples=2)[0]
+        assert list(drift) == ["t", "re_e1", "re_e2", "re_e3", "re_e4", "re_e5", "re_e6"]
+        (convergence,) = convergence_records(cfg, [8])
+        assert list(convergence) == ["case", "n", "t_end", "l2", "linf", "wall_seconds", "note"]
+
+    def test_csv_rows_equal_json_records(self):
+        cfg = RunConfig.from_mapping(
+            {"case": "standing", "n_x": 16, "n_y": 12, "n_z": 8, "eps": 0.5,
+             "report_axis": 2, "t_end": [1.0, 3.0]}
+        )
+        records = run_records(cfg)
+        header, *rows = records_to_csv(records).splitlines()
+        assert header == CSV_COLUMNS
+        for row, rec in zip(rows, records, strict=True):
+            d, axis = rec["drifts"], 1
+            expected = [rec["case"], rec["nx"], rec["ny"], rec["nz"], rec["t_end"],
+                        rec["l2"], rec["linf"]]
+            expected += [d[name]["value"] for name in ("e1", "e2")]
+            expected += [d[name][axis]["value"] for name in ("e3", "e4", "e5", "e6")]
+            expected += [d[name]["value"] for name in ("h1", "h2")]
+            expected += [d[name][axis]["value"] for name in ("m1", "m2")]
+            expected += [rec["div_e"], rec["div_h"], rec["wall_seconds"]]
+            got = row.split(",")
+            assert got[0] == expected[0]
+            assert [int(v) for v in got[1:4]] == expected[1:4]
+            assert [float(v) for v in got[4:]] == expected[4:]
 
 
 class TestDriftRecords:

@@ -21,7 +21,6 @@ from psmaxwell import (
     energies,
     error_norms,
     helicities,
-    inner_product_N,
     invariant_report,
     momenta,
     propagate,
@@ -34,7 +33,7 @@ from psmaxwell.analytic import sample_exact
 from psmaxwell.diagnostics import NEAR_ZERO_ABS
 
 from conftest import random_band_limited_state, zero_state
-from oracle import dense_curl
+from oracle import dense_curl, inner_product_N
 
 
 def _axis_coordinate(grid, axis):
@@ -406,6 +405,16 @@ class TestNonFiniteInput:
         state.data[4, 17] = bad
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
             measure(state)
+
+    # Finite samples whose squared modes overflow: without the check the
+    # sums give inf and nan invariants.  At 64^3 the pass runs on the
+    # thread pool when there is more than one CPU.
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_overflowing_squares_raise(self, rng, n):
+        grid = build_grid(DomainSpec.cube(0.0, 1.0), n, n, n)
+        state = FieldState(grid, MediumParams(), 1e155 * rng.standard_normal((6, grid.n_total)))
+        with pytest.raises(ImaginaryResidueError, match="non-finite invariant"):
+            invariant_report(state)
 
 
 def _report_with(**overrides) -> InvariantReport:
