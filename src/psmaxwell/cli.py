@@ -58,17 +58,9 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_T_END = (1.0, 5.0, 10.0, 15.0, 20.0)
 
-_CONFIG_FIELDS = {
-    "case",
-    "x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi",
-    "n_x", "n_y", "n_z",
-    "mu", "eps",
-    "k_x", "k_y", "k_z",
-    "t_end",
-    "report_axis",
-}
+_CASES = ("standing", "traveling")
 
-_DOMAIN_FIELDS = ("x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi")
+_DOMAIN_FIELDS = tuple(f.name for f in fields(DomainSpec))
 
 
 class ConfigError(ValueError):
@@ -103,8 +95,8 @@ class RunConfig:
     domain: DomainSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.case not in ("standing", "traveling"):
-            raise ConfigError(f"case must be 'standing' or 'traveling', got {self.case!r}")
+        if self.case not in _CASES:
+            raise ConfigError(f"case must be {' or '.join(map(repr, _CASES))}, got {self.case!r}")
         for name in ("n_x", "n_y", "n_z"):
             n = getattr(self, name)
             if not isinstance(n, int) or n < 2 or n % 2 != 0:
@@ -128,7 +120,8 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
-        unknown = set(raw) - _CONFIG_FIELDS
+        keys = {f.name for f in fields(cls) if f.name != "domain"}
+        unknown = set(raw) - keys - set(_DOMAIN_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "case" not in raw:
@@ -137,9 +130,8 @@ class RunConfig:
             for name in ("k_x", "k_y", "k_z"):
                 if name in raw:
                     raise ConfigError(f"{name} is only meaningful for the standing case")
-        domain_given = [name for name in _DOMAIN_FIELDS if name in raw]
         domain = None
-        if domain_given:
+        if any(name in raw for name in _DOMAIN_FIELDS):
             missing = [name for name in _DOMAIN_FIELDS if name not in raw]
             if missing:
                 raise ConfigError(f"incomplete domain bounds: missing {missing}")
@@ -169,11 +161,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     raw: dict = {}
     if args.config is not None:
         try:
-            with open(args.config) as fh:
+            with open(args.config, "rb") as fh:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
@@ -290,37 +282,24 @@ CSV_COLUMNS = (
 
 
 def records_to_csv(records: list[dict]) -> str:
-    """Flatten run records to the fixed CSV schema (report_axis picks tuples)."""
+    """Flatten run records to the fixed CSV schema (report_axis picks tuples).
+
+    Each column is the record's field of that name; a ``re_*`` column is the
+    value of the drift it names, taken at ``report_axis`` for a per-axis one.
+    """
     lines = [CSV_COLUMNS]
     for rec in records:
         axis = rec.get("report_axis", 1) - 1
-        d = rec["drifts"]
 
-        def dv(name: str) -> float:
-            entry = d[name]
-            if isinstance(entry, list):
-                entry = entry[axis]
-            return entry["value"]
+        def cell(column: str) -> str:
+            if column.startswith("re_"):
+                entry = rec["drifts"][column.removeprefix("re_")]
+                value = (entry[axis] if isinstance(entry, list) else entry)["value"]
+            else:
+                value = rec[column]
+            return value if isinstance(value, str) else f"{value:.16g}"
 
-        values = [
-            rec["case"],
-            str(rec["nx"]),
-            str(rec["ny"]),
-            str(rec["nz"]),
-            f"{rec['t_end']:.16g}",
-            f"{rec['l2']:.16g}",
-            f"{rec['linf']:.16g}",
-        ]
-        values += [
-            f"{dv(name):.16g}"
-            for name in ("e1", "e2", "e3", "e4", "e5", "e6", "h1", "h2", "m1", "m2")
-        ]
-        values += [
-            f"{rec['div_e']:.16g}",
-            f"{rec['div_h']:.16g}",
-            f"{rec['wall_seconds']:.16g}",
-        ]
-        lines.append(",".join(values))
+        lines.append(",".join(map(cell, CSV_COLUMNS.split(","))))
     return "\n".join(lines) + "\n"
 
 
@@ -383,8 +362,11 @@ def _emit(text: str, out_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 def _list_of(kind, what: str):
@@ -408,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--case", choices=["standing", "traveling"], help="analytic case")
+        p.add_argument("--case", choices=_CASES, help="analytic case")
         p.add_argument("--n", type=int, help="grid points per axis (overrides config)")
         p.add_argument("--out", help="output file (default: stdout)")
 
@@ -444,14 +426,14 @@ def main(argv: list[str] | None = None) -> int:
             records = drift_records(config, args.t_max, args.samples)
         else:
             records = convergence_records(config, args.n_list)
+        csv = getattr(args, "csv", False)
+        _emit(records_to_csv(records) if csv else json.dumps(records, indent=2), args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ImaginaryResidueError as exc:
         print(f"numerical flag: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    csv = getattr(args, "csv", False)
-    _emit(records_to_csv(records) if csv else json.dumps(records, indent=2), args.out)
     return EXIT_OK
 
 

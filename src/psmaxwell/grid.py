@@ -37,11 +37,8 @@ class DomainSpec:
     z_hi: float
 
     def __post_init__(self) -> None:
-        for lo, hi, name in (
-            (self.x_lo, self.x_hi, "x"),
-            (self.y_lo, self.y_hi, "y"),
-            (self.z_lo, self.z_hi, "z"),
-        ):
+        for axis, name in enumerate("xyz"):
+            lo, hi = self.bounds(axis)
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValueError(f"domain bounds along {name} must be finite")
             if not hi > lo:
@@ -72,7 +69,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridSpec:
     """Fully materialized discretization of a :class:`DomainSpec`.
 
@@ -97,18 +94,18 @@ class GridSpec:
     n_x: int
     n_y: int
     n_z: int
-    h_x: float = field(init=False)
-    h_y: float = field(init=False)
-    h_z: float = field(init=False)
-    nu_x: float = field(init=False)
-    nu_y: float = field(init=False)
-    nu_z: float = field(init=False)
-    points_x: np.ndarray = field(init=False, repr=False)
-    points_y: np.ndarray = field(init=False, repr=False)
-    points_z: np.ndarray = field(init=False, repr=False)
-    kvec_x: np.ndarray = field(init=False, repr=False)
-    kvec_y: np.ndarray = field(init=False, repr=False)
-    kvec_z: np.ndarray = field(init=False, repr=False)
+    h_x: float = field(init=False, compare=False)
+    h_y: float = field(init=False, compare=False)
+    h_z: float = field(init=False, compare=False)
+    nu_x: float = field(init=False, compare=False)
+    nu_y: float = field(init=False, compare=False)
+    nu_z: float = field(init=False, compare=False)
+    points_x: np.ndarray = field(init=False, repr=False, compare=False)
+    points_y: np.ndarray = field(init=False, repr=False, compare=False)
+    points_z: np.ndarray = field(init=False, repr=False, compare=False)
+    kvec_x: np.ndarray = field(init=False, repr=False, compare=False)
+    kvec_y: np.ndarray = field(init=False, repr=False, compare=False)
+    kvec_z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for n, name in ((self.n_x, "n_x"), (self.n_y, "n_y"), (self.n_z, "n_z")):
@@ -116,14 +113,8 @@ class GridSpec:
                 raise ValueError(f"{name} must be an integer, got {n!r}")
             if n < 2 or n % 2 != 0:
                 raise ValueError(f"{name} must be an even integer >= 2, got {n}")
-        for axis, (n_name, h_name, nu_name, p_name, k_name) in enumerate(
-            (
-                ("n_x", "h_x", "nu_x", "points_x", "kvec_x"),
-                ("n_y", "h_y", "nu_y", "points_y", "kvec_y"),
-                ("n_z", "h_z", "nu_z", "points_z", "kvec_z"),
-            )
-        ):
-            n = getattr(self, n_name)
+        for axis, name in enumerate("xyz"):
+            n = getattr(self, f"n_{name}")
             lo, hi = self.domain.bounds(axis)
             h = (hi - lo) / n
             nu = 2.0 * np.pi / (hi - lo)
@@ -131,22 +122,10 @@ class GridSpec:
             # Integer ladder 0, 1, ..., n/2-1, 0, -n/2+1, ..., -1 scaled by nu.
             ladder = np.fft.fftfreq(n, d=1.0 / n)
             ladder[n // 2] = 0.0
-            object.__setattr__(self, h_name, h)
-            object.__setattr__(self, nu_name, nu)
-            object.__setattr__(self, p_name, _readonly(points))
-            object.__setattr__(self, k_name, _readonly(nu * ladder))
-
-    def __eq__(self, other: object) -> bool:
-        # Arrays are derived from (domain, counts); compare just those.
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.counts() == other.counts()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.counts()))
+            object.__setattr__(self, f"h_{name}", h)
+            object.__setattr__(self, f"nu_{name}", nu)
+            object.__setattr__(self, f"points_{name}", _readonly(points))
+            object.__setattr__(self, f"kvec_{name}", _readonly(nu * ladder))
 
     @property
     def shape(self) -> tuple[int, int, int]:

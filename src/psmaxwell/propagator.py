@@ -181,11 +181,7 @@ def build_coefficients(
     if not math.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
     kappa = float(t) / math.sqrt(medium.mu * medium.eps)
-    # The largest |kvec| along an axis is nu * (n/2 - 1): the Nyquist entry is 0.
-    b_sq_max = sum(
-        (nu * (n // 2 - 1)) * (nu * (n // 2 - 1))
-        for nu, n in zip((grid.nu_x, grid.nu_y, grid.nu_z), grid.counts())
-    )
+    b_sq_max = sum(float((k * k).max()) for k in (grid.kvec_x, grid.kvec_y, grid.kvec_z))
     if not math.isfinite(kappa * kappa * b_sq_max):
         raise ImaginaryResidueError(
             f"non-finite propagator coefficient psi = kappa^2 |b|^2 "
@@ -208,9 +204,12 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
     returns the input bitwise.  The map is exactly unitary in the energy
     norm ``eps |E|^2 + mu |H|^2``, up to roundoff.
 
-    The input is left unmodified: each block of z-planes of its spectrum is
-    copied into the output and updated there, so besides the output only
-    block-sized temporaries are allocated.
+    The input is left unmodified: each block of whole z-planes of its
+    spectrum (:func:`psmaxwell.spectral._planes_per_block`) is copied into
+    the output and updated there by the per-mode operations of the
+    whole-array formula in the same order, so besides the output only
+    block-sized temporaries are allocated, and the result does not depend
+    on the block size or on which thread runs the block.
     """
     if state.representation != SPECTRAL:
         raise ValueError("step requires a state in spectral representation")
@@ -218,28 +217,12 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
         raise ValueError("state and coefficients use different grids")
     if state.medium != coeffs.medium:
         raise ValueError("state and coefficients use different media")
-    spectrum = np.empty_like(state.data)
-    _evolve(state.data, coeffs, spectrum)
-    return replace(state, data=spectrum, time=state.time + coeffs.t)
-
-
-def _evolve(
-    spectrum: np.ndarray, coeffs: PropagatorCoefficients, dest: np.ndarray
-) -> None:
-    """Write the flow of :func:`step` of a ``(6, n_spectral)`` spectrum into ``dest``.
-
-    Works on blocks of whole z-planes (never less than one plane, larger on
-    the thread pool: :func:`psmaxwell.spectral._planes_per_block`), each
-    copied into ``dest`` and updated there; each block's per-mode operations
-    are those of the whole-array formula in the same order, so the result
-    does not depend on the block size or on which thread runs the block.
-    """
     grid, medium = coeffs.grid, coeffs.medium
     kx, ky, kz = wavenumbers(grid)
-    source = spectrum.reshape((6,) + grid.spectral_shape)
-    fields = dest.reshape((6,) + grid.spectral_shape)
-    r1 = coeffs.r1.reshape(grid.spectral_shape)
-    r2 = coeffs.r2.reshape(grid.spectral_shape)
+    spectrum = np.empty_like(state.data)
+    source = state.data.reshape((6,) + grid.spectral_shape)
+    fields = spectrum.reshape((6,) + grid.spectral_shape)
+    r1, r2 = (r.reshape(grid.spectral_shape) for r in (coeffs.r1, coeffs.r2))
 
     def flow(block: slice) -> None:
         f = fields[:, block]
@@ -262,6 +245,7 @@ def _evolve(
     _for_slabs(
         flow, grid.spectral_shape[0], spectrum.size, _planes_per_block(grid, spectrum.size)
     )
+    return replace(state, data=spectrum, time=state.time + coeffs.t)
 
 
 def to_spectral(state: FieldState) -> FieldState:

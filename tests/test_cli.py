@@ -1,7 +1,9 @@
 """CLI surface: config parsing, record schemas, exit codes, determinism."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,19 @@ class TestRunConfig:
     def test_wavevector_rejected_for_traveling(self):
         with pytest.raises(ConfigError, match="standing"):
             RunConfig.from_mapping({"case": "traveling", "k_x": 1})
+
+    def test_readme_config_example_accepted(self):
+        # The accepted keys are derived from RunConfig and DomainSpec; the
+        # README's example lists every documented key.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        cfg = RunConfig.from_mapping(example)
+        assert (cfg.n_x, cfg.report_axis, cfg.domain.z_hi) == (8, 1, 2.0)
+        for key in example:
+            with pytest.raises(ConfigError, match="unknown config fields"):
+                RunConfig.from_mapping({**example, key + "s": example[key]})
+        with pytest.raises(ConfigError, match="unknown config fields"):
+            RunConfig.from_mapping({**example, "domain": None})
 
     def test_incomplete_domain_rejected(self):
         with pytest.raises(ConfigError, match="incomplete domain"):
@@ -236,6 +251,30 @@ class TestMainEntry:
         assert code == EXIT_OK
         records = json.loads(out.read_text())
         assert [r["t_end"] for r in records] == [2.0]
+
+    def test_unwritable_out_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "records.json"
+        argv = ["run", "--case", "standing", "--n", "8", "--t-end", "1", "--out", str(out)]
+        assert cli.main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: cannot write output file")
+        assert not out.parent.exists()
+
+    def test_failed_run_leaves_out_untouched(self, tmp_path, capsys):
+        out = tmp_path / "records.json"
+        out.write_text("kept")
+        argv = ["run", "--case", "traveling", "--n", "8", "--t-end", "1e200", "--out", str(out)]
+        assert cli.main(argv) == EXIT_NUMERICAL
+        assert out.read_text() == "kept"
+
+    def test_config_not_utf8_exits_config(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"case": "standing", "n_x": \xff}')
+        assert cli.main(["run", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: config file is not valid JSON")
 
     def test_n_flag_sets_all_axes(self, capsys):
         code = cli.main(["run", "--case", "traveling", "--n", "4", "--t-end", "1"])

@@ -78,6 +78,16 @@ class TestBuildGrid:
         l, k, j = np.unravel_index(flat, grid.shape)
         np.testing.assert_array_equal(grid.n_x * grid.n_y * l + grid.n_x * k + j, flat)
 
+    def test_equal_inputs_give_equal_grids(self):
+        domain = DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0)
+        a = build_grid(domain, 4, 6, 8)
+        b = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 4, 6, 8)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "a", b: "b"} == {a: "b"}
+        assert a != build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 4.0), 4, 6, 8)
+        assert a != build_grid(domain, 4, 6, 6)
+        assert a != build_grid(domain, 6, 4, 8)
+
     def test_arrays_read_only(self):
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 4, 4, 4)
         with pytest.raises(ValueError):

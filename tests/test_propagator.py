@@ -277,6 +277,14 @@ class TestStep:
         with pytest.raises(ValueError, match="grid"):
             step(state, coeffs)
 
+    def test_coefficients_on_an_equal_grid_accepted(self, grid4, rng):
+        state = to_spectral(random_band_limited_state(grid4, rng))
+        twin = build_grid(DomainSpec.cube(0.0, 2.0 * np.pi), 4, 4, 4)
+        assert twin is not grid4
+        out = step(state, build_coefficients(twin, state.medium, 1.0))
+        expected = step(state, build_coefficients(grid4, state.medium, 1.0))
+        np.testing.assert_array_equal(out.data, expected.data)
+
     def test_medium_mismatch_rejected(self, grid4, rng):
         state = to_spectral(random_band_limited_state(grid4, rng))
         coeffs = build_coefficients(grid4, MediumParams(mu=2.0), 1.0)
