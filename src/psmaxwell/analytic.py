@@ -4,6 +4,14 @@ Two families are provided: a standing wave on a cube of side 2 driven by an
 integer wavevector, and a fixed traveling plane wave on the unit cube.  Both
 are trigonometric, hence band-limited: once the grid resolves their modes the
 sampled fields are exact and the solver reproduces them to roundoff.
+
+Every value of a case comes from one path, :meth:`plane_factors`: each
+component is a product of (x, y) plane factors, computed once per call,
+and z factors, so sampling a grid takes trigonometry on ``n_y n_x + n_z``
+values and one product per point and component, slab of z-planes by slab.
+:meth:`evaluate`, :func:`sample_exact`, :func:`sample_initial` and the
+block-by-block sampling of :func:`psmaxwell.diagnostics.error_norms` all
+go through it.
 """
 
 from __future__ import annotations
@@ -26,8 +34,23 @@ __all__ = [
 ]
 
 
+class _Case:
+    """Evaluation of a case through its :meth:`plane_factors`."""
+
+    def evaluate(self, x, y, z, t: float, out=None):
+        """Six exact component values (e_x, e_y, e_z, h_x, h_y, h_z).
+
+        They are the rows of one array over the broadcast shape of the
+        coordinates: ``out`` when given, else a new one.
+        """
+        if out is None:
+            out = np.empty((6,) + np.broadcast(x, y, z).shape)
+        self.plane_factors(x, y, t)(z, out)
+        return out
+
+
 @dataclass(frozen=True)
-class StandingWave:
+class StandingWave(_Case):
     """Standing-wave solution family on ``[0, 2]^3`` (or compatible domains).
 
     Spatial factors use frequencies ``k_w * pi`` and the temporal frequency is
@@ -86,14 +109,14 @@ class StandingWave:
         """Angular spatial frequencies per axis."""
         return (abs(self.k_x) * np.pi, abs(self.k_y) * np.pi, abs(self.k_z) * np.pi)
 
-    def evaluate(self, x, y, z, t: float, out=None):
-        """Six exact component values (e_x, e_y, e_z, h_x, h_y, h_z).
+    def plane_factors(self, x, y, t: float):
+        """``fill(z, out)``: the six components at time ``t`` on the points ``(x, y, z)``.
 
-        They are the rows of one array over the broadcast shape of the
-        coordinates: ``out`` when given, else a new one.
+        Each component is an (x, y) plane factor times a z factor.  The plane
+        factors are computed here, once; ``fill`` multiplies them by the z
+        factors of its points into the rows of ``out``, whose trailing shape
+        is the broadcast shape of the coordinates.
         """
-        if out is None:
-            out = np.empty((6,) + np.broadcast(x, y, z).shape)
         kx, ky, kz = self.k_x, self.k_y, self.k_z
         eps, mu = self.medium.eps, self.medium.mu
         omega = self.omega
@@ -102,20 +125,26 @@ class StandingWave:
         sin_t = np.sin(omega * np.pi * t)
         cx, sx = np.cos(kx * np.pi * x), np.sin(kx * np.pi * x)
         cy, sy = np.cos(ky * np.pi * y), np.sin(ky * np.pi * y)
-        cz, sz = np.cos(kz * np.pi * z), np.sin(kz * np.pi * z)
-        # The last factor of each product is the one that carries z.  A row
-        # is out[i, ...], which is a view even for scalar coordinates.
-        np.multiply((ky - kz) * pre * cos_t * cx * sy, sz, out=out[0, ...])
-        np.multiply((kz - kx) * pre * cos_t * sx * cy, sz, out=out[1, ...])
-        np.multiply((kx - ky) * pre * cos_t * sx * sy, cz, out=out[2, ...])
-        np.multiply(sin_t * sx * cy, cz, out=out[3, ...])
-        np.multiply(sin_t * cx * sy, cz, out=out[4, ...])
-        np.multiply(sin_t * cx * cy, sz, out=out[5, ...])
-        return out
+        planes = (
+            (ky - kz) * pre * cos_t * cx * sy,
+            (kz - kx) * pre * cos_t * sx * cy,
+            (kx - ky) * pre * cos_t * sx * sy,
+            sin_t * sx * cy,
+            sin_t * cx * sy,
+            sin_t * cx * cy,
+        )
+
+        def fill(z, out) -> None:
+            cz, sz = np.cos(kz * np.pi * z), np.sin(kz * np.pi * z)
+            # A row is out[i, ...], which is a view even for scalar coordinates.
+            for row, (plane, factor) in enumerate(zip(planes, (sz, sz, cz, cz, cz, sz))):
+                np.multiply(plane, factor, out=out[row, ...])
+
+        return fill
 
 
 @dataclass(frozen=True)
-class TravelingWave:
+class TravelingWave(_Case):
     """Fixed traveling plane wave on ``[0, 1]^3`` with ``eps = mu = 1``.
 
     ``e_x = cos(2*pi*(x + y + z) - 2*sqrt(3)*pi*t)`` with the remaining
@@ -135,27 +164,43 @@ class TravelingWave:
     def frequencies(self) -> tuple[float, float, float]:
         return (2.0 * np.pi, 2.0 * np.pi, 2.0 * np.pi)
 
-    def evaluate(self, x, y, z, t: float, out=None):
-        """Six exact component values (e_x, e_y, e_z, h_x, h_y, h_z).
+    def plane_factors(self, x, y, t: float):
+        """``fill(z, out)``: the six components at time ``t`` on the points ``(x, y, z)``.
 
-        They are the rows of one array over the broadcast shape of the
-        coordinates: ``out`` when given, else a new one.  ``e_x`` is
-        computed once, in its row, and the other rows are its multiples.
+        ``e_x = cos(A + B)`` with ``A = 2*pi*(x + y)`` and
+        ``B = 2*pi*z - 2*sqrt(3)*pi*t`` is taken as
+        ``cos(A) cos(B) - sin(A) sin(B)``: ``cos(A)`` and ``sin(A)`` are
+        computed here, once, and ``fill`` takes the trigonometry of ``B`` on
+        its z values alone.  ``B`` is carried as the exact sum ``b + b_lo``
+        of its rounded value and the rounding error of the subtraction
+        (Knuth's two-sum), so at large ``t`` the samples are not off by that
+        rounding, half an ulp of the phase.  ``e_x`` goes into its row of
+        ``out``, whose trailing shape is the broadcast shape of the
+        coordinates, and the other rows are its multiples.
         """
-        if out is None:
-            out = np.empty((6,) + np.broadcast(x, y, z).shape)
         sqrt3 = math.sqrt(3.0)
-        # cos(2 pi (x + y + z) - 2 sqrt(3) pi t), built up in the e_x row.
-        e_x = np.add(x + y, z, out=out[0, ...])
-        e_x *= 2.0 * np.pi
-        e_x -= 2.0 * sqrt3 * np.pi * t
-        np.cos(e_x, out=e_x)
-        np.multiply(-2.0, e_x, out=out[1, ...])
-        out[2, ...] = e_x
-        np.multiply(sqrt3, e_x, out=out[3, ...])
-        out[4, ...] = 0.0
-        np.multiply(-sqrt3, e_x, out=out[5, ...])
-        return out
+        a = 2.0 * np.pi * (x + y)
+        cos_a, sin_a = np.cos(a), np.sin(a)
+        phase = 2.0 * sqrt3 * np.pi * t
+
+        def fill(z, out) -> None:
+            p = 2.0 * np.pi * z
+            b = p - phase
+            p_back = b + phase
+            b_lo = (p - p_back) + (-phase - (b - p_back))
+            # cos and sin of b + b_lo to first order: b_lo is below an ulp of b.
+            cos_b, sin_b = np.cos(b), np.sin(b)
+            cos_b, sin_b = cos_b - sin_b * b_lo, sin_b + cos_b * b_lo
+            e_x = np.multiply(cos_a, cos_b, out=out[0, ...])
+            # Row 1 holds sin(A) sin(B) until e_x is complete.
+            e_x -= np.multiply(sin_a, sin_b, out=out[1, ...])
+            np.multiply(-2.0, e_x, out=out[1, ...])
+            out[2, ...] = e_x
+            np.multiply(sqrt3, e_x, out=out[3, ...])
+            out[4, ...] = 0.0
+            np.multiply(-sqrt3, e_x, out=out[5, ...])
+
+        return fill
 
 
 AnalyticCase = StandingWave | TravelingWave
@@ -185,20 +230,21 @@ def _check_resolution(case: AnalyticCase, grid: GridSpec) -> None:
             )
 
 
-def _plane_sampler(case: AnalyticCase, grid: GridSpec, t: float, out: np.ndarray):
-    """``sample(planes)``: write the case at time ``t`` on a slice of z-planes.
+def _plane_sampler(case: AnalyticCase, grid: GridSpec, t: float):
+    """``sample(planes, out)``: write the case at time ``t`` on a slice of z-planes.
 
-    ``out`` is a ``(6, n_z, n_y, n_x)`` float64 array; each call fills its
-    ``out[:, planes]`` slab.  The coordinates are the sparse (broadcasting)
-    axes, so each axis factor is computed once per axis and call rather than
-    once per point, and every point gets the same bits whatever the slabs.
+    ``out`` is a ``(6, len(planes), n_y, n_x)`` float64 array.  The case's
+    plane factors on the grid are computed once, here, so each call only
+    multiplies them by the z factors of its planes, and every point gets the
+    same bits whatever the slices.
     """
     z, y, x = np.meshgrid(
         grid.points_z, grid.points_y, grid.points_x, indexing="ij", sparse=True
     )
+    fill = case.plane_factors(x, y, t)
 
-    def sample(planes: slice) -> None:
-        case.evaluate(x, y, z[planes], t, out=out[:, planes])
+    def sample(planes: slice, out: np.ndarray) -> None:
+        fill(z[planes], out)
 
     return sample
 
@@ -210,7 +256,8 @@ def sample_exact(case: AnalyticCase, grid: GridSpec, t: float) -> np.ndarray:
     float64 array in the layout of :class:`FieldState`.
     """
     out = np.empty((6,) + grid.shape)
-    _for_slabs(_plane_sampler(case, grid, t, out), grid.n_z, out.size)
+    sample = _plane_sampler(case, grid, t)
+    _for_slabs(lambda planes: sample(planes, out[:, planes]), grid.n_z, out.size)
     return out.reshape(6, grid.n_total)
 
 

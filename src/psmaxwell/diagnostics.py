@@ -53,14 +53,23 @@ pass writes the divergence spectra ``i eps b.E`` and ``i mu b.H`` into one
 two-row buffer, which one batched inverse turns in place into the two
 divergence fields, whose max norms need physical samples.
 :func:`energies`, :func:`helicities`, :func:`momenta` and
-:func:`divergences` are projections of that pass.  A non-finite sample or
-mode raises :class:`ImaginaryResidueError` instead of giving NaN
-invariants; so do finite modes whose squares overflow, and a non-finite
-:func:`error_norms`.
+:func:`divergences` are projections of that pass.
+
+:func:`error_norms` is one pass of the same shape over the physical
+samples: each block of z-planes samples the exact solution into a
+block-sized scratch from the case's plane factors
+(:func:`psmaxwell.analytic._plane_sampler`) and writes one maximum and one
+sum of squared errors per (z-plane, component) row, so no full-size error
+field is formed and the norms are bitwise the same for any worker count.
+
+A non-finite sample or mode raises :class:`ImaginaryResidueError` instead
+of giving NaN invariants; so do finite modes whose squares overflow, and
+finite errors whose ``l2`` or ``linf`` is not finite.
 """
 
 from __future__ import annotations
 
+import queue
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -72,6 +81,7 @@ from .spectral import (
     ImaginaryResidueError,
     _for_slabs,
     _planes_per_block,
+    _slab_count,
     cross,
     dft3_inverse,
     wavenumbers,
@@ -97,11 +107,10 @@ __all__ = [
 # absolute drifts: the relative error of a roundoff-scale quantity is noise.
 NEAR_ZERO_ABS = 1e-12
 
-# Samples per component in a block of error_norms, on either path.  Each
-# block evaluates the case's per-axis factors again, which small blocks pay
-# for: in the blocks of the spectral stages (about 4096 modes) the standing
-# wave took about 1.5x as long at 32^3 and 64^3 as in one block per slab,
-# and in 16384-sample blocks 1.6x as long at 128^3 as in these.
+# Samples per component in a block of error_norms, on either path: its
+# scratch is 1.5 MiB.  On two CPUs, 4096-sample blocks took 1.3-2.2x as long
+# at 32^3 and 64^3 as these, in loop overhead; from 8192 to 65536 samples
+# the 128^3 times were within the noise of each other.
 _ERROR_BLOCK_SAMPLES = 32768
 
 
@@ -299,36 +308,54 @@ def divergences(
 def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     """L2 and max-norm errors of a physical state against the exact solution.
 
-    Block by block of z-planes, the exact solution is written into its slab
-    of one full-size buffer and turned there into the squared error, after
-    the block's per-component maxima are taken; the L2 norm is one sum over
-    the whole buffer.
+    Block by block of z-planes, the exact solution is sampled into a
+    block-sized scratch and the state subtracted there.  Each (z-plane,
+    component) row of the block gives one maximum and one sum of squares,
+    each taken over the row's contiguous samples, so the rows do not depend
+    on how the planes are cut into blocks or slabs.  ``linf`` and
+    ``component_linf`` are maxima over those rows, and ``l2`` comes from the
+    sum of the rows' squares in (plane, component) order: the same bits on
+    any worker count.
     """
     if state.representation != PHYSICAL:
         raise ValueError("error_norms expects a state in physical representation")
     grid = state.grid
-    errors = np.empty((6, grid.n_total))
-    cube = errors.reshape((6,) + grid.shape)
     data = state.data.reshape((6,) + grid.shape)
-    sample = _plane_sampler(case, grid, state.time, cube)
-    maxima = np.zeros((6, grid.n_z))
+    sample = _plane_sampler(case, grid, state.time)
+    maxima = np.empty((grid.n_z, 6))
+    squares = np.empty((grid.n_z, 6))
+    planes = max(1, _ERROR_BLOCK_SAMPLES // (grid.n_y * grid.n_x))
+    # One block-sized scratch per slab, allocated on this thread; each block
+    # takes one and gives it back.  Scratches that pool threads allocated
+    # themselves stayed resident in their malloc arenas and raised the peak
+    # RSS of a 128^3 run by about 0.7 MiB.
+    scratches = queue.SimpleQueue()
+    for _ in range(_slab_count(grid.n_z, data.size)):
+        scratches.put(np.empty(6 * planes * grid.n_y * grid.n_x))
 
     def block(planes: slice) -> None:
-        sample(planes)
-        e = cube[:, planes]
-        # |exact - data| equals |data - exact| exactly.
-        np.subtract(e, data[:, planes], out=e)
-        np.abs(e, out=e)
-        maxima[:, planes] = np.max(e, axis=(1, 2, 3))[:, None]
-        np.square(e, out=e)
+        count = planes.stop - planes.start
+        scratch = scratches.get()
+        e = scratch[: 6 * count * grid.n_y * grid.n_x].reshape((6, count) + grid.shape[1:])
+        rows = e.reshape(6, count, -1)
+        sample(planes, e)
+        # Errors of finite samples may overflow; the norms are checked below.
+        # Pool threads do not inherit the caller's error state, so it is set here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # |exact - data| equals |data - exact| exactly.
+            np.subtract(e, data[:, planes], out=e)
+            np.abs(e, out=e)
+            maxima[planes] = np.max(rows, axis=-1).T
+            np.square(e, out=e)
+            squares[planes] = np.sum(rows, axis=-1).T
+        scratches.put(scratch)
 
-    planes = max(1, _ERROR_BLOCK_SAMPLES // (grid.n_y * grid.n_x))
-    _for_slabs(block, grid.n_z, errors.size, planes)
-    per_row = np.max(maxima, axis=1)
+    _for_slabs(block, grid.n_z, data.size, planes)
+    per_row = np.max(maxima, axis=0)
     linf = float(np.max(per_row))
-    if not np.isfinite(linf):
-        raise ImaginaryResidueError(f"non-finite solution error {linf}")
-    l2 = float(np.sqrt(np.sum(errors) / grid.n_total))
+    l2 = float(np.sqrt(np.sum(squares) / grid.n_total))
+    if not (np.isfinite(linf) and np.isfinite(l2)):
+        raise ImaginaryResidueError(f"non-finite solution error: l2 {l2}, linf {linf}")
     return ErrorReport(l2=l2, linf=linf, component_linf=tuple(float(v) for v in per_row))
 
 

@@ -110,7 +110,7 @@ def _for_slabs(fn, n: int, size: int, block: int | None = None) -> None:
     by ``fn`` reaches the caller once every slab has finished.
     """
     global _pool
-    workers = min(_WORKERS, n) if _pooled(size) else 1
+    workers = _slab_count(n, size)
 
     def run(start: int, stop: int) -> None:
         width = block or max(1, stop - start)
@@ -129,6 +129,11 @@ def _for_slabs(fn, n: int, size: int, block: int | None = None) -> None:
     concurrent.futures.wait(futures)
     for future in futures:
         future.result()
+
+
+def _slab_count(n: int, size: int) -> int:
+    """How many slabs, each on its own thread, :func:`_for_slabs` cuts ``range(n)`` into."""
+    return min(_WORKERS, n) if _pooled(size) else 1
 
 
 def _pooled(size: int) -> bool:

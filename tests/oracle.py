@@ -14,6 +14,12 @@ take a :class:`psmaxwell.PropagatorCoefficients` and read the package's own
 half-spectrum ``r1``, ``r2``, mirrored to the full mode layout, so the
 per-mode blocks checked against the series exponential are built from the
 package's numbers rather than from an independent evaluation.
+
+The sample formulas and the error norms near the end are the package's
+earlier whole-array forms, kept as the references its factored, blocked
+forms are checked against: the standing wave's component products, the
+traveling wave's single-cosine ``e_x`` with its long-double counterpart,
+and ``l2``/``linf`` from one buffer of squared errors.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ __all__ = [
     "dense_expm",
     "naive_dft3",
     "inner_product_N",
+    "standing_wave_samples",
+    "traveling_wave_e_x",
+    "traveling_wave_e_x_longdouble",
+    "whole_array_error_norms",
 ]
 
 _MAX_DIFF_N = 16
@@ -204,3 +214,56 @@ def flow_blocks(coeffs) -> tuple[np.ndarray, np.ndarray]:
     cos = np.eye(3) - (kappa * kappa * r1)[:, None, None] * (b_cross @ b_cross)
     sin = 1j * kappa * r2[:, None, None] * b_cross
     return cos, sin
+
+
+def standing_wave_samples(case, x, y, z, t: float) -> np.ndarray:
+    """The six components of a :class:`psmaxwell.StandingWave`, product by product.
+
+    Each component is the product of its amplitude and three axis factors,
+    multiplied left to right with the z factor last; the result has the
+    broadcast shape of the coordinates after its leading 6.
+    """
+    kx, ky, kz = case.k_x, case.k_y, case.k_z
+    eps, mu = case.medium.eps, case.medium.mu
+    omega = case.omega
+    pre = 1.0 / (eps * np.sqrt(mu) * omega)
+    cos_t, sin_t = np.cos(omega * np.pi * t), np.sin(omega * np.pi * t)
+    cx, sx = np.cos(kx * np.pi * x), np.sin(kx * np.pi * x)
+    cy, sy = np.cos(ky * np.pi * y), np.sin(ky * np.pi * y)
+    cz, sz = np.cos(kz * np.pi * z), np.sin(kz * np.pi * z)
+    return np.stack(np.broadcast_arrays(
+        (ky - kz) * pre * cos_t * cx * sy * sz,
+        (kz - kx) * pre * cos_t * sx * cy * sz,
+        (kx - ky) * pre * cos_t * sx * sy * cz,
+        sin_t * sx * cy * cz,
+        sin_t * cx * sy * cz,
+        sin_t * cx * cy * sz,
+    ))
+
+
+def traveling_wave_e_x(x, y, z, t: float) -> np.ndarray:
+    """``e_x`` of :class:`psmaxwell.TravelingWave` as one cosine of the float64 phase."""
+    return np.cos((x + y + z) * 2.0 * np.pi - 2.0 * np.sqrt(3.0) * np.pi * t)
+
+
+def traveling_wave_e_x_longdouble(x, y, z, t: float) -> np.ndarray:
+    """``e_x`` of :class:`psmaxwell.TravelingWave` with the phase and cosine in long double.
+
+    The coordinates and ``t`` are the float64 values given; pi and sqrt(3)
+    are taken in long double.
+    """
+    ld = np.longdouble
+    pi, sqrt3 = 4 * np.arctan(ld(1)), np.sqrt(ld(3))
+    return np.cos(2 * pi * (np.asarray(x, ld) + y + z) - 2 * sqrt3 * pi * ld(t))
+
+
+def whole_array_error_norms(exact: np.ndarray, data: np.ndarray) -> tuple[float, float, tuple]:
+    """(l2, linf, component_linf) of ``data`` against ``exact`` by whole-array operations.
+
+    Both are ``(6, n_total)`` samples; ``l2`` is one sum over the buffer of
+    squared errors.
+    """
+    errors = np.abs(exact - data)
+    per_row = np.max(errors, axis=1)
+    l2 = float(np.sqrt(np.sum(np.square(errors)) / errors.shape[1]))
+    return l2, float(np.max(per_row)), tuple(float(v) for v in per_row)

@@ -16,6 +16,16 @@ from psmaxwell import (
     sample_initial,
     spectral_time_derivative,
 )
+from psmaxwell.analytic import sample_exact
+
+from oracle import standing_wave_samples, traveling_wave_e_x, traveling_wave_e_x_longdouble
+
+EPS = np.finfo(float).eps
+
+
+def sparse_points(grid):
+    """(z, y, x) collocation coordinates as broadcasting axes."""
+    return np.meshgrid(grid.points_z, grid.points_y, grid.points_x, indexing="ij", sparse=True)
 
 
 class TestStandingWave:
@@ -88,6 +98,57 @@ class TestTravelingWave:
     def test_requires_unit_medium(self):
         with pytest.raises(ValueError, match="eps = mu = 1"):
             TravelingWave(medium=MediumParams(mu=1.0, eps=2.0))
+
+
+class TestFactoredSamples:
+    """Plane factors times z factors against the unfactored formulas."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, -3.3, 1e3])
+    @pytest.mark.parametrize(
+        "case",
+        [StandingWave(), StandingWave(2, -1, -1, MediumParams(eps=0.5)),
+         StandingWave(-4, 1, 3, MediumParams(eps=4.0))],
+        ids=["default", "eps0.5", "eps4"],
+    )
+    def test_standing_samples_bitwise_component_products(self, case, t):
+        domains = [
+            (DomainSpec.cube(0.0, 2.0), (8, 8, 8)),
+            (DomainSpec(0.0, 2.0, 0.0, 4.0, 0.0, 6.0), (12, 10, 16)),
+            (DomainSpec.cube(0.0, 2.0), (32, 32, 32)),
+        ]
+        for domain, counts in domains:
+            grid = build_grid(domain, *counts)
+            z, y, x = sparse_points(grid)
+            expected = standing_wave_samples(case, x, y, z, t).reshape(6, -1)
+            got = sample_exact(case, grid, t)
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        point = standing_wave_samples(case, 0.3, 0.7, 0.45, t)
+        np.testing.assert_array_equal(
+            case.evaluate(0.3, 0.7, 0.45, t).view(np.uint64), point.view(np.uint64)
+        )
+
+    # The other five rows are fixed multiples of e_x on both forms.  At
+    # t >= 1e3 the float64 time phase dominates both errors; the rounding of
+    # B = 2 pi z - 2 sqrt(3) pi t, which the factored form carries exactly,
+    # is about half of the single cosine's error there.
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than float64"
+    )
+    @pytest.mark.parametrize("t", [0.0, 0.7, 1e3, 1e4])
+    @pytest.mark.parametrize(
+        "counts", [(8, 8, 8), (16, 16, 16), (12, 10, 14), (64, 64, 64)],
+        ids=lambda c: "x".join(map(str, c)),
+    )
+    def test_traveling_samples_no_further_than_single_cosine(self, counts, t):
+        case = TravelingWave()
+        grid = build_grid(case.default_domain, *counts)
+        z, y, x = sparse_points(grid)
+        reference = traveling_wave_e_x_longdouble(x, y, z, t).ravel()
+        factored = float(np.max(np.abs(sample_exact(case, grid, t)[0] - reference)))
+        single = float(np.max(np.abs(traveling_wave_e_x(x, y, z, t).ravel() - reference)))
+        assert factored <= single + 4 * EPS
+        if t >= 1e3:
+            assert factored <= 0.6 * single
 
 
 class TestSampleInitial:

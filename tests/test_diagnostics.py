@@ -26,6 +26,7 @@ from psmaxwell import (
     propagate,
     relative_change,
     sample_initial,
+    spectral,
     spectral_time_derivative,
     to_spectral,
 )
@@ -33,7 +34,7 @@ from psmaxwell.analytic import sample_exact
 from psmaxwell.diagnostics import NEAR_ZERO_ABS
 
 from conftest import random_band_limited_state, zero_state
-from oracle import dense_curl, inner_product_N
+from oracle import dense_curl, inner_product_N, whole_array_error_norms
 
 
 def _axis_coordinate(grid, axis):
@@ -304,32 +305,61 @@ class TestDivergences:
         assert div_h <= 1e-12
 
 
-def whole_array_error_norms(state, case) -> tuple[float, float, tuple]:
-    """(l2, linf, component_linf) by whole-array operations on the exact samples."""
-    errors = np.abs(sample_exact(case, state.grid, state.time) - state.data)
+def row_error_norms(state, case) -> tuple[float, float, tuple]:
+    """(l2, linf, component_linf) from one row per (z-plane, component).
+
+    Each row's squared errors are summed over its contiguous samples, and
+    ``l2`` adds the row sums in plane order, the components of a plane in
+    turn.
+    """
+    grid = state.grid
+    errors = np.abs(sample_exact(case, grid, state.time) - state.data)
+    rows = np.sum(np.square(errors).reshape(6, grid.n_z, -1), axis=-1)
     per_row = np.max(errors, axis=1)
-    l2 = float(np.sqrt(np.sum(np.square(errors)) / state.grid.n_total))
+    l2 = float(np.sqrt(np.sum(rows.T.ravel()) / grid.n_total))
     return l2, float(np.max(per_row)), tuple(float(v) for v in per_row)
 
 
+ERROR_COUNTS = pytest.mark.parametrize(
+    "counts", [(2, 4, 6), (32, 32, 32), (128, 64, 4)], ids=lambda c: "x".join(map(str, c))
+)
+ERROR_CASES = pytest.mark.parametrize(
+    "case", [StandingWave(medium=MediumParams(eps=0.5)), TravelingWave()],
+    ids=["standing", "traveling"],
+)
+
+
+def error_state(counts, rng) -> FieldState:
+    grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
+    state = random_band_limited_state(grid, rng, MediumParams(mu=2.0, eps=0.5))
+    return FieldState(grid, state.medium, state.data, time=0.7)
+
+
 class TestErrorNorms:
-    @pytest.mark.parametrize(
-        "counts", [(2, 4, 6), (32, 32, 32), (128, 64, 4)], ids=lambda c: "x".join(map(str, c))
-    )
-    @pytest.mark.parametrize(
-        "case", [StandingWave(medium=MediumParams(eps=0.5)), TravelingWave()],
-        ids=["standing", "traveling"],
-    )
+    @ERROR_COUNTS
+    @ERROR_CASES
     def test_blocks_match_whole_array_formula(self, case, counts, rng):
-        # Evaluated, subtracted and squared block by block of z-planes into
-        # one buffer, then summed once: the bits of the whole-array formula.
-        grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
-        state = random_band_limited_state(grid, rng, MediumParams(mu=2.0, eps=0.5))
-        state = FieldState(grid, state.medium, state.data, time=0.7)
+        # Sampled and subtracted block by block of z-planes into a scratch,
+        # one maximum and one sum of squares per (plane, component) row: the
+        # bits of the row formula over the whole array.
+        state = error_state(counts, rng)
         report = error_norms(state, case)
-        assert (report.l2, report.linf, report.component_linf) == whole_array_error_norms(
+        assert (report.l2, report.linf, report.component_linf) == row_error_norms(
             state, case
         )
+
+    @ERROR_COUNTS
+    @ERROR_CASES
+    def test_close_to_one_sum_over_the_buffer(self, case, counts, rng):
+        # Only the order of the l2 sum differs from one sum over a buffer
+        # of every squared error; the maxima do not depend on it.
+        state = error_state(counts, rng)
+        report = error_norms(state, case)
+        l2, linf, component_linf = whole_array_error_norms(
+            sample_exact(case, state.grid, state.time), state.data
+        )
+        assert report.l2 == pytest.approx(l2, rel=1e-15, abs=0.0)
+        assert (report.linf, report.component_linf) == (linf, component_linf)
 
     def test_exact_state_has_zero_error(self):
         case = StandingWave()
@@ -363,14 +393,14 @@ class TestErrorNorms:
 
 
 class TestPeakMemory:
-    """One pass over blocks of z-planes: no rate spectrum, curl or |.|^2 field."""
+    """One pass over blocks of z-planes: no rate spectrum, curl, |.|^2 or error field."""
 
     @staticmethod
-    def report_peak_in_states(state: FieldState) -> float:
-        """Tracemalloc peak of one report, in real six-component states."""
+    def peak_in_states(measure, state: FieldState) -> float:
+        """Tracemalloc peak of ``measure(state)``, in real six-component states."""
         tracemalloc.start()
         try:
-            invariant_report(state)
+            measure(state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,12 +412,22 @@ class TestPeakMemory:
     def test_peak_memory_from_physical_input(self, rng):
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 32, 32, 32)
         state = random_band_limited_state(grid, rng)
-        assert self.report_peak_in_states(state) <= 2.25
+        assert self.peak_in_states(invariant_report, state) <= 2.25
 
     def test_peak_memory_from_spectral_input(self, rng):
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 32, 32, 32)
         state = to_spectral(random_band_limited_state(grid, rng))
-        assert self.report_peak_in_states(state) <= 1.25
+        assert self.peak_in_states(invariant_report, state) <= 1.25
+
+    # One block-sized scratch of 32768 samples per component (0.125 states
+    # at 64^3) and the case's plane factors.  Pinned to one worker, so that
+    # one scratch is live at a time.
+    @pytest.mark.parametrize("case", [StandingWave(), TravelingWave()], ids=["standing", "traveling"])
+    def test_error_norms_peak_memory(self, case, monkeypatch):
+        monkeypatch.setattr(spectral, "_WORKERS", 1)
+        grid = build_grid(case.default_domain, 64, 64, 64)
+        state = propagate(sample_initial(case, grid), 0.7)
+        assert self.peak_in_states(lambda s: error_norms(s, case), state) <= 0.2
 
 
 class TestNonFiniteInput:
@@ -415,6 +455,17 @@ class TestNonFiniteInput:
         state = FieldState(grid, MediumParams(), 1e155 * rng.standard_normal((6, grid.n_total)))
         with pytest.raises(ImaginaryResidueError, match="non-finite invariant"):
             invariant_report(state)
+
+    # Finite samples whose errors overflow when squared: without the check
+    # l2 is inf.  At 64^3 the pass runs on the thread pool when there is
+    # more than one CPU.
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_overflowing_errors_raise(self, n):
+        case = StandingWave()
+        grid = build_grid(case.default_domain, n, n, n)
+        state = FieldState(grid, case.medium, np.full((6, grid.n_total), 1e200))
+        with pytest.raises(ImaginaryResidueError, match="non-finite solution error"):
+            error_norms(state, case)
 
 
 def _report_with(**overrides) -> InvariantReport:
