@@ -58,9 +58,10 @@ divergence fields, whose max norms need physical samples.
 :func:`error_norms` is one pass of the same shape over the physical
 samples: each block of z-planes samples the exact solution into a
 block-sized scratch from the case's plane factors
-(:func:`psmaxwell.analytic._plane_sampler`) and writes one maximum and one
-sum of squared errors per (z-plane, component) row, so no full-size error
-field is formed and the norms are bitwise the same for any worker count.
+(:func:`psmaxwell.analytic._plane_sampler`), takes its per-component
+maxima and writes one sum of squared errors per (z-plane, component) row,
+so no full-size error field is formed and the norms are bitwise the same
+for any worker count.
 
 A non-finite sample or mode raises :class:`ImaginaryResidueError` instead
 of giving NaN invariants; so do finite modes whose squares overflow, and
@@ -69,7 +70,7 @@ finite errors whose ``l2`` or ``linf`` is not finite.
 
 from __future__ import annotations
 
-import queue
+from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -309,13 +310,13 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     """L2 and max-norm errors of a physical state against the exact solution.
 
     Block by block of z-planes, the exact solution is sampled into a
-    block-sized scratch and the state subtracted there.  Each (z-plane,
-    component) row of the block gives one maximum and one sum of squares,
-    each taken over the row's contiguous samples, so the rows do not depend
-    on how the planes are cut into blocks or slabs.  ``linf`` and
-    ``component_linf`` are maxima over those rows, and ``l2`` comes from the
-    sum of the rows' squares in (plane, component) order: the same bits on
-    any worker count.
+    block-sized scratch and the state subtracted there.  The block's
+    per-component maxima of ``|error|`` are written to each of its planes,
+    and each (z-plane, component) row gives one sum of squares, taken over
+    the row's contiguous samples, so the sums do not depend on how the
+    planes are cut into blocks or slabs.  ``linf`` and ``component_linf``
+    are maxima over the planes, and ``l2`` comes from the sum of the rows'
+    squares in (plane, component) order: the same bits on any worker count.
     """
     if state.representation != PHYSICAL:
         raise ValueError("error_norms expects a state in physical representation")
@@ -324,18 +325,18 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     sample = _plane_sampler(case, grid, state.time)
     maxima = np.empty((grid.n_z, 6))
     squares = np.empty((grid.n_z, 6))
-    planes = max(1, _ERROR_BLOCK_SAMPLES // (grid.n_y * grid.n_x))
+    block_planes = max(1, _ERROR_BLOCK_SAMPLES // (grid.n_y * grid.n_x))
     # One block-sized scratch per slab, allocated on this thread; each block
-    # takes one and gives it back.  Scratches that pool threads allocated
-    # themselves stayed resident in their malloc arenas and raised the peak
-    # RSS of a 128^3 run by about 0.7 MiB.
-    scratches = queue.SimpleQueue()
-    for _ in range(_slab_count(grid.n_z, data.size)):
-        scratches.put(np.empty(6 * planes * grid.n_y * grid.n_x))
+    # takes one and gives it back, so a slab's thread always finds one (a
+    # deque's pop and append are thread-safe).  Scratches that pool threads
+    # allocated themselves stayed resident in their malloc arenas and
+    # raised the peak RSS of a 128^3 convergence run by about 0.7 MiB.
+    width = 6 * block_planes * grid.n_y * grid.n_x
+    scratches = deque(np.empty(width) for _ in range(_slab_count(grid.n_z, data.size)))
 
     def block(planes: slice) -> None:
         count = planes.stop - planes.start
-        scratch = scratches.get()
+        scratch = scratches.pop()
         e = scratch[: 6 * count * grid.n_y * grid.n_x].reshape((6, count) + grid.shape[1:])
         rows = e.reshape(6, count, -1)
         sample(planes, e)
@@ -345,12 +346,12 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
             # |exact - data| equals |data - exact| exactly.
             np.subtract(e, data[:, planes], out=e)
             np.abs(e, out=e)
-            maxima[planes] = np.max(rows, axis=-1).T
+            maxima[planes] = np.max(e, axis=(1, 2, 3))
             np.square(e, out=e)
             squares[planes] = np.sum(rows, axis=-1).T
-        scratches.put(scratch)
+        scratches.append(scratch)
 
-    _for_slabs(block, grid.n_z, data.size, planes)
+    _for_slabs(block, grid.n_z, data.size, block_planes)
     per_row = np.max(maxima, axis=0)
     linf = float(np.max(per_row))
     l2 = float(np.sqrt(np.sum(squares) / grid.n_total))
