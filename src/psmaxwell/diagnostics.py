@@ -346,7 +346,7 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
             # |exact - data| equals |data - exact| exactly.
             np.subtract(e, data[:, planes], out=e)
             np.abs(e, out=e)
-            maxima[planes] = np.max(e, axis=(1, 2, 3))
+            maxima[planes] = np.max(e.reshape(6, -1), axis=1)
             np.square(e, out=e)
             squares[planes] = np.sum(rows, axis=-1).T
         scratches.append(scratch)
