@@ -1,15 +1,17 @@
 """Slab-parallel stages: the bits of one thread on any worker count.
 
 Every test that uses the ``workers`` fixture drops the size threshold to 0,
-so even the smallest array is cut into slabs, and runs each computation
+so even the smallest array is cut into slabs.  Most run each computation
 twice: with one worker (the calling thread alone) and with three, which
-cuts 2 or 6 rows and 4, 6 or 32 z-planes into uneven slabs.  The three-thread
-pool is the only one these tests start, and it is shut down afterwards.
+cuts 2 or 6 rows and 4, 6 or 32 z-planes into uneven slabs; one runs
+``error_norms`` on four workers under fast thread switching.  Each test
+starts at most one pool and shuts it down afterwards.
 """
 
 import json
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -28,6 +30,7 @@ from psmaxwell import (
     cli,
     dft3_forward,
     dft3_inverse,
+    diagnostics,
     error_norms,
     invariant_report,
     realize,
@@ -131,6 +134,26 @@ def test_error_norms(workers, case, state):
     state = FieldState(state.grid, state.medium, state.data, time=0.7)
     serial, parallel = one_and_three(workers, lambda: error_norms(state, case))
     assert serial == parallel
+
+
+def test_error_norms_scratches_under_thread_switching(workers, monkeypatch, rng):
+    # Four slabs on fewer cores, one-plane blocks and a thread switch every
+    # microsecond: two blocks sharing a scratch would mix their errors.
+    grid = build_grid(DomainSpec.cube(0.0, 1.0), 16, 16, 64)
+    state = random_band_limited_state(grid, rng, MEDIUM)
+    state = FieldState(grid, MEDIUM, state.data, time=0.7)
+    monkeypatch.setattr(diagnostics, "_ERROR_BLOCK_SAMPLES", grid.n_y * grid.n_x)
+    case = TravelingWave()
+    workers(1)
+    serial = error_norms(state, case)
+    workers(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert error_norms(state, case) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("representation", ["physical", "spectral"])
