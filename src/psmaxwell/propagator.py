@@ -16,10 +16,11 @@ A state is one ``(6, N)`` array, which the transforms of
 state holds the half spectrum (the ``kx >= 0`` columns), and ``r1``, ``r2``
 are stored on that layout.  Total cost of :func:`propagate` is one batched
 real-to-complex transform of the six components (none when the state is
-already spectral), one copy of the spectrum with O(n_spectral) elementwise
-work on it (two per-mode cross products per field), the Hermitian-plane
-check of :func:`psmaxwell.spectral.realize`, and one batched complex-to-real
-transform.
+already spectral), O(n_spectral) elementwise work on the spectrum (two
+per-mode cross products per field; a spectral input is first copied), the
+Hermitian-plane check of :func:`psmaxwell.spectral.realize`, and one
+batched complex-to-real transform whose samples are written over the
+stepped spectrum.
 """
 
 from __future__ import annotations
@@ -193,7 +194,9 @@ def build_coefficients(
     return PropagatorCoefficients(grid, medium, float(t), kappa, r1, r2)
 
 
-def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
+def step(
+    state: FieldState, coeffs: PropagatorCoefficients, *, overwrite: bool = False
+) -> FieldState:
     """Apply the per-mode flow to a spectral state.
 
     Computes ``E' = C E + (i t r2 / eps) b x H`` and
@@ -204,12 +207,15 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
     returns the input bitwise.  The map is exactly unitary in the energy
     norm ``eps |E|^2 + mu |H|^2``, up to roundoff.
 
-    The input is left unmodified: each block of whole z-planes of its
-    spectrum (:func:`psmaxwell.spectral._planes_per_block`) is copied into
-    the output and updated there by the per-mode operations of the
-    whole-array formula in the same order, so besides the output only
+    The spectrum is worked on block by block of whole z-planes
+    (:func:`psmaxwell.spectral._planes_per_block`) with the per-mode
+    operations of the whole-array formula in the same order, so only
     block-sized temporaries are allocated, and the result does not depend
-    on the block size or on which thread runs the block.
+    on the block size or on which thread runs the block.  By default each
+    block is first copied into a new output spectrum and the input is left
+    unmodified.  With ``overwrite`` the blocks are updated in place in the
+    input's spectrum, which is then the returned state's, so the input
+    state must not be used again; the result is bitwise the same.
     """
     if state.representation != SPECTRAL:
         raise ValueError("step requires a state in spectral representation")
@@ -219,14 +225,14 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
         raise ValueError("state and coefficients use different media")
     grid, medium = coeffs.grid, coeffs.medium
     kx, ky, kz = wavenumbers(grid)
-    spectrum = np.empty_like(state.data)
     source = state.data.reshape((6,) + grid.spectral_shape)
-    fields = spectrum.reshape((6,) + grid.spectral_shape)
+    fields = source if overwrite else np.empty(source.shape, np.complex128)
     r1, r2 = (r.reshape(grid.spectral_shape) for r in (coeffs.r1, coeffs.r2))
 
     def flow(block: slice) -> None:
         f = fields[:, block]
-        f[...] = source[:, block]
+        if not overwrite:
+            f[...] = source[:, block]
         b = (kx, ky, kz[block])
         curls = np.empty_like(f)  # b x E, then b x H
         cross(b, f[:3], curls[:3])
@@ -242,10 +248,8 @@ def step(state: FieldState, coeffs: PropagatorCoefficients) -> FieldState:
         f[:3] += curls[3:]
         f[3:] += curls[:3]
 
-    _for_slabs(
-        flow, grid.spectral_shape[0], spectrum.size, _planes_per_block(grid, spectrum.size)
-    )
-    return replace(state, data=spectrum, time=state.time + coeffs.t)
+    _for_slabs(flow, grid.spectral_shape[0], fields.size, _planes_per_block(grid, fields.size))
+    return replace(state, data=fields.reshape(6, -1), time=state.time + coeffs.t)
 
 
 def to_spectral(state: FieldState) -> FieldState:
@@ -262,10 +266,12 @@ def to_physical(state: FieldState, *, overwrite: bool = False) -> FieldState:
     is non-finite or its ``kx = 0`` / ``kx = n_x/2`` planes are off Hermitian
     beyond roundoff (:func:`psmaxwell.spectral.realize`).  The defect is
     judged against the whole state's magnitude, so an identically zero
-    component is not flagged for its own roundoff.  The spectrum is left
-    untouched unless ``overwrite`` is set; then the inverse runs in place on
-    it (:func:`psmaxwell.spectral.dft3_inverse`), after the check, and
-    ``state`` must not be used again.
+    component is not flagged for its own roundoff.  The returned samples
+    are a view into the buffer the inverse ran in
+    (:func:`psmaxwell.spectral.dft3_inverse`).  By default that is a copy
+    and the spectrum is left untouched.  With ``overwrite`` it is the
+    spectrum itself, which the samples are written over after the check,
+    and ``state`` must not be used again.
     """
     if state.representation == PHYSICAL:
         return state
@@ -281,11 +287,14 @@ def propagate(initial: FieldState, t_end: float) -> FieldState:
     the result is always physical.  ``initial`` may be in either
     representation: a spectral one is used as given and left unmodified, so
     a caller that reaches many times from one state transforms it once.
-    The coefficients die before the inverse transform, which runs in place
-    on the stepped spectrum, so besides ``initial`` at most two spectra and
-    the output are alive at once.
+    The spectrum made for a physical input is stepped in place, a spectral
+    input into one new spectrum.  The coefficients die before the inverse
+    transform, which writes its samples over the stepped spectrum, so the
+    returned data is a view into that spectrum's buffer and, besides
+    ``initial``, one spectrum is alive at a time.
     """
     coeffs = build_coefficients(initial.grid, initial.medium, t_end)
-    stepped = step(to_spectral(initial), coeffs)
+    spectrum = to_spectral(initial)
+    stepped = step(spectrum, coeffs, overwrite=spectrum is not initial)
     del coeffs
     return to_physical(stepped, overwrite=True)

@@ -28,14 +28,16 @@ rejects a non-finite spectrum or one whose planes are not Hermitian beyond
 roundoff.  Only numpy is used.
 
 Large arrays are worked on by one thread per CPU in the process's affinity
-mask (:func:`_for_slabs`): the transforms split the batch into row groups,
-the other stages split the z-planes into slabs.  Every slab goes through
+mask (:func:`_for_slabs`): the transforms split the batch into row groups
+(the inverse's real pass splits its x-lines), the other stages split the
+z-planes into slabs.  Every slab goes through
 the same elementwise operations and FFT lines as the whole array would, so
 the results are bitwise those of one thread, whatever the worker count.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 
@@ -79,6 +81,13 @@ _PARALLEL_MIN_SIZE = 1 << 18
 _BLOCK_MODES = 4096
 _POOLED_BLOCK_MODES = 16384
 
+# Bytes of x-line coefficients the inverse's real pass copies to a scratch
+# per ``irfft`` call: 963 lines at 32^3, 252 at 128^3.  On two CPUs 256 KiB
+# and 1 MiB blocks took the same time at 32^3 and 128^3 to within the
+# noise, and a 32^3 ``run`` command peaked 0.75 MiB lower in RSS with
+# 256 KiB blocks, whose scratches malloc recycles among its smaller chunks.
+_INVERSE_BLOCK_BYTES = 1 << 18
+
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity masks on this platform
@@ -102,29 +111,29 @@ def _for_slabs(fn, n: int, size: int, block: int | None = None) -> None:
 
     When ``size``, the element count of the array being worked on, is below
     ``_PARALLEL_MIN_SIZE`` or there is one CPU, this runs on the calling
-    thread; otherwise ``range(n)`` is cut into one slab per worker and the
-    slabs run on a thread pool, created on first use with one thread per
-    CPU.  Within its slab, or within ``range(n)`` on the calling thread,
-    ``fn`` is called on one slice, or in order on slices ``block`` long.
-    ``fn`` must only write its own slab of any array.  An exception raised
-    by ``fn`` reaches the caller once every slab has finished.
+    thread; otherwise ``range(n)`` is cut into one slab per worker
+    (:func:`_slab_bounds`) and the slabs run on a thread pool, created on
+    first use with one thread per CPU.  Within its slab, or within
+    ``range(n)`` on the calling thread, ``fn`` is called on one slice, or in
+    order on slices ``block`` long.  ``fn`` must only write its own slab of
+    any array.  An exception raised by ``fn`` reaches the caller once every
+    slab has finished.
     """
     global _pool
-    workers = _slab_count(n, size)
+    bounds = _slab_bounds(n, size)
 
     def run(start: int, stop: int) -> None:
         width = block or max(1, stop - start)
         for first in range(start, stop, width):
             fn(slice(first, min(first + width, stop)))
 
-    if workers <= 1:
+    if len(bounds) <= 2:
         run(0, n)
         return
     import concurrent.futures
 
     if _pool is None:
         _pool = concurrent.futures.ThreadPoolExecutor(_WORKERS, "psmaxwell-slab")
-    bounds = [n * i // workers for i in range(workers + 1)]
     futures = [_pool.submit(run, *pair) for pair in zip(bounds, bounds[1:])]
     concurrent.futures.wait(futures)
     for future in futures:
@@ -134,6 +143,12 @@ def _for_slabs(fn, n: int, size: int, block: int | None = None) -> None:
 def _slab_count(n: int, size: int) -> int:
     """How many slabs, each on its own thread, :func:`_for_slabs` cuts ``range(n)`` into."""
     return min(_WORKERS, n) if _pooled(size) else 1
+
+
+def _slab_bounds(n: int, size: int) -> list[int]:
+    """The increasing slab edges ``0 = s_0 < ... = n`` :func:`_for_slabs` cuts ``range(n)`` at."""
+    workers = max(1, _slab_count(n, size))
+    return [n * i // workers for i in range(workers + 1)]
 
 
 def _pooled(size: int) -> bool:
@@ -211,24 +226,73 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray, *, overwrite: bool = False) -> n
     Anti-Hermitian content of the ``kx = 0`` and ``kx = n_x/2`` planes is
     dropped; :func:`realize` checks that there is none beyond roundoff.
     The passes are those of ``irfftn`` in its order (z, y, then the real x
-    pass), so the result is bitwise the same.  By default ``F`` is left
-    untouched and one intermediate spectrum is allocated, one piece per row
-    group: the z pass writes a new buffer and the y pass overwrites it.
-    With ``overwrite`` the complex passes run in place on ``F``, which must
-    then be a complex128 array the caller owns and no longer needs, and no
-    intermediate spectrum is allocated.
+    pass), so the result is bitwise the same.  They all run in one spectrum
+    buffer, and the real samples are written over it: the returned
+    ``(..., n_total)`` float64 array is a C-contiguous view of the front of
+    that buffer.  By default the buffer is a copy of ``F``, which is left
+    untouched.  With ``overwrite`` it is ``F`` itself, which must then be a
+    writeable C-contiguous complex128 array that the caller owns and no
+    longer needs as a spectrum (``ValueError`` otherwise), and nothing
+    spectrum-sized is allocated.
+
+    The x pass runs block by block of lines in increasing order: the
+    ``n_x`` samples of x-line ``r`` go to floats ``[r n_x, (r+1) n_x)``,
+    inside the ``2 (n_x//2 + 1)`` floats of the lines up to ``r``.  A block
+    whose samples would reach its own coefficients is first copied to a
+    scratch; further in, a block's samples land on earlier lines only.  On
+    the thread pool each slab of lines first saves those of its last lines
+    that the later slabs' samples overwrite, and reads them from that band.
     """
+    if overwrite and not (
+        isinstance(F, np.ndarray)
+        and F.dtype == np.complex128
+        and F.flags.c_contiguous
+        and F.flags.writeable
+    ):
+        raise ValueError(
+            "dft3_inverse(overwrite=True) writes the samples over F, which must be "
+            "a writeable C-contiguous complex128 array"
+        )
     cube = _cube(F, grid.spectral_shape)
-    out = np.empty(cube.shape[:-3] + grid.shape)
-    src, dst = _rows(cube), _rows(out)
+    if not overwrite:
+        cube = np.array(cube, np.complex128)
+    rows = _rows(cube)
 
-    def inverse(rows: slice) -> None:
-        work = np.fft.ifft(src[rows], axis=-3, out=src[rows] if overwrite else None)
-        np.fft.ifft(work, axis=-2, out=work)
-        np.fft.irfft(work, n=grid.n_x, axis=-1, out=dst[rows])
+    def complex_passes(group: slice) -> None:
+        np.fft.ifft(rows[group], axis=-3, out=rows[group])
+        np.fft.ifft(rows[group], axis=-2, out=rows[group])
 
-    _for_slabs(inverse, len(src), cube.size)
-    return out.reshape(cube.shape[:-3] + (grid.n_total,))
+    _for_slabs(complex_passes, len(rows), cube.size)
+
+    n_x, n_xh = grid.n_x, grid.spectral_shape[-1]
+    coefs = rows.reshape(-1, n_xh)
+    samples = coefs.reshape(-1).view(np.float64)
+    bounds = _slab_bounds(len(coefs), cube.size)
+    # Slab k's band: its lines from the first one that samples written at
+    # floats >= bounds[k + 1] * n_x reach; none for the last slab.
+    band_starts = [max(lo, hi * n_x // (2 * n_xh)) for lo, hi in zip(bounds, bounds[1:-1])]
+    band_starts.append(bounds[-1])
+    bands = [coefs[lo:hi].copy() for lo, hi in zip(band_starts, bounds[1:])]
+    block = max(1, _INVERSE_BLOCK_BYTES // coefs.itemsize // n_xh)
+    width = min(block, max(hi - lo for lo, hi in zip(bounds, bounds[1:])))
+    scratches = [np.empty((width, n_xh), np.complex128) for _ in bands]
+
+    def real_pass(lines: slice) -> None:
+        k = bisect.bisect_right(bounds, lines.start) - 1
+        first, stop, band = lines.start, lines.stop, band_starts[k]
+        out = samples[first * n_x : stop * n_x].reshape(-1, n_x)
+        if stop <= band and stop * n_x <= first * 2 * n_xh:
+            # Far enough in, a block's samples land on earlier lines only.
+            np.fft.irfft(coefs[first:stop], n=n_x, axis=-1, out=out)
+            return
+        work = scratches[k][: stop - first]
+        cut = min(max(first, band), stop)
+        work[: cut - first] = coefs[first:cut]
+        work[cut - first :] = bands[k][cut - band : stop - band]
+        np.fft.irfft(work, n=n_x, axis=-1, out=out)
+
+    _for_slabs(real_pass, len(coefs), cube.size, block)
+    return samples[: len(coefs) * n_x].reshape(cube.shape[:-3] + (grid.n_total,))
 
 
 def apply_derivative(grid: GridSpec, F: np.ndarray, axis: int | str) -> np.ndarray:

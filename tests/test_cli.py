@@ -395,8 +395,8 @@ class TestMainEntry:
         # by 1e-6 x its magnitude is refused before the inverse transform.
         step = propagator.step
 
-        def perturbed_step(state, coeffs):
-            data = step(state, coeffs).data
+        def perturbed_step(state, coeffs, **kwargs):
+            data = step(state, coeffs, **kwargs).data
             size = 1e-6 * np.max(np.abs(data))
             return replace(state, data=perturb_plane(data, state.grid, column, size))
 

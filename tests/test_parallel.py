@@ -3,9 +3,10 @@
 Every test that uses the ``workers`` fixture drops the size threshold to 0,
 so even the smallest array is cut into slabs.  Most run each computation
 twice: with one worker (the calling thread alone) and with three, which
-cuts 2 or 6 rows and 4, 6 or 32 z-planes into uneven slabs; one runs
-``error_norms`` on four workers under fast thread switching.  Each test
-starts at most one pool and shuts it down afterwards.
+cuts 2 or 6 rows and 4, 6 or 32 z-planes into uneven slabs.  The in-place
+inverse runs on one, two and four workers, and it and ``error_norms`` each
+run on four workers under fast thread switching.  Each test starts at most
+one pool and shuts it down afterwards.
 """
 
 import json
@@ -95,13 +96,55 @@ def test_transforms(workers, state, rows):
         np.testing.assert_array_equal(dft3_inverse(grid, single), inverse[0][0])
 
 
+@pytest.mark.parametrize(
+    "block_bytes", [spectral._INVERSE_BLOCK_BYTES, 1000], ids=["default", "1000B"]
+)
+@pytest.mark.parametrize("rows", [1, 2, 6])
+def test_in_place_inverse(workers, monkeypatch, state, rows, block_bytes):
+    # On 2 and 4 workers every slab but the last saves a band of its last
+    # lines; on 2x4x6 (n_x = 2) a band is a whole slab.  1000-byte blocks
+    # make many blocks per slab, some of them straddling a band's start.
+    monkeypatch.setattr(spectral, "_INVERSE_BLOCK_BYTES", block_bytes)
+    grid = state.grid
+    spectrum = dft3_forward(grid, state.data[:rows])
+    workers(1)
+    expected = dft3_inverse(grid, spectrum)
+    for n in (1, 2, 4):
+        workers(n)
+        owned = spectrum.copy()
+        np.testing.assert_array_equal(dft3_inverse(grid, owned, overwrite=True), expected)
+
+
+def test_in_place_inverse_under_thread_switching(workers, monkeypatch, rng):
+    # Four slabs on fewer cores, small blocks and a thread switch every
+    # microsecond: a slab reading its last lines after the next slab wrote
+    # its first samples over them would return wrong samples.
+    grid = build_grid(DomainSpec.cube(0.0, 1.0), 16, 16, 64)
+    spectrum = dft3_forward(grid, random_band_limited_state(grid, rng, MEDIUM).data)
+    # 16-line blocks: each line is 9 modes of 16 bytes.
+    monkeypatch.setattr(spectral, "_INVERSE_BLOCK_BYTES", 16 * 9 * 16)
+    workers(1)
+    serial = dft3_inverse(grid, spectrum)
+    workers(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            owned = spectrum.copy()
+            np.testing.assert_array_equal(dft3_inverse(grid, owned, overwrite=True), serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_coefficients_and_step(workers, state):
     spectral_state = to_spectral(state)
     kept = spectral_state.data.copy()
 
     def flow():
         coeffs = build_coefficients(state.grid, MEDIUM, 1.3)
-        return coeffs.r1, coeffs.r2, step(spectral_state, coeffs).data
+        owned = FieldState(state.grid, MEDIUM, kept.copy())
+        in_place = step(owned, coeffs, overwrite=True).data
+        return coeffs.r1, coeffs.r2, step(spectral_state, coeffs).data, in_place
 
     for serial, parallel in zip(*one_and_three(workers, flow)):
         np.testing.assert_array_equal(serial, parallel)

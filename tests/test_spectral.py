@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ from psmaxwell import (
 
 from conftest import perturb_plane, random_band_limited_field
 from oracle import dense_diff_operator, naive_dft3
+
+
+def _read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def _half(grid, full_flat):
@@ -104,6 +111,55 @@ class TestInverse:
         in_place = dft3_inverse(grid, spec, overwrite=True)
         np.testing.assert_array_equal(in_place, out)
         assert not np.array_equal(spec, kept)
+
+    @pytest.mark.parametrize("rows", [1, 2, 6])
+    @pytest.mark.parametrize(
+        "counts", [(32, 32, 32), (2, 4, 6), (6, 8, 4), (5, 4, 6), (7, 6, 2), (1, 2, 4)]
+    )
+    def test_samples_written_over_the_spectrum(self, counts, rows, rng):
+        # Odd n_x leaves one spare float per x-line instead of two; the
+        # transforms take any n_x, though the grid itself needs even counts.
+        n_x, n_y, n_z = counts
+        grid = SimpleNamespace(
+            n_x=n_x,
+            shape=(n_z, n_y, n_x),
+            spectral_shape=(n_z, n_y, n_x // 2 + 1),
+            n_total=n_x * n_y * n_z,
+        )
+        shape = (rows, n_z * n_y * (n_x // 2 + 1))
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = dft3_inverse(grid, spec)
+        ref = np.fft.irfftn(
+            spec.reshape((rows,) + grid.spectral_shape), s=grid.shape, axes=(-3, -2, -1)
+        )
+        np.testing.assert_array_equal(out, ref.reshape(rows, grid.n_total))
+        in_place = dft3_inverse(grid, spec, overwrite=True)
+        np.testing.assert_array_equal(in_place, out)
+        # The samples are the front of the spectrum's own buffer.
+        assert in_place.flags.c_contiguous and in_place.dtype == np.float64
+        assert in_place.ctypes.data == spec.ctypes.data
+        assert np.shares_memory(in_place, spec)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda spec: np.asfortranarray(spec),
+            lambda spec: spec.astype(np.complex64),
+            lambda spec: spec.real.copy(),
+            lambda spec: spec.tolist(),
+            _read_only,
+        ],
+        ids=["fortran-order", "complex64", "float64", "list", "read-only"],
+    )
+    def test_overwrite_refuses_what_it_cannot_overwrite(self, grid4, rng, make):
+        # Writing the samples into a converted copy would leave the caller's
+        # array as it was and return samples that live nowhere it expects.
+        shape = (6, grid4.n_spectral)
+        F = make(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        kept = np.array(F)
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            dft3_inverse(grid4, F, overwrite=True)
+        np.testing.assert_array_equal(np.array(F), kept)
 
 
 class TestRealize:
