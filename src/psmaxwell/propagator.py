@@ -271,7 +271,9 @@ def to_physical(state: FieldState, *, overwrite: bool = False) -> FieldState:
     (:func:`psmaxwell.spectral.dft3_inverse`).  By default that is a copy
     and the spectrum is left untouched.  With ``overwrite`` it is the
     spectrum itself, which the samples are written over after the check,
-    and ``state`` must not be used again.
+    and ``state`` must not be used again.  Either way the returned state
+    keeps the whole buffer, ``2 (n_x//2 + 1) / n_x`` times its samples'
+    memory, for as long as it lives; ``data.copy()`` keeps just the samples.
     """
     if state.representation == PHYSICAL:
         return state
@@ -291,7 +293,10 @@ def propagate(initial: FieldState, t_end: float) -> FieldState:
     input into one new spectrum.  The coefficients die before the inverse
     transform, which writes its samples over the stepped spectrum, so the
     returned data is a view into that spectrum's buffer and, besides
-    ``initial``, one spectrum is alive at a time.
+    ``initial``, one spectrum is alive at a time.  The result keeps that
+    buffer, ``2 (n_x//2 + 1) / n_x`` times its samples' memory, for as long
+    as it lives; a caller that holds many results can keep
+    ``dataclasses.replace(result, data=result.data.copy())`` instead.
     """
     coeffs = build_coefficients(initial.grid, initial.medium, t_end)
     spectrum = to_spectral(initial)
