@@ -17,10 +17,10 @@ state holds the half spectrum (the ``kx >= 0`` columns), and ``r1``, ``r2``
 are stored on that layout.  Total cost of :func:`propagate` is one batched
 real-to-complex transform of the six components (none when the state is
 already spectral), O(n_spectral) elementwise work on the spectrum (two
-per-mode cross products per field; a spectral input is first copied), the
-Hermitian-plane check of :func:`psmaxwell.spectral.realize`, and one
-batched complex-to-real transform whose samples are written over the
-stepped spectrum.
+per-mode cross products per field, written into a new spectrum when the
+input is spectral), the Hermitian-plane check of
+:func:`psmaxwell.spectral.realize`, and one batched complex-to-real
+transform whose samples are written over the stepped spectrum.
 """
 
 from __future__ import annotations
@@ -211,11 +211,12 @@ def step(
     (:func:`psmaxwell.spectral._planes_per_block`) with the per-mode
     operations of the whole-array formula in the same order, so only
     block-sized temporaries are allocated, and the result does not depend
-    on the block size or on which thread runs the block.  By default each
-    block is first copied into a new output spectrum and the input is left
-    unmodified.  With ``overwrite`` the blocks are updated in place in the
-    input's spectrum, which is then the returned state's, so the input
-    state must not be used again; the result is bitwise the same.
+    on the block size or on which thread runs the block.  Each block is
+    read from the input's spectrum and its result written to the output's.
+    By default the output is a new spectrum and the input is left
+    unmodified.  With ``overwrite`` the output is the input's spectrum,
+    which is then the returned state's, so the input state must not be used
+    again; the result is bitwise the same.
     """
     if state.representation != SPECTRAL:
         raise ValueError("step requires a state in spectral representation")
@@ -230,18 +231,16 @@ def step(
     r1, r2 = (r.reshape(grid.spectral_shape) for r in (coeffs.r1, coeffs.r2))
 
     def flow(block: slice) -> None:
-        f = fields[:, block]
-        if not overwrite:
-            f[...] = source[:, block]
+        s, f = source[:, block], fields[:, block]
         b = (kx, ky, kz[block])
-        curls = np.empty_like(f)  # b x E, then b x H
-        cross(b, f[:3], curls[:3])
-        cross(b, f[3:], curls[3:])
-        out = np.empty_like(f)
+        curls = np.empty_like(s)  # b x E, then b x H
+        cross(b, s[:3], curls[:3])
+        cross(b, s[3:], curls[3:])
+        out = np.empty_like(s)
         cross(b, curls[:3], out[:3])
         cross(b, curls[3:], out[3:])
         out *= (-coeffs.kappa * coeffs.kappa) * r1[block]
-        f += out
+        np.add(s, out, out=f)
         curls *= coeffs.t * r2[block]
         curls[:3] *= -1j / medium.mu
         curls[3:] *= 1j / medium.eps

@@ -77,16 +77,11 @@ _PARALLEL_MIN_SIZE = 1 << 18
 # took 6.2 ms with 4096-mode blocks and 2.7 ms with 16384-mode blocks on two
 # CPUs, while on one thread at 32^3 larger blocks were slower.  With
 # 32768-mode blocks, three planes at 128^3, the temporaries of each thread
-# stayed resident and a 128^3 run peaked 7 MiB higher in RSS.
+# stayed resident and a 128^3 run peaked 7 MiB higher in RSS.  The
+# inverse's real pass uses the pooled block on either path, because numpy
+# copies each block once where its samples overlap its coefficients.
 _BLOCK_MODES = 4096
 _POOLED_BLOCK_MODES = 16384
-
-# Bytes of x-line coefficients the inverse's real pass copies to a scratch
-# per ``irfft`` call: 963 lines at 32^3, 252 at 128^3.  On two CPUs 256 KiB
-# and 1 MiB blocks took the same time at 32^3 and 128^3 to within the
-# noise, and a 32^3 ``run`` command peaked 0.75 MiB lower in RSS with
-# 256 KiB blocks, whose scratches malloc recycles among its smaller chunks.
-_INVERSE_BLOCK_BYTES = 1 << 18
 
 try:
     _WORKERS = len(os.sched_getaffinity(0))
@@ -238,7 +233,10 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray, *, overwrite: bool = False) -> n
     The x pass runs block by block of lines in increasing order: the
     ``n_x`` samples of x-line ``r`` go to floats ``[r n_x, (r+1) n_x)``,
     inside the ``2 (n_x//2 + 1)`` floats of the lines up to ``r``.  Each
-    block is first copied to a per-slab scratch and transformed from there.
+    block is transformed straight from the spectrum: where its samples
+    overlap its coefficients, numpy's rule for overlapping operands (the
+    ``numpy.fft`` functions are gufuncs since numpy 2.0) copies the block's
+    input first, so at most one block per worker is copied at a time.
     On the thread pool each slab of lines first saves those of its last
     lines that the later slabs' samples overwrite, and reads them from that
     band: with ``W`` slabs over ``L`` lines, about
@@ -278,21 +276,17 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray, *, overwrite: bool = False) -> n
     band_starts = [max(lo, hi * n_x // (2 * n_xh)) for lo, hi in zip(bounds, bounds[1:-1])]
     band_starts.append(bounds[-1])
     bands = [coefs[lo:hi].copy() for lo, hi in zip(band_starts, bounds[1:])]
-    block = max(1, _INVERSE_BLOCK_BYTES // coefs.itemsize // n_xh)
-    width = min(block, max(hi - lo for lo, hi in zip(bounds, bounds[1:])))
-    scratches = [np.empty((width, n_xh), np.complex128) for _ in bands]
 
     def real_pass(lines: slice) -> None:
         k = bisect.bisect_right(bounds, lines.start) - 1
         first, stop, band = lines.start, lines.stop, band_starts[k]
-        work = scratches[k][: stop - first]
         cut = min(max(first, band), stop)
-        work[: cut - first] = coefs[first:cut]
-        work[cut - first :] = bands[k][cut - band : stop - band]
-        out = samples[first * n_x : stop * n_x].reshape(-1, n_x)
-        np.fft.irfft(work, n=n_x, axis=-1, out=out)
+        parts = ((first, cut, coefs[first:cut]), (cut, stop, bands[k][cut - band : stop - band]))
+        for lo, hi, part in parts:
+            out = samples[lo * n_x : hi * n_x].reshape(-1, n_x)
+            np.fft.irfft(part, n=n_x, axis=-1, out=out)
 
-    _for_slabs(real_pass, len(coefs), cube.size, block)
+    _for_slabs(real_pass, len(coefs), cube.size, max(1, _POOLED_BLOCK_MODES // n_xh))
     return samples[: len(coefs) * n_x].reshape(cube.shape[:-3] + (grid.n_total,))
 
 

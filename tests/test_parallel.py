@@ -4,9 +4,10 @@ Every test that uses the ``workers`` fixture drops the size threshold to 0,
 so even the smallest array is cut into slabs.  Most run each computation
 twice: with one worker (the calling thread alone) and with three, which
 cuts 2 or 6 rows and 4, 6 or 32 z-planes into uneven slabs.  The in-place
-inverse runs on one, two and four workers, and it and ``error_norms`` each
-run on four workers under fast thread switching.  Each test starts at most
-one pool and shuts it down afterwards.
+inverse runs on one, two and four workers, where its temporaries are also
+measured, and it and ``error_norms`` each run on four workers under fast
+thread switching.  Each test starts at most one pool and shuts it down
+afterwards.
 """
 
 import json
@@ -15,6 +16,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,14 +99,15 @@ def test_transforms(workers, state, rows):
 
 
 @pytest.mark.parametrize(
-    "block_bytes", [spectral._INVERSE_BLOCK_BYTES, 1000], ids=["default", "1000B"]
+    "block_modes", [spectral._POOLED_BLOCK_MODES, 1000 // 16], ids=["default", "1000B"]
 )
 @pytest.mark.parametrize("rows", [1, 2, 6])
-def test_in_place_inverse(workers, monkeypatch, state, rows, block_bytes):
+def test_in_place_inverse(workers, monkeypatch, state, rows, block_modes):
     # On 2 and 4 workers every slab but the last saves a band of its last
-    # lines; on 2x4x6 (n_x = 2) a band is a whole slab.  1000-byte blocks
-    # make many blocks per slab, some of them straddling a band's start.
-    monkeypatch.setattr(spectral, "_INVERSE_BLOCK_BYTES", block_bytes)
+    # lines; on 2x4x6 (n_x = 2) a band is a whole slab.  Blocks of 1000
+    # bytes of coefficients make many blocks per slab, some of them
+    # straddling a band's start.
+    monkeypatch.setattr(spectral, "_POOLED_BLOCK_MODES", block_modes)
     grid = state.grid
     spectrum = dft3_forward(grid, state.data[:rows])
     workers(1)
@@ -121,8 +124,8 @@ def test_in_place_inverse_under_thread_switching(workers, monkeypatch, rng):
     # its first samples over them would return wrong samples.
     grid = build_grid(DomainSpec.cube(0.0, 1.0), 16, 16, 64)
     spectrum = dft3_forward(grid, random_band_limited_state(grid, rng, MEDIUM).data)
-    # 16-line blocks: each line is 9 modes of 16 bytes.
-    monkeypatch.setattr(spectral, "_INVERSE_BLOCK_BYTES", 16 * 9 * 16)
+    # 16-line blocks: each line is 9 modes.
+    monkeypatch.setattr(spectral, "_POOLED_BLOCK_MODES", 16 * 9)
     workers(1)
     serial = dft3_inverse(grid, spectrum)
     workers(4)
@@ -134,6 +137,31 @@ def test_in_place_inverse_under_thread_switching(workers, monkeypatch, rng):
             np.testing.assert_array_equal(dft3_inverse(grid, owned, overwrite=True), serial)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_in_place_inverse_copies_one_block_per_worker(workers, rng, n):
+    # irfft reads each block from the spectrum it writes its samples over,
+    # and numpy copies the block, not the slab, where the two overlap.  So
+    # besides the saved bands the x pass holds one block per worker.
+    grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
+    spectrum = dft3_forward(grid, random_band_limited_state(grid, rng, MEDIUM).data)
+    n_xh = grid.spectral_shape[-1]
+    lines = spectrum.size // n_xh
+    workers(n)
+    bounds = spectral._slab_bounds(lines, spectrum.size)
+    band_lines = sum(hi - hi * grid.n_x // (2 * n_xh) for hi in bounds[1:-1])
+    block_bytes = (spectral._POOLED_BLOCK_MODES // n_xh) * n_xh * spectrum.itemsize
+    bound = band_lines * n_xh * spectrum.itemsize + (len(bounds) - 1) * block_bytes + (64 << 10)
+    dft3_inverse(grid, spectrum.copy(), overwrite=True)  # starts the pool
+    owned = spectrum.copy()
+    tracemalloc.start()
+    try:
+        dft3_inverse(grid, owned, overwrite=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 def test_coefficients_and_step(workers, state):
