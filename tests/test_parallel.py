@@ -104,8 +104,8 @@ def test_transforms(workers, state, rows):
 @pytest.mark.parametrize("rows", [1, 2, 6])
 def test_in_place_inverse(workers, monkeypatch, state, rows, block_modes):
     # On 2 and 4 workers every slab but the last saves a band of its last
-    # lines; on 2x4x6 (n_x = 2) a band is a whole slab.  Blocks of 1000
-    # bytes of coefficients make many blocks per slab, some of them
+    # lines; on 2x4x6 (n_x = 2) a band is a whole slab.  Blocks of at most
+    # 62 modes (1000 bytes) make many blocks per slab, some of them
     # straddling a band's start.
     monkeypatch.setattr(spectral, "_POOLED_BLOCK_MODES", block_modes)
     grid = state.grid
@@ -153,7 +153,7 @@ def test_in_place_inverse_copies_one_block_per_worker(workers, rng, n):
     band_lines = sum(hi - hi * grid.n_x // (2 * n_xh) for hi in bounds[1:-1])
     block_bytes = (spectral._POOLED_BLOCK_MODES // n_xh) * n_xh * spectrum.itemsize
     bound = band_lines * n_xh * spectrum.itemsize + (len(bounds) - 1) * block_bytes + (64 << 10)
-    dft3_inverse(grid, spectrum.copy(), overwrite=True)  # starts the pool
+    dft3_inverse(grid, spectrum.copy(), overwrite=True)  # starts any pool first
     owned = spectrum.copy()
     tracemalloc.start()
     try:
