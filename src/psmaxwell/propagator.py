@@ -6,17 +6,20 @@ available in closed form: a symmetric "cosine" 3x3
 ``C = I - kappa^2 r1 [b]x^2`` and an antisymmetric purely imaginary "sine"
 3x3 ``S = i kappa r2 [b]x`` on the impedance-scaled fields
 ``(sqrt(mu) H, sqrt(eps) E)``, with ``[b]x`` the mode's cross-product matrix
-and ``r1``, ``r2`` two real arrays over the modes.  One application reaches
+and ``r1``, ``r2`` two real factors per mode.  One application reaches
 any target time -- there is no time-step marching and no CFL restriction --
 and the map is exactly unitary per mode, which is what makes every quadratic
 invariant drift only at roundoff level.
 
 A state is one ``(6, N)`` array, which the transforms of
 :mod:`psmaxwell.spectral` take as it is, together with the grid.  A spectral
-state holds the half spectrum (the ``kx >= 0`` columns), and ``r1``, ``r2``
-are stored on that layout.  Total cost of :func:`propagate` is one batched
-real-to-complex transform of the six components (none when the state is
-already spectral), O(n_spectral) elementwise work on the spectrum (two
+state holds the half spectrum (the ``kx >= 0`` columns).  ``r1``, ``r2``
+depend on a mode only through ``|b|``, so :func:`step` evaluates them block
+by block on the z-planes with ``kz >= 0`` and reuses each block's factors
+on the mirror planes ``kz < 0``; no array of them is kept.  Total cost of
+:func:`propagate` is one batched real-to-complex transform of the six
+components (none when the state is already spectral), O(n_spectral)
+elementwise work on the spectrum (the factors on about half the modes, two
 per-mode cross products per field, written into a new spectrum when the
 input is spectral), the Hermitian-plane check of
 :func:`psmaxwell.spectral.realize`, and one batched complex-to-real
@@ -112,31 +115,28 @@ class FieldState:
         return tuple(self.data)
 
 
-def _flow_factors(kappa: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``r1``, ``r2`` at ``theta = |kappa| |b|`` over the half-spectrum modes.
+def _plane_factors(
+    kappa: float, grid: GridSpec, planes: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """``r1``, ``r2`` at ``theta = |kappa| |b|`` on the half-spectrum z-planes ``planes``.
 
     The wavenumber ladders at ``-m`` are bitwise minus those at ``m``, and
-    ``theta`` sees them only squared, so the formula runs on the z-planes and
-    y-rows with ``kz, ky >= 0``; the others are reversed copies of those.
+    ``theta`` sees them only squared, so the formula runs on the y-rows with
+    ``ky >= 0``; the others are reversed copies of those.  For the same
+    reason plane ``n_z - q`` gets the bits of plane ``q``.
     """
-    n_z, n_y, _ = grid.spectral_shape
-    hz, hy = n_z // 2 + 1, n_y // 2 + 1
+    n_y = grid.spectral_shape[1]
+    hy = n_y // 2 + 1
     bx, by, bz = wavenumbers(grid)
     b_xy = bx * bx + by[:hy] * by[:hy]
-    r1 = np.empty(grid.spectral_shape)
-    r2 = np.empty(grid.spectral_shape)
-
-    def factors(planes: slice) -> None:
-        theta = np.sqrt(kappa * kappa * (b_xy + bz[planes] * bz[planes]))
-        # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
-        np.multiply(-0.5, np.sinc(theta / (2.0 * np.pi)) ** 2, out=r1[planes, :hy])
-        r2[planes, :hy] = np.sinc(theta / np.pi)
-        for r in (r1, r2):
-            r[planes, hy:] = r[planes, hy - 2 : 0 : -1]
-
-    _for_slabs(factors, hz, r1.size, _planes_per_block(grid, r1.size))
+    theta = np.sqrt(kappa * kappa * (b_xy + bz[planes] * bz[planes]))
+    r1 = np.empty(theta.shape[:1] + (n_y,) + theta.shape[2:])
+    r2 = np.empty_like(r1)
+    # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
+    np.multiply(-0.5, np.sinc(theta / (2.0 * np.pi)) ** 2, out=r1[:, :hy])
+    r2[:, :hy] = np.sinc(theta / np.pi)
     for r in (r1, r2):
-        r[hz:] = r[hz - 2 : 0 : -1]
+        r[:, hy:] = r[:, hy - 2 : 0 : -1]
     return r1, r2
 
 
@@ -145,8 +145,8 @@ class PropagatorCoefficients:
     """Per-mode closed-form flow coefficients for one time increment ``t``.
 
     With ``kappa = t / sqrt(mu*eps)``, ``b`` the mode's wavenumber triple
-    and ``theta = |kappa| |b|``, two real arrays in the flat half-spectrum
-    layout (``n_spectral`` modes) carry the whole flow:
+    and ``theta = |kappa| |b|``, two real factors per mode carry the whole
+    flow:
 
     - ``r1 = (cos(theta) - 1) / theta^2``, computed as ``-sinc^2(theta/2)/2``
       so small angles lose no relative accuracy; ``-1/2`` at theta = 0.
@@ -155,16 +155,25 @@ class PropagatorCoefficients:
     :func:`step` applies them as the cosine block
     ``C = I - kappa^2 r1 [b]x^2`` and the purely imaginary sine block
     ``S = i kappa r2 [b]x`` through per-mode cross products, without
-    materializing either block.  ``r1`` and ``r2`` are immutable and
-    reusable across any number of states.
+    materializing either block.  It builds the factors block by block of
+    z-planes as it goes, so the coefficients hold no array and are reusable
+    across any number of states.  The :attr:`r1` and :attr:`r2` properties
+    evaluate the same factors over the whole flat half spectrum
+    (``n_spectral`` modes) on each access.
     """
 
     grid: GridSpec
     medium: MediumParams
     t: float
     kappa: float
-    r1: np.ndarray
-    r2: np.ndarray
+
+    @property
+    def r1(self) -> np.ndarray:
+        return _plane_factors(self.kappa, self.grid, slice(None))[0].ravel()
+
+    @property
+    def r2(self) -> np.ndarray:
+        return _plane_factors(self.kappa, self.grid, slice(None))[1].ravel()
 
 
 def build_coefficients(
@@ -174,10 +183,11 @@ def build_coefficients(
 
     Any finite ``t`` is accepted, including 0 and negative values (the flow
     is a group), as long as ``psi = kappa^2 |b|^2`` stays finite on every
-    mode; a larger ``t`` raises :class:`ImaginaryResidueError` before any
-    array is built.  Modes whose wavenumber triple vanishes (the zero mode
-    and Nyquist-zeroed corners) take the analytic limits ``r1 = -1/2,
-    r2 = 1`` branch-free, and their 6x6 block degenerates to the identity.
+    mode; a larger ``t`` raises :class:`ImaginaryResidueError` here, before
+    any factor is evaluated.  Modes whose wavenumber triple vanishes (the
+    zero mode and Nyquist-zeroed corners) take the analytic limits
+    ``r1 = -1/2, r2 = 1`` branch-free, and their 6x6 block degenerates to
+    the identity.  No array is built: :func:`step` evaluates the factors.
     """
     if not math.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
@@ -188,10 +198,7 @@ def build_coefficients(
             f"non-finite propagator coefficient psi = kappa^2 |b|^2 "
             f"= {kappa * kappa * b_sq_max} at t = {t}"
         )
-    r1, r2 = (r.ravel() for r in _flow_factors(kappa, grid))
-    r1.setflags(write=False)
-    r2.setflags(write=False)
-    return PropagatorCoefficients(grid, medium, float(t), kappa, r1, r2)
+    return PropagatorCoefficients(grid, medium, float(t), kappa)
 
 
 def step(
@@ -207,14 +214,17 @@ def step(
     returns the input bitwise.  The map is exactly unitary in the energy
     norm ``eps |E|^2 + mu |H|^2``, up to roundoff.
 
-    The spectrum is worked on block by block of whole z-planes
-    (:func:`psmaxwell.spectral._planes_per_block`) with the per-mode
-    operations of the whole-array formula in the same order, so only
-    block-sized temporaries are allocated, and the result does not depend
-    on the block size or on which thread runs the block.  Each block is
-    read from the input's spectrum and its result written to the output's.
-    By default the output is a new spectrum and the input is left
-    unmodified.  With ``overwrite`` the output is the input's spectrum,
+    The spectrum is worked on block by block of the z-planes ``q`` with
+    ``kz >= 0`` (:func:`psmaxwell.spectral._planes_per_block` of them).
+    Each block evaluates ``r1``, ``r2`` on its planes once and applies them
+    there, then, reversed, to the mirror planes ``n_z - q`` for
+    ``0 < q < n_z/2``, which have the same factors bit for bit.  The
+    per-mode operations are those of the whole-array formula in the same
+    order, so only block-sized temporaries are allocated, and the result
+    does not depend on the block size or on which thread runs the block.
+    Each block is read from the input's spectrum and its result written to
+    the output's.  By default the output is a new spectrum and the input is
+    left unmodified.  With ``overwrite`` the output is the input's spectrum,
     which is then the returned state's, so the input state must not be used
     again; the result is bitwise the same.
     """
@@ -228,9 +238,9 @@ def step(
     kx, ky, kz = wavenumbers(grid)
     source = state.data.reshape((6,) + grid.spectral_shape)
     fields = source if overwrite else np.empty(source.shape, np.complex128)
-    r1, r2 = (r.reshape(grid.spectral_shape) for r in (coeffs.r1, coeffs.r2))
+    n_z = grid.n_z
 
-    def flow(block: slice) -> None:
+    def flow(block: slice, r1: np.ndarray, r2: np.ndarray) -> None:
         s, f = source[:, block], fields[:, block]
         b = (kx, ky, kz[block])
         curls = np.empty_like(s)  # b x E, then b x H
@@ -239,15 +249,24 @@ def step(
         out = np.empty_like(s)
         cross(b, curls[:3], out[:3])
         cross(b, curls[3:], out[3:])
-        out *= (-coeffs.kappa * coeffs.kappa) * r1[block]
+        out *= (-coeffs.kappa * coeffs.kappa) * r1
         np.add(s, out, out=f)
-        curls *= coeffs.t * r2[block]
+        curls *= coeffs.t * r2
         curls[:3] *= -1j / medium.mu
         curls[3:] *= 1j / medium.eps
         f[:3] += curls[3:]
         f[3:] += curls[:3]
 
-    _for_slabs(flow, grid.spectral_shape[0], fields.size, _planes_per_block(grid, fields.size))
+    def mirror_pair(planes: slice) -> None:
+        r1, r2 = _plane_factors(coeffs.kappa, grid, planes)
+        flow(planes, r1, r2)
+        # Planes 0 and n_z/2 are their own mirrors.
+        first, last = max(planes.start, 1), min(planes.stop, n_z // 2)
+        if first < last:
+            cut = slice(first - planes.start, last - planes.start)
+            flow(slice(n_z - last + 1, n_z - first + 1), r1[cut][::-1], r2[cut][::-1])
+
+    _for_slabs(mirror_pair, n_z // 2 + 1, fields.size, _planes_per_block(grid, fields.size))
     return replace(state, data=fields.reshape(6, -1), time=state.time + coeffs.t)
 
 
@@ -289,16 +308,16 @@ def propagate(initial: FieldState, t_end: float) -> FieldState:
     representation: a spectral one is used as given and left unmodified, so
     a caller that reaches many times from one state transforms it once.
     The spectrum made for a physical input is stepped in place, a spectral
-    input into one new spectrum.  The coefficients die before the inverse
-    transform, which writes its samples over the stepped spectrum, so the
+    input into one new spectrum.  The coefficients hold no array, and the
+    inverse transform writes its samples over the stepped spectrum, so the
     returned data is a view into that spectrum's buffer and, besides
-    ``initial``, one spectrum is alive at a time.  The result keeps that
-    buffer, ``2 (n_x//2 + 1) / n_x`` times its samples' memory, for as long
-    as it lives; a caller that holds many results can keep
+    ``initial``, one spectrum and block-sized temporaries are alive at a
+    time.  The result keeps that buffer, ``2 (n_x//2 + 1) / n_x`` times its
+    samples' memory, for as long as it lives; a caller that holds many
+    results can keep
     ``dataclasses.replace(result, data=result.data.copy())`` instead.
     """
     coeffs = build_coefficients(initial.grid, initial.medium, t_end)
     spectrum = to_spectral(initial)
     stepped = step(spectrum, coeffs, overwrite=spectrum is not initial)
-    del coeffs
     return to_physical(stepped, overwrite=True)

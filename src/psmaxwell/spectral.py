@@ -319,9 +319,15 @@ def realize(grid: GridSpec, F: np.ndarray) -> tuple[np.ndarray, float]:
     The magnitude is taken over the whole field, batch axes included, so a
     component of a stacked state which happens to be identically zero is not
     flagged for its own roundoff.
+
+    Both checks go block by block of z-planes (:func:`_planes_per_block`):
+    first the magnitude, whose finiteness is checked before the second pass,
+    then each block's two columns against their mirrors, gathered by index
+    (``-kz mod n_z``, ``-ky mod n_y``).  Only block-sized temporaries are
+    allocated, and as a max does not depend on the order, the residue does
+    not depend on the block size or the worker count.
     """
     cube = _cube(F, grid.spectral_shape)
-    # The magnitude block by block: a max does not depend on the order.
     maxima = np.zeros(grid.n_z)
 
     def magnitude(planes: slice) -> None:
@@ -331,10 +337,20 @@ def realize(grid: GridSpec, F: np.ndarray) -> tuple[np.ndarray, float]:
     scale = float(np.max(maxima, initial=0.0))
     if not np.isfinite(scale):
         raise ImaginaryResidueError(f"non-finite spectrum magnitude {scale}")
-    planes = cube[..., :: grid.n_x // 2]  # the kx = 0 and kx = n_x/2 columns
-    # Flipping and rolling by one maps index m to -m mod n along y and z.
-    mirror = np.roll(np.flip(planes, axis=(-3, -2)), 1, axis=(-3, -2))
-    defect = 0.5 * float(np.max(np.abs(planes - mirror.conj()), initial=0.0))
+    # Only after the check above: inf - inf in a self-conjugate mode would
+    # warn here instead of raising.
+    columns = slice(None, None, grid.n_x // 2)  # the kx = 0 and kx = n_x/2 columns
+    mirror_y = -np.arange(grid.n_y) % grid.n_y
+    defects = np.zeros(grid.n_z)
+
+    def hermitian(planes: slice) -> None:
+        mirror_z = -np.arange(planes.start, planes.stop) % grid.n_z
+        mirror = cube[..., mirror_z[:, None], mirror_y, columns]
+        here = cube[..., planes, :, columns]
+        defects[planes] = np.max(np.abs(here - mirror.conj()), initial=0.0)
+
+    _for_slabs(hermitian, grid.n_z, cube.size, _planes_per_block(grid, cube.size))
+    defect = 0.5 * float(np.max(defects, initial=0.0))
     if defect > IMAG_RESIDUE_RTOL * scale:
         raise ImaginaryResidueError(
             f"kx = 0 / n_x/2 planes off Hermitian by {defect:.3e}, over "

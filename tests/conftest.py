@@ -11,12 +11,27 @@ from psmaxwell import (
     GridSpec,
     MediumParams,
     build_grid,
+    spectral,
 )
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the worker count with every array above the size threshold."""
+    monkeypatch.setattr(spectral, "_PARALLEL_MIN_SIZE", 0)
+    monkeypatch.setattr(spectral, "_pool", None)
+
+    def set_workers(n: int) -> None:
+        monkeypatch.setattr(spectral, "_WORKERS", n)
+
+    yield set_workers
+    if spectral._pool is not None:
+        spectral._pool.shutdown()
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Slab-parallel stages: the bits of one thread on any worker count.
 
-Every test that uses the ``workers`` fixture drops the size threshold to 0,
+Every test that uses the ``workers`` fixture (``conftest.py``) drops the
+size threshold to 0,
 so even the smallest array is cut into slabs.  Most run each computation
 twice: with one worker (the calling thread alone) and with three, which
 cuts 2 or 6 rows and 4, 6 or 32 z-planes into uneven slabs.  The in-place
@@ -51,20 +52,6 @@ MEDIUM = MediumParams(mu=2.0, eps=0.5)
 # 2x4x6 has one tiny block per slab; 32^3 has 7-plane blocks with a ragged
 # last one; 128x64x4 has single-plane blocks over 4 planes.
 COUNTS = [(2, 4, 6), (32, 32, 32), (128, 64, 4)]
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """Set the worker count with every array above the size threshold."""
-    monkeypatch.setattr(spectral, "_PARALLEL_MIN_SIZE", 0)
-    monkeypatch.setattr(spectral, "_pool", None)
-
-    def set_workers(n: int) -> None:
-        monkeypatch.setattr(spectral, "_WORKERS", n)
-
-    yield set_workers
-    if spectral._pool is not None:
-        spectral._pool.shutdown()
 
 
 def one_and_three(workers, fn):

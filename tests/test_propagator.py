@@ -74,8 +74,10 @@ class TestBuildCoefficients:
         "counts", [(2, 4, 6), (32, 32, 32), (128, 64, 4)], ids=lambda c: "x".join(map(str, c))
     )
     def test_mirrored_factors_match_whole_array_formula(self, counts):
-        # Only the kz, ky >= 0 planes and rows are evaluated; the mirrored
-        # copies must be the bits the formula gives there.
+        # Only the ky >= 0 rows are evaluated; the mirrored copies must be
+        # the bits the formula gives there.  step's reuse of the kz >= 0
+        # planes' factors on their mirrors is checked against these in
+        # TestStep.
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
         medium = MediumParams(mu=2.0, eps=0.5)
         for t in (0.0, 1.3, -2.6, 6130.0, -3e5):
@@ -236,14 +238,17 @@ def whole_array_step(state: FieldState, coeffs) -> np.ndarray:
 class TestStep:
     @pytest.mark.parametrize("counts", [(32, 32, 32), (128, 64, 4)])
     def test_blocks_match_whole_array_formula(self, counts, rng):
-        # 32^3 has 544 modes per z-plane: several planes per block and a
-        # ragged last block.  128 x 64 x 4 has 4160 modes per plane, more
-        # than one block holds, so each block is a single plane.
+        # step walks the n_z/2 + 1 planes with kz >= 0, each block with its
+        # mirror planes.  32^3 has 544 modes per z-plane: several planes per
+        # block and a ragged last block, which holds the Nyquist plane.
+        # 128 x 64 x 4 has 4160 modes per plane, more than one block holds,
+        # so each block is a single plane.
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
         plane = grid.n_y * grid.spectral_shape[-1]
         planes = max(1, spectral._BLOCK_MODES // plane)
         if counts == (32, 32, 32):
-            assert 1 < planes < grid.n_z and grid.n_z % planes != 0
+            hz = grid.n_z // 2 + 1
+            assert 1 < planes < hz and hz % planes != 0
         else:
             assert plane > spectral._BLOCK_MODES
         medium = MediumParams(mu=2.0, eps=0.5)
@@ -422,21 +427,46 @@ class TestPropagate:
             tracemalloc.stop()
         return peak / (6 * state.grid.n_total * 8)
 
-    # Half spectra, one batched transform each way, coefficients dropped
-    # before the inverse, and an inverse that writes its samples over the
+    # Half spectra, one batched transform each way, factors built block by
+    # block inside step, and an inverse that writes its samples over the
     # stepped spectrum: a physical input is stepped in place in the spectrum
     # propagate made for it, and a spectral input into one new spectrum, so
-    # either peaks in step, with one spectrum, the coefficients and the
-    # block temporaries alive (1.81 states at 32^3).
+    # either peaks in step, with one spectrum and the block temporaries
+    # alive (1.67 states at 32^3).
     def test_peak_memory_within_two_states(self, rng):
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 32, 32, 32)
         state = random_band_limited_state(grid, rng)
-        assert self.propagation_peak_in_states(state) <= 1.95
+        assert self.propagation_peak_in_states(state) <= 1.75
 
     def test_peak_memory_from_spectrum_within_two_states(self, rng):
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 32, 32, 32)
         state = to_spectral(random_band_limited_state(grid, rng))
-        assert self.propagation_peak_in_states(state) <= 1.95
+        assert self.propagation_peak_in_states(state) <= 1.75
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_from_spectrum_allocates_one_spectrum(self, workers, rng, n):
+        # The stepped spectrum, which the inverse writes its samples over, is
+        # the only spectrum-sized array.  Besides it each of step's workers
+        # holds one block's temporaries: curls and out (12 complex per mode),
+        # the one-component product in cross (1 complex), the two factor
+        # blocks and one scaled factor (3 real), and a numpy ufunc buffer
+        # for the real-to-complex casts.
+        grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
+        state = to_spectral(random_band_limited_state(grid, rng))
+        workers(n)
+        size = state.data.size
+        modes = spectral._planes_per_block(grid, size) * grid.n_y * grid.spectral_shape[-1]
+        per_worker = modes * (13 * 16 + 3 * 8) + np.getbufsize() * 16
+        slabs = spectral._slab_count(grid.n_z // 2 + 1, size)
+        bound = state.data.nbytes + slabs * per_worker + (64 << 10)
+        propagate(state, 1.3)  # starts any pool first
+        tracemalloc.start()
+        try:
+            propagate(state, 1.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
     def test_to_physical_keeps_its_input_unless_told(self, grid8, rng):
         spectral_state = to_spectral(random_band_limited_state(grid8, rng))

@@ -4,6 +4,7 @@ Hermitian-plane guard."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from psmaxwell import (
     dft3_forward,
     dft3_inverse,
     realize,
+    spectral,
 )
 
 from conftest import perturb_plane, random_band_limited_field
@@ -214,6 +216,44 @@ class TestRealize:
         stack[2, 3] = bad
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
             realize(grid4, stack)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("points", [8, 64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_flags_non_finite_self_conjugate_planes(self, workers, n, points, bad):
+        # The planes are compared with their mirrors only after the magnitude
+        # check: at a mode that is its own mirror, such as (kz, ky) = (0, 0),
+        # inf - inf would warn there instead of raising.
+        grid = build_grid(DomainSpec.cube(0.0, 1.0), points, points, points)
+        workers(n)
+        for column in (0, points // 2):  # kx = 0 and kx = n_x/2
+            for mode in ((0, 0), (1, 2)):  # its own mirror, and not
+                data = np.ones((6, grid.n_spectral), dtype=complex)
+                data.reshape((6,) + grid.spectral_shape)[(4,) + mode + (column,)] = bad
+                with pytest.raises(ImaginaryResidueError, match="non-finite"):
+                    realize(grid, data)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_allocates_block_sized_temporaries(self, workers, rng, n):
+        # Both passes go block by block of z-planes.  The larger temporary per
+        # worker is the magnitude pass's |F| over a block of the six rows (one
+        # real per row and mode), with a numpy ufunc buffer for its strided
+        # operand; the mirror comparison touches two columns of the block.
+        grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
+        spectrum = dft3_forward(grid, rng.standard_normal((6, grid.n_total)))
+        workers(n)
+        size = spectrum.size
+        modes = spectral._planes_per_block(grid, size) * grid.n_y * grid.spectral_shape[-1]
+        per_worker = 6 * modes * 8 + np.getbufsize() * 16
+        bound = spectral._slab_count(grid.n_z, size) * per_worker + (64 << 10)
+        realize(grid, spectrum)  # starts any pool first
+        tracemalloc.start()
+        try:
+            realize(grid, spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_flags_non_finite_real_input(self, grid4, bad):
