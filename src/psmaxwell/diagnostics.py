@@ -70,7 +70,6 @@ finite errors whose ``l2`` or ``linf`` is not finite.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -82,7 +81,7 @@ from .spectral import (
     ImaginaryResidueError,
     _for_slabs,
     _planes_per_block,
-    _slab_count,
+    _slab_scratches,
     cross,
     dft3_inverse,
     wavenumbers,
@@ -108,11 +107,13 @@ __all__ = [
 # absolute drifts: the relative error of a roundoff-scale quantity is noise.
 NEAR_ZERO_ABS = 1e-12
 
-# Samples per component in a block of error_norms, on either path: its
-# scratch is 1.5 MiB.  On two CPUs, 4096-sample blocks took 1.3-2.2x as long
-# at 32^3 and 64^3 as these, in loop overhead; from 8192 to 65536 samples
-# the 128^3 times were within the noise of each other.
-_ERROR_BLOCK_SAMPLES = 32768
+# Samples per component in a block of error_norms, on either path: one
+# z-plane at 128^3, and its scratch is 0.75 MiB.  On two CPUs a call took a
+# median 0.5-0.7 ms at 32^3, 4-5 ms at 64^3 and 29-31 ms at 128^3 with these
+# blocks.  32768-sample blocks (1.5 MiB) were within the noise of them at
+# 32^3 and 64^3 and took 25-27 ms at 128^3; 4096-sample blocks took up to
+# 2.4x as long at 32^3 and 64^3, in loop overhead.
+_ERROR_BLOCK_SAMPLES = 16384
 
 
 def _parseval_weights(state: FieldState) -> np.ndarray:
@@ -326,13 +327,7 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     maxima = np.empty((grid.n_z, 6))
     squares = np.empty((grid.n_z, 6))
     block_planes = max(1, _ERROR_BLOCK_SAMPLES // (grid.n_y * grid.n_x))
-    # One block-sized scratch per slab, allocated on this thread; each block
-    # takes one and gives it back, so a slab's thread always finds one (a
-    # deque's pop and append are thread-safe).  Scratches that pool threads
-    # allocated themselves stayed resident in their malloc arenas and
-    # raised the peak RSS of a 128^3 convergence run by about 0.7 MiB.
-    width = 6 * block_planes * grid.n_y * grid.n_x
-    scratches = deque(np.empty(width) for _ in range(_slab_count(grid.n_z, data.size)))
+    scratches = _slab_scratches(grid.n_z, data.size, 6 * block_planes * grid.n_y * grid.n_x)
 
     def block(planes: slice) -> None:
         count = planes.stop - planes.start

@@ -38,6 +38,7 @@ from .spectral import (
     ImaginaryResidueError,
     _for_slabs,
     _planes_per_block,
+    _slab_scratches,
     cross,
     dft3_forward,
     dft3_inverse,
@@ -220,8 +221,12 @@ def step(
     there, then, reversed, to the mirror planes ``n_z - q`` for
     ``0 < q < n_z/2``, which have the same factors bit for bit.  The
     per-mode operations are those of the whole-array formula in the same
-    order, so only block-sized temporaries are allocated, and the result
-    does not depend on the block size or on which thread runs the block.
+    order, so the result does not depend on the block size or on which
+    thread runs the block.  Each slab holds one six-field scratch of a
+    block's size, allocated on the calling thread, for the block's curls
+    ``b x E`` and ``b x H``; the double curl is formed one component at a
+    time, so the workers' other temporaries are one component or one real
+    factor block each.
     Each block is read from the input's spectrum and its result written to
     the output's.  By default the output is a new spectrum and the input is
     left unmodified.  With ``overwrite`` the output is the input's spectrum,
@@ -239,34 +244,49 @@ def step(
     source = state.data.reshape((6,) + grid.spectral_shape)
     fields = source if overwrite else np.empty(source.shape, np.complex128)
     n_z = grid.n_z
+    hz = n_z // 2 + 1
+    block_planes = min(_planes_per_block(grid, fields.size), hz)
+    plane_modes = grid.n_spectral // n_z
+    scratches = _slab_scratches(hz, fields.size, 6 * block_planes * plane_modes, np.complex128)
 
-    def flow(block: slice, r1: np.ndarray, r2: np.ndarray) -> None:
+    def flow(block: slice, r1: np.ndarray, r2: np.ndarray, scratch: np.ndarray) -> None:
         s, f = source[:, block], fields[:, block]
         b = (kx, ky, kz[block])
-        curls = np.empty_like(s)  # b x E, then b x H
+        count = block.stop - block.start
+        curls = scratch[: 6 * count * plane_modes].reshape(s.shape)  # b x E, then b x H
         cross(b, s[:3], curls[:3])
         cross(b, s[3:], curls[3:])
-        out = np.empty_like(s)
-        cross(b, curls[:3], out[:3])
-        cross(b, curls[3:], out[3:])
-        out *= (-coeffs.kappa * coeffs.kappa) * r1
-        np.add(s, out, out=f)
+        # C F = F + rho b x (b x F), one component at a time as in cross.
+        rho = (-coeffs.kappa * coeffs.kappa) * r1
+        term = np.empty(s.shape[1:], np.complex128)
+        for c in (0, 3):
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                np.multiply(b[j], curls[c + k], out=term)
+                term -= b[k] * curls[c + j]
+                term *= rho
+                np.add(s[c + i], term, out=f[c + i])
         curls *= coeffs.t * r2
         curls[:3] *= -1j / medium.mu
         curls[3:] *= 1j / medium.eps
-        f[:3] += curls[3:]
-        f[3:] += curls[:3]
+        # One component at a time: the sums of stacked, strided blocks
+        # would go through numpy's iterator buffers.
+        for i in range(3):
+            f[i] += curls[3 + i]
+            f[3 + i] += curls[i]
 
     def mirror_pair(planes: slice) -> None:
+        scratch = scratches.pop()
         r1, r2 = _plane_factors(coeffs.kappa, grid, planes)
-        flow(planes, r1, r2)
+        flow(planes, r1, r2, scratch)
         # Planes 0 and n_z/2 are their own mirrors.
         first, last = max(planes.start, 1), min(planes.stop, n_z // 2)
         if first < last:
             cut = slice(first - planes.start, last - planes.start)
-            flow(slice(n_z - last + 1, n_z - first + 1), r1[cut][::-1], r2[cut][::-1])
+            mirror = slice(n_z - last + 1, n_z - first + 1)
+            flow(mirror, r1[cut][::-1], r2[cut][::-1], scratch)
+        scratches.append(scratch)
 
-    _for_slabs(mirror_pair, n_z // 2 + 1, fields.size, _planes_per_block(grid, fields.size))
+    _for_slabs(mirror_pair, hz, fields.size, block_planes)
     return replace(state, data=fields.reshape(6, -1), time=state.time + coeffs.t)
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
+from collections import deque
 
 import numpy as np
 
@@ -138,6 +139,18 @@ def _for_slabs(fn, n: int, size: int, block: int | None = None) -> None:
 def _slab_count(n: int, size: int) -> int:
     """How many slabs, each on its own thread, :func:`_for_slabs` cuts ``range(n)`` into."""
     return min(_WORKERS, n) if _pooled(size) else 1
+
+
+def _slab_scratches(n: int, size: int, length: int, dtype=np.float64) -> deque:
+    """One flat ``length``-element scratch per slab :func:`_for_slabs` cuts ``range(n)`` into.
+
+    They are allocated on the calling thread.  Each block pops one and
+    appends it back when done, so a slab's thread always finds one (a
+    deque's pop and append are thread-safe).  Scratches that pool threads
+    allocated themselves stayed resident in their malloc arenas and raised
+    the peak RSS of a 128^3 convergence run by about 0.7 MiB.
+    """
+    return deque(np.empty(length, dtype) for _ in range(_slab_count(n, size)))
 
 
 def _slab_bounds(n: int, size: int) -> list[int]:

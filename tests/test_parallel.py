@@ -5,8 +5,8 @@ size threshold to 0, so even the smallest array is cut into slabs.  Most run
 each computation twice: with one worker (the calling thread alone) and with
 three, which cuts 2 or 6 rows and 4, 6 or 32 z-planes into uneven slabs.
 The in-place inverse runs on one, two and four workers, where its
-temporaries are also measured, and it and ``error_norms`` each run on four
-workers under fast thread switching.  Each test starts at most one pool and
+temporaries are also measured, and it, ``step`` and ``error_norms`` each
+run on four workers under fast thread switching.  Each test starts at most one pool and
 shuts it down afterwards.
 """
 
@@ -209,6 +209,27 @@ def test_error_norms_scratches_under_thread_switching(workers, monkeypatch, rng)
     try:
         for _ in range(20):
             assert error_norms(state, case) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_step_scratches_under_thread_switching(workers, monkeypatch, rng):
+    # Four slabs on fewer cores, one-plane blocks and a thread switch every
+    # microsecond: two blocks sharing a curls scratch would mix their fields.
+    grid = build_grid(DomainSpec.cube(0.0, 1.0), 16, 16, 64)
+    spectral_state = to_spectral(random_band_limited_state(grid, rng, MEDIUM))
+    coeffs = build_coefficients(grid, MEDIUM, 1.3)
+    monkeypatch.setattr(spectral, "_POOLED_BLOCK_MODES", grid.n_y * grid.spectral_shape[-1])
+    workers(1)
+    serial = step(spectral_state, coeffs).data
+    workers(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            np.testing.assert_array_equal(step(spectral_state, coeffs).data, serial)
+            owned = FieldState(grid, MEDIUM, spectral_state.data.copy())
+            np.testing.assert_array_equal(step(owned, coeffs, overwrite=True).data, serial)
     finally:
         sys.setswitchinterval(interval)
 

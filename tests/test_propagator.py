@@ -446,17 +446,17 @@ class TestPropagate:
     @pytest.mark.parametrize("n", [1, 2])
     def test_from_spectrum_allocates_one_spectrum(self, workers, rng, n):
         # The stepped spectrum, which the inverse writes its samples over, is
-        # the only spectrum-sized array.  Besides it each of step's workers
-        # holds one block's temporaries: curls and out (12 complex per mode),
-        # the one-component product in cross (1 complex), the two factor
-        # blocks and one scaled factor (3 real), and a numpy ufunc buffer
-        # for the real-to-complex casts.
+        # the only spectrum-sized array.  Besides it each of step's slabs
+        # holds one block's temporaries: the curls scratch (6 complex per
+        # mode), one double-curl component and the product subtracted from
+        # it (2 complex), the two factor blocks and one scaled factor
+        # (3 real), and a numpy ufunc buffer for the real-to-complex casts.
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
         state = to_spectral(random_band_limited_state(grid, rng))
         workers(n)
         size = state.data.size
         modes = spectral._planes_per_block(grid, size) * grid.n_y * grid.spectral_shape[-1]
-        per_worker = modes * (13 * 16 + 3 * 8) + np.getbufsize() * 16
+        per_worker = modes * (8 * 16 + 3 * 8) + np.getbufsize() * 16
         slabs = spectral._slab_count(grid.n_z // 2 + 1, size)
         bound = state.data.nbytes + slabs * per_worker + (64 << 10)
         propagate(state, 1.3)  # starts any pool first
