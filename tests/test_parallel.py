@@ -6,8 +6,8 @@ each computation twice: with one worker (the calling thread alone) and with
 three, which cuts 2 or 6 rows and 4, 6 or 32 z-planes into uneven slabs.
 The in-place inverse runs on one, two and four workers, where its
 temporaries are also measured, and it, ``step`` and ``error_norms`` each
-run on four workers under fast thread switching.  Each test starts at most one pool and
-shuts it down afterwards.
+run on four workers under fast thread switching.  Each test starts at most
+one pool and shuts it down afterwards.
 """
 
 import json
