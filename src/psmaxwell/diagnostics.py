@@ -75,13 +75,13 @@ from itertools import chain
 
 import numpy as np
 
+from . import spectral
 from .analytic import AnalyticCase, _plane_sampler
 from .propagator import PHYSICAL, FieldState, to_physical, to_spectral
 from .spectral import (
     ImaginaryResidueError,
     _for_slabs,
     _planes_per_block,
-    _slab_scratches,
     cross,
     dft3_inverse,
     wavenumbers,
@@ -106,15 +106,6 @@ __all__ = [
 # Invariants whose baseline magnitude falls below this are reported as
 # absolute drifts: the relative error of a roundoff-scale quantity is noise.
 NEAR_ZERO_ABS = 1e-12
-
-# Samples per component in a block of error_norms, on either path: one
-# z-plane at 128^3, and its scratch is 0.75 MiB.  On two CPUs a call took a
-# median 0.5-0.7 ms at 32^3, 4-5 ms at 64^3 and 29-31 ms at 128^3 with these
-# blocks.  32768-sample blocks (1.5 MiB) were within the noise of them at
-# 32^3 and 64^3 and took 25-27 ms at 128^3; 4096-sample blocks took up to
-# 2.4x as long at 32^3 and 64^3, in loop overhead.
-_ERROR_BLOCK_SAMPLES = 16384
-
 
 def _parseval_weights(state: FieldState) -> np.ndarray:
     """Per-x-column multiplicity of the half spectrum in the full Parseval sum."""
@@ -326,12 +317,13 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     sample = _plane_sampler(case, grid, state.time)
     maxima = np.empty((grid.n_z, 6))
     squares = np.empty((grid.n_z, 6))
-    block_planes = max(1, _ERROR_BLOCK_SAMPLES // (grid.n_y * grid.n_x))
-    scratches = _slab_scratches(grid.n_z, data.size, 6 * block_planes * grid.n_y * grid.n_x)
+    block_planes = max(1, spectral._POOLED_BLOCK_MODES // (grid.n_y * grid.n_x))
 
-    def block(planes: slice) -> None:
+    def errors_scratch(start: int, stop: int) -> tuple[np.ndarray]:
+        return (np.empty(6 * block_planes * grid.n_y * grid.n_x),)
+
+    def block(planes: slice, scratch: np.ndarray) -> None:
         count = planes.stop - planes.start
-        scratch = scratches.pop()
         e = scratch[: 6 * count * grid.n_y * grid.n_x].reshape((6, count) + grid.shape[1:])
         rows = e.reshape(6, count, -1)
         sample(planes, e)
@@ -344,9 +336,8 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
             maxima[planes] = np.max(e.reshape(6, -1), axis=1)
             np.square(e, out=e)
             squares[planes] = np.sum(rows, axis=-1).T
-        scratches.append(scratch)
 
-    _for_slabs(block, grid.n_z, data.size, block_planes)
+    _for_slabs(block, grid.n_z, data.size, block_planes, errors_scratch)
     per_row = np.max(maxima, axis=0)
     linf = float(np.max(per_row))
     l2 = float(np.sqrt(np.sum(squares) / grid.n_total))

@@ -38,7 +38,6 @@ from .spectral import (
     ImaginaryResidueError,
     _for_slabs,
     _planes_per_block,
-    _slab_scratches,
     cross,
     dft3_forward,
     dft3_inverse,
@@ -158,23 +157,13 @@ class PropagatorCoefficients:
     ``S = i kappa r2 [b]x`` through per-mode cross products, without
     materializing either block.  It builds the factors block by block of
     z-planes as it goes, so the coefficients hold no array and are reusable
-    across any number of states.  The :attr:`r1` and :attr:`r2` properties
-    evaluate the same factors over the whole flat half spectrum
-    (``n_spectral`` modes) on each access.
+    across any number of states.
     """
 
     grid: GridSpec
     medium: MediumParams
     t: float
     kappa: float
-
-    @property
-    def r1(self) -> np.ndarray:
-        return _plane_factors(self.kappa, self.grid, slice(None))[0].ravel()
-
-    @property
-    def r2(self) -> np.ndarray:
-        return _plane_factors(self.kappa, self.grid, slice(None))[1].ravel()
 
 
 def build_coefficients(
@@ -222,11 +211,11 @@ def step(
     ``0 < q < n_z/2``, which have the same factors bit for bit.  The
     per-mode operations are those of the whole-array formula in the same
     order, so the result does not depend on the block size or on which
-    thread runs the block.  Each slab holds one six-field scratch of a
-    block's size, allocated on the calling thread, for the block's curls
-    ``b x E`` and ``b x H``; the double curl is formed one component at a
-    time, so the workers' other temporaries are one component or one real
-    factor block each.
+    thread runs the block.  Each slab gets one six-field scratch of a
+    block's size from :func:`psmaxwell.spectral._for_slabs` for its blocks'
+    curls ``b x E`` and ``b x H``; the double curl is formed one component
+    at a time, so the workers' other temporaries are one component or one
+    real factor block each.
     Each block is read from the input's spectrum and its result written to
     the output's.  By default the output is a new spectrum and the input is
     left unmodified.  With ``overwrite`` the output is the input's spectrum,
@@ -246,14 +235,14 @@ def step(
     n_z = grid.n_z
     hz = n_z // 2 + 1
     block_planes = min(_planes_per_block(grid, fields.size), hz)
-    plane_modes = grid.n_spectral // n_z
-    scratches = _slab_scratches(hz, fields.size, 6 * block_planes * plane_modes, np.complex128)
+
+    def curls_scratch(start: int, stop: int) -> tuple[np.ndarray]:
+        return (np.empty(6 * block_planes * grid.n_spectral // n_z, np.complex128),)
 
     def flow(block: slice, r1: np.ndarray, r2: np.ndarray, scratch: np.ndarray) -> None:
         s, f = source[:, block], fields[:, block]
         b = (kx, ky, kz[block])
-        count = block.stop - block.start
-        curls = scratch[: 6 * count * plane_modes].reshape(s.shape)  # b x E, then b x H
+        curls = scratch[: s.size].reshape(s.shape)  # b x E, then b x H
         cross(b, s[:3], curls[:3])
         cross(b, s[3:], curls[3:])
         # C F = F + rho b x (b x F), one component at a time as in cross.
@@ -274,8 +263,7 @@ def step(
             f[i] += curls[3 + i]
             f[3 + i] += curls[i]
 
-    def mirror_pair(planes: slice) -> None:
-        scratch = scratches.pop()
+    def mirror_pair(planes: slice, scratch: np.ndarray) -> None:
         r1, r2 = _plane_factors(coeffs.kappa, grid, planes)
         flow(planes, r1, r2, scratch)
         # Planes 0 and n_z/2 are their own mirrors.
@@ -284,9 +272,8 @@ def step(
             cut = slice(first - planes.start, last - planes.start)
             mirror = slice(n_z - last + 1, n_z - first + 1)
             flow(mirror, r1[cut][::-1], r2[cut][::-1], scratch)
-        scratches.append(scratch)
 
-    _for_slabs(mirror_pair, hz, fields.size, block_planes)
+    _for_slabs(mirror_pair, hz, fields.size, block_planes, curls_scratch)
     return replace(state, data=fields.reshape(6, -1), time=state.time + coeffs.t)
 
 

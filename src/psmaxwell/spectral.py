@@ -30,17 +30,16 @@ roundoff.  Only numpy is used.
 Large arrays are worked on by one thread per CPU in the process's affinity
 mask (:func:`_for_slabs`): the transforms split the batch into row groups
 (the inverse's real pass splits its x-lines), the other stages split the
-z-planes into slabs.  Every slab goes through
-the same elementwise operations and FFT lines as the whole array would, so
-the results are bitwise those of one thread, whatever the worker count.
+z-planes into slabs, each with its own scratch or saved band.  Every slab
+goes through the same elementwise operations and FFT lines as the whole
+array would, so the results are bitwise those of one thread, whatever the
+worker count.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
-from collections import deque
 
 import numpy as np
 
@@ -66,21 +65,18 @@ _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 # The (n_z, n_y, n_x) cube is the last three axes of a batched field.
 _CUBE_AXES = (-3, -2, -1)
 
-# Arrays with fewer elements than this stay on the calling thread.  On two
-# CPUs the forward transform of six 32^3 fields (196608 samples) took 0.62 ms
-# on one thread and 0.68 ms on two; at 64^3 it took 5.4 ms and 2.5 ms.
+# Arrays with fewer elements than this stay on the calling thread: below
+# it the pool's hand-off costs more than the second CPU saves.
 _PARALLEL_MIN_SIZE = 1 << 18
 
-# Modes per block of z-planes where a stage works block by block: the
-# block's temporaries stay in cache, and one-plane blocks on small grids
-# cost more in loop overhead.  On the thread pool the blocks are larger:
-# there the per-block overhead is paid on every thread, and at 64^3 `step`
-# took 6.2 ms with 4096-mode blocks and 2.7 ms with 16384-mode blocks on two
-# CPUs, while on one thread at 32^3 larger blocks were slower.  With
-# 32768-mode blocks, three planes at 128^3, the temporaries of each thread
-# stayed resident and a 128^3 run peaked 7 MiB higher in RSS.  The
-# inverse's real pass uses the pooled block on either path, because numpy
-# copies each block once where its samples overlap its coefficients.
+# Elements per block where a stage works block by block: on the calling
+# thread ``_BLOCK_MODES``, small enough for the block's temporaries to stay
+# in cache; on the thread pool ``_POOLED_BLOCK_MODES``, larger because there
+# every thread pays the per-block overhead, yet small enough that the
+# temporaries pool threads allocate do not stay resident.  Two stages take
+# the pooled block on either path: the inverse's real pass, because numpy
+# copies each block once where its samples overlap its coefficients, and
+# ``error_norms``, whose scratch is one z-plane at 128^3.
 _BLOCK_MODES = 4096
 _POOLED_BLOCK_MODES = 16384
 
@@ -102,8 +98,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _for_slabs(fn, n: int, size: int, block: int | None = None) -> None:
-    """Call ``fn(slab)`` over contiguous slices ``slab`` that cover ``range(n)``.
+def _for_slabs(fn, n: int, size: int, block: int | None = None, per_slab=None) -> None:
+    """Call ``fn(slab, *state)`` over contiguous slices ``slab`` that cover ``range(n)``.
 
     When ``size``, the element count of the array being worked on, is below
     ``_PARALLEL_MIN_SIZE`` or there is one CPU, this runs on the calling
@@ -114,48 +110,38 @@ def _for_slabs(fn, n: int, size: int, block: int | None = None) -> None:
     order on slices ``block`` long.  ``fn`` must only write its own slab of
     any array.  An exception raised by ``fn`` reaches the caller once every
     slab has finished.
+
+    ``state`` is ``per_slab(start, stop)`` for the slab ``[start, stop)``, or
+    ``()`` without ``per_slab``.  ``per_slab`` runs on the calling thread,
+    once per slab and for every slab before ``fn`` is first called; pool
+    threads' own scratches stayed resident in their malloc arenas (0.7 MiB
+    more peak RSS in a 128^3 convergence run).
     """
     global _pool
     bounds = _slab_bounds(n, size)
+    slabs = [(lo, hi, per_slab(lo, hi) if per_slab else ()) for lo, hi in zip(bounds, bounds[1:])]
 
-    def run(start: int, stop: int) -> None:
+    def run(start: int, stop: int, state: tuple) -> None:
         width = block or max(1, stop - start)
         for first in range(start, stop, width):
-            fn(slice(first, min(first + width, stop)))
+            fn(slice(first, min(first + width, stop)), *state)
 
-    if len(bounds) <= 2:
-        run(0, n)
+    if len(slabs) == 1:
+        run(*slabs[0])
         return
     import concurrent.futures
 
     if _pool is None:
         _pool = concurrent.futures.ThreadPoolExecutor(_WORKERS, "psmaxwell-slab")
-    futures = [_pool.submit(run, *pair) for pair in zip(bounds, bounds[1:])]
+    futures = [_pool.submit(run, *slab) for slab in slabs]
     concurrent.futures.wait(futures)
     for future in futures:
         future.result()
 
 
-def _slab_count(n: int, size: int) -> int:
-    """How many slabs, each on its own thread, :func:`_for_slabs` cuts ``range(n)`` into."""
-    return min(_WORKERS, n) if _pooled(size) else 1
-
-
-def _slab_scratches(n: int, size: int, length: int, dtype=np.float64) -> deque:
-    """One flat ``length``-element scratch per slab :func:`_for_slabs` cuts ``range(n)`` into.
-
-    They are allocated on the calling thread.  Each block pops one and
-    appends it back when done, so a slab's thread always finds one (a
-    deque's pop and append are thread-safe).  Scratches that pool threads
-    allocated themselves stayed resident in their malloc arenas and raised
-    the peak RSS of a 128^3 convergence run by about 0.7 MiB.
-    """
-    return deque(np.empty(length, dtype) for _ in range(_slab_count(n, size)))
-
-
 def _slab_bounds(n: int, size: int) -> list[int]:
-    """The increasing slab edges ``0 = s_0 < ... = n`` :func:`_for_slabs` cuts ``range(n)`` at."""
-    workers = max(1, _slab_count(n, size))
+    """The edges ``0 = s_0 < ... = n`` of :func:`_for_slabs`'s slabs: one per pool worker."""
+    workers = max(1, min(_WORKERS, n)) if _pooled(size) else 1
     return [n * i // workers for i in range(workers + 1)]
 
 
@@ -250,10 +236,11 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray, *, overwrite: bool = False) -> n
     overlap its coefficients, numpy's rule for overlapping operands (the
     ``numpy.fft`` functions are gufuncs since numpy 2.0) copies the block's
     input first, so at most one block per worker is copied at a time.
-    On the thread pool each slab of lines first saves those of its last
-    lines that the later slabs' samples overwrite, and reads them from that
-    band: with ``W`` slabs over ``L`` lines, about
-    ``(W - 1) L / (n_x + 2)`` lines in all, a whole slab on small grids.
+    On the thread pool each slab reads those of its last lines that the next
+    slab's samples overwrite from a band saved as its :func:`_for_slabs`
+    state, which is right only because every band is saved before any slab
+    runs: with ``W`` slabs over ``L`` lines, about ``(W - 1) L / (n_x + 2)``
+    lines in all, a whole slab on small grids.
 
     The buffer behind the result holds ``2 (n_x//2 + 1) / n_x`` times the
     samples' memory (1.6% more at ``n_x = 128``, twice at ``n_x = 2``) for
@@ -283,23 +270,22 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray, *, overwrite: bool = False) -> n
     n_x, n_xh = grid.n_x, grid.spectral_shape[-1]
     coefs = rows.reshape(-1, n_xh)
     samples = coefs.reshape(-1).view(np.float64)
-    bounds = _slab_bounds(len(coefs), cube.size)
-    # Slab k's band: its lines from the first one that samples written at
-    # floats >= bounds[k + 1] * n_x reach; none for the last slab.
-    band_starts = [max(lo, hi * n_x // (2 * n_xh)) for lo, hi in zip(bounds, bounds[1:-1])]
-    band_starts.append(bounds[-1])
-    bands = [coefs[lo:hi].copy() for lo, hi in zip(band_starts, bounds[1:])]
 
-    def real_pass(lines: slice) -> None:
-        k = bisect.bisect_right(bounds, lines.start) - 1
-        first, stop, band = lines.start, lines.stop, band_starts[k]
+    def save_band(start: int, stop: int) -> tuple[int, np.ndarray]:
+        # The slab's lines from the first one that the next slab's samples,
+        # written from float stop * n_x on, reach; none for the last slab.
+        band = stop if stop == len(coefs) else max(start, stop * n_x // (2 * n_xh))
+        return band, coefs[band:stop].copy()
+
+    def real_pass(lines: slice, band: int, saved: np.ndarray) -> None:
+        first, stop = lines.start, lines.stop
         cut = min(max(first, band), stop)
-        parts = ((first, cut, coefs[first:cut]), (cut, stop, bands[k][cut - band : stop - band]))
+        parts = ((first, cut, coefs[first:cut]), (cut, stop, saved[cut - band : stop - band]))
         for lo, hi, part in parts:
             out = samples[lo * n_x : hi * n_x].reshape(-1, n_x)
             np.fft.irfft(part, n=n_x, axis=-1, out=out)
 
-    _for_slabs(real_pass, len(coefs), cube.size, max(1, _POOLED_BLOCK_MODES // n_xh))
+    _for_slabs(real_pass, len(coefs), cube.size, max(1, _POOLED_BLOCK_MODES // n_xh), save_band)
     return samples[: len(coefs) * n_x].reshape(cube.shape[:-3] + (grid.n_total,))
 
 
@@ -333,37 +319,33 @@ def realize(grid: GridSpec, F: np.ndarray) -> tuple[np.ndarray, float]:
     component of a stacked state which happens to be identically zero is not
     flagged for its own roundoff.
 
-    Both checks go block by block of z-planes (:func:`_planes_per_block`):
-    first the magnitude, whose finiteness is checked before the second pass,
-    then each block's two columns against their mirrors, gathered by index
-    (``-kz mod n_z``, ``-ky mod n_y``).  Only block-sized temporaries are
-    allocated, and as a max does not depend on the order, the residue does
-    not depend on the block size or the worker count.
+    Both go in one pass over blocks of z-planes (:func:`_planes_per_block`):
+    each block takes its magnitude, then its two columns against their
+    mirrors, gathered by index (``-kz mod n_z``, ``-ky mod n_y``); the
+    magnitude's finiteness is checked first.  Only block-sized temporaries
+    are allocated, and as a max does not depend on the order, the residue
+    does not depend on the block size or the worker count.
     """
     cube = _cube(F, grid.spectral_shape)
-    maxima = np.zeros(grid.n_z)
-
-    def magnitude(planes: slice) -> None:
-        maxima[planes] = np.max(np.abs(cube[..., planes, :, :]), initial=0.0)
-
-    _for_slabs(magnitude, grid.n_z, cube.size, _planes_per_block(grid, cube.size))
-    scale = float(np.max(maxima, initial=0.0))
-    if not np.isfinite(scale):
-        raise ImaginaryResidueError(f"non-finite spectrum magnitude {scale}")
-    # Only after the check above: inf - inf in a self-conjugate mode would
-    # warn here instead of raising.
     columns = slice(None, None, grid.n_x // 2)  # the kx = 0 and kx = n_x/2 columns
     mirror_y = -np.arange(grid.n_y) % grid.n_y
-    defects = np.zeros(grid.n_z)
+    maxima = np.zeros((2, grid.n_z))  # magnitude and defect per z-plane
 
-    def hermitian(planes: slice) -> None:
+    def check(planes: slice) -> None:
+        maxima[0, planes] = np.max(np.abs(cube[..., planes, :, :]), initial=0.0)
         mirror_z = -np.arange(planes.start, planes.stop) % grid.n_z
         mirror = cube[..., mirror_z[:, None], mirror_y, columns]
         here = cube[..., planes, :, columns]
-        defects[planes] = np.max(np.abs(here - mirror.conj()), initial=0.0)
+        # inf - inf in a self-conjugate mode; the magnitude check below raises
+        # first.  Pool threads do not inherit the caller's error state.
+        with np.errstate(invalid="ignore"):
+            maxima[1, planes] = np.max(np.abs(here - mirror.conj()), initial=0.0)
 
-    _for_slabs(hermitian, grid.n_z, cube.size, _planes_per_block(grid, cube.size))
-    defect = 0.5 * float(np.max(defects, initial=0.0))
+    _for_slabs(check, grid.n_z, cube.size, _planes_per_block(grid, cube.size))
+    scale = float(np.max(maxima[0], initial=0.0))
+    if not np.isfinite(scale):
+        raise ImaginaryResidueError(f"non-finite spectrum magnitude {scale}")
+    defect = 0.5 * float(np.max(maxima[1], initial=0.0))
     if defect > IMAG_RESIDUE_RTOL * scale:
         raise ImaginaryResidueError(
             f"kx = 0 / n_x/2 planes off Hermitian by {defect:.3e}, over "

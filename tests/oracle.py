@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from psmaxwell.grid import GridSpec
+from psmaxwell.propagator import _plane_factors
 
 __all__ = [
     "broadcast_wavenumbers",
@@ -189,12 +190,13 @@ def broadcast_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.nd
 def full_flow_factors(coeffs) -> tuple[np.ndarray, np.ndarray]:
     """The package's ``r1``, ``r2`` mirrored to all ``n_total`` modes.
 
-    Both depend on ``b_x`` only through ``b_x^2``, so full column ``n_x - j``
-    repeats half-spectrum column ``j``.
+    They are :func:`psmaxwell.propagator._plane_factors` on every
+    half-spectrum z-plane.  Both depend on ``b_x`` only through ``b_x^2``,
+    so full column ``n_x - j`` repeats half-spectrum column ``j``.
     """
     grid = coeffs.grid
     mirror = slice(grid.n_x // 2 - 1, 0, -1)
-    halves = (r.reshape(grid.spectral_shape) for r in (coeffs.r1, coeffs.r2))
+    halves = _plane_factors(coeffs.kappa, grid, slice(None))
     return tuple(np.concatenate([h, h[..., mirror]], axis=-1).ravel() for h in halves)
 
 

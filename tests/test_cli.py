@@ -1,5 +1,7 @@
-"""CLI surface: config parsing, record schemas, exit codes, determinism."""
+"""CLI surface: config parsing, record schemas, exit codes, determinism, and
+the functions the benchmark's tracer wraps."""
 
+import importlib.util
 import json
 import re
 from dataclasses import replace
@@ -413,3 +415,18 @@ class TestMainEntry:
         record = json.loads(out)[0]
         e2 = record["invariants_initial"]["e2"]
         assert e2 == float(f"{e2:.16g}")
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # The benchmark's tracer wraps each (module, attribute) it lists; one that
+    # no longer exists is reported unbound, and CI's smoke run refuses that.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unbound = [
+        f"{module}.{attr}"
+        for module, attr, _ in tracer.BINDINGS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert unbound == []

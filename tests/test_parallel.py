@@ -33,7 +33,6 @@ from psmaxwell import (
     cli,
     dft3_forward,
     dft3_inverse,
-    diagnostics,
     error_norms,
     invariant_report,
     realize,
@@ -43,6 +42,7 @@ from psmaxwell import (
     to_spectral,
 )
 from psmaxwell.analytic import sample_exact
+from psmaxwell.propagator import _plane_factors
 
 from conftest import random_band_limited_state
 
@@ -158,7 +158,8 @@ def test_coefficients_and_step(workers, state):
         coeffs = build_coefficients(state.grid, MEDIUM, 1.3)
         owned = FieldState(state.grid, MEDIUM, kept.copy())
         in_place = step(owned, coeffs, overwrite=True).data
-        return coeffs.r1, coeffs.r2, step(spectral_state, coeffs).data, in_place
+        factors = _plane_factors(coeffs.kappa, state.grid, slice(None))
+        return *(r.ravel() for r in factors), step(spectral_state, coeffs).data, in_place
 
     for serial, parallel in zip(*one_and_three(workers, flow)):
         np.testing.assert_array_equal(serial, parallel)
@@ -195,11 +196,11 @@ def test_error_norms(workers, case, state):
 
 def test_error_norms_scratches_under_thread_switching(workers, monkeypatch, rng):
     # Four slabs on fewer cores, one-plane blocks and a thread switch every
-    # microsecond: two blocks sharing a scratch would mix their errors.
+    # microsecond: two slabs handed the same scratch would mix their errors.
     grid = build_grid(DomainSpec.cube(0.0, 1.0), 16, 16, 64)
     state = random_band_limited_state(grid, rng, MEDIUM)
     state = FieldState(grid, MEDIUM, state.data, time=0.7)
-    monkeypatch.setattr(diagnostics, "_ERROR_BLOCK_SAMPLES", grid.n_y * grid.n_x)
+    monkeypatch.setattr(spectral, "_POOLED_BLOCK_MODES", grid.n_y * grid.n_x)
     case = TravelingWave()
     workers(1)
     serial = error_norms(state, case)
@@ -215,7 +216,8 @@ def test_error_norms_scratches_under_thread_switching(workers, monkeypatch, rng)
 
 def test_step_scratches_under_thread_switching(workers, monkeypatch, rng):
     # Four slabs on fewer cores, one-plane blocks and a thread switch every
-    # microsecond: two blocks sharing a curls scratch would mix their fields.
+    # microsecond: two slabs handed the same curls scratch would mix their
+    # fields.
     grid = build_grid(DomainSpec.cube(0.0, 1.0), 16, 16, 64)
     spectral_state = to_spectral(random_band_limited_state(grid, rng, MEDIUM))
     coeffs = build_coefficients(grid, MEDIUM, 1.3)
@@ -287,6 +289,33 @@ def test_slabs_run_on_the_pool(workers):
     assert sorted(threads) == [0, 2, 4, 6]
     assert all(name.startswith("psmaxwell-slab") for name in threads.values())
     assert spectral._pool._max_workers == 3
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_per_slab_state_comes_first(workers, n):
+    # The inverse's saved bands rely on every slab's state being made, on
+    # the calling thread, before any slab runs.
+    workers(n)
+    events = []
+
+    def per_slab(start, stop):
+        events.append(("state", (start, stop), threading.current_thread()))
+        return start, stop
+
+    def job(block, start, stop):
+        events.append(("block", (start, stop), (block.start, block.stop)))
+
+    spectral._for_slabs(job, 7, 7, 2, per_slab)
+    slabs = [(0, 7)] if n == 1 else [(0, 2), (2, 4), (4, 7)]
+    made, ran = events[: len(slabs)], events[len(slabs) :]
+    assert [(kind, slab) for kind, slab, _ in made] == [("state", slab) for slab in slabs]
+    assert all(thread is threading.current_thread() for *_, thread in made)
+    # Each slab's blocks of two receive its tuple.
+    assert sorted(ran) == [
+        ("block", (start, stop), (first, min(first + 2, stop)))
+        for start, stop in slabs
+        for first in range(start, stop, 2)
+    ]
 
 
 def test_job_exception_reaches_caller(workers):

@@ -22,6 +22,7 @@ from psmaxwell import (
     to_spectral,
 )
 from psmaxwell import spectral
+from psmaxwell.propagator import _plane_factors
 from psmaxwell.spectral import ImaginaryResidueError, cross, wavenumbers
 
 from conftest import (
@@ -62,6 +63,11 @@ def dense_evolution(state: FieldState, t: float) -> list[np.ndarray]:
     return e + h
 
 
+def half_flow_factors(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """``step``'s ``r1``, ``r2`` over the whole flat half spectrum."""
+    return tuple(r.ravel() for r in _plane_factors(coeffs.kappa, coeffs.grid, slice(None)))
+
+
 def whole_array_flow_factors(kappa: float, grid) -> tuple[np.ndarray, np.ndarray]:
     """``r1``, ``r2`` by the formula evaluated on every half-spectrum mode."""
     bx, by, bz = wavenumbers(grid)
@@ -83,13 +89,13 @@ class TestBuildCoefficients:
         for t in (0.0, 1.3, -2.6, 6130.0, -3e5):
             c = build_coefficients(grid, medium, t)
             r1, r2 = whole_array_flow_factors(c.kappa, grid)
-            np.testing.assert_array_equal(c.r1, r1.ravel())
-            np.testing.assert_array_equal(c.r2, r2.ravel())
+            np.testing.assert_array_equal(half_flow_factors(c), (r1.ravel(), r2.ravel()))
 
     def test_zero_time_is_identity(self, grid4):
         c = build_coefficients(grid4, MediumParams(), 0.0)
-        np.testing.assert_array_equal(c.r1, -0.5)
-        np.testing.assert_array_equal(c.r2, 1.0)
+        r1, r2 = half_flow_factors(c)
+        np.testing.assert_array_equal(r1, -0.5)
+        np.testing.assert_array_equal(r2, 1.0)
         cos, sin = flow_blocks(c)
         np.testing.assert_array_equal(cos[:, 0, 0], 1.0)
         np.testing.assert_array_equal(cos[:, 1, 1], 1.0)
@@ -108,7 +114,7 @@ class TestBuildCoefficients:
         assert abs(sin[m, 0, 1]) < 1e-15
         assert abs(sin[m, 0, 2]) < 1e-15
         assert abs(sin[m, 1, 2]) < 1e-15
-        assert c.r1[half] == pytest.approx(-2.0 / np.pi**2, rel=1e-14)
+        assert half_flow_factors(c)[0][half] == pytest.approx(-2.0 / np.pi**2, rel=1e-14)
 
     def test_zero_wavenumber_modes_get_identity_block(self, grid4):
         c = build_coefficients(grid4, MediumParams(), 3.7)
@@ -150,7 +156,8 @@ class TestBuildCoefficients:
         # equal the closed forms evaluated there directly.
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 6, 4, 2)
         c = build_coefficients(grid, MediumParams(mu=2.0, eps=0.5), 0.9)
-        assert c.r1.shape == c.r2.shape == (grid.n_spectral,)
+        r1, r2 = half_flow_factors(c)
+        assert r1.shape == r2.shape == (grid.n_spectral,)
         b_x, b_y, b_z = broadcast_wavenumbers(grid)
         theta = np.sqrt(c.kappa**2 * (b_x**2 + b_y**2 + b_z**2))
         r1, r2 = full_flow_factors(c)
@@ -225,9 +232,10 @@ def whole_array_step(state: FieldState, coeffs) -> np.ndarray:
     out = np.empty_like(fields)
     cross(b, curls[:3], out[:3])
     cross(b, curls[3:], out[3:])
-    out *= (-coeffs.kappa * coeffs.kappa) * coeffs.r1.reshape(shape)
+    r1, r2 = _plane_factors(coeffs.kappa, state.grid, slice(None))
+    out *= (-coeffs.kappa * coeffs.kappa) * r1
     out += fields
-    curls *= coeffs.t * coeffs.r2.reshape(shape)
+    curls *= coeffs.t * r2
     curls[:3] *= -1j / state.medium.mu
     curls[3:] *= 1j / state.medium.eps
     out[:3] += curls[3:]
@@ -457,7 +465,7 @@ class TestPropagate:
         size = state.data.size
         modes = spectral._planes_per_block(grid, size) * grid.n_y * grid.spectral_shape[-1]
         per_worker = modes * (8 * 16 + 3 * 8) + np.getbufsize() * 16
-        slabs = spectral._slab_count(grid.n_z // 2 + 1, size)
+        slabs = len(spectral._slab_bounds(grid.n_z // 2 + 1, size)) - 1
         bound = state.data.nbytes + slabs * per_worker + (64 << 10)
         propagate(state, 1.3)  # starts any pool first
         tracemalloc.start()

@@ -235,17 +235,17 @@ class TestRealize:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_allocates_block_sized_temporaries(self, workers, rng, n):
-        # Both passes go block by block of z-planes.  The larger temporary per
-        # worker is the magnitude pass's |F| over a block of the six rows (one
-        # real per row and mode), with a numpy ufunc buffer for its strided
-        # operand; the mirror comparison touches two columns of the block.
+        # One pass block by block of z-planes.  The larger temporary per
+        # worker is the block's |F| over the six rows (one real per row and
+        # mode), with a numpy ufunc buffer for its strided operand; it is
+        # freed before the mirror comparison, which touches two columns.
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
         spectrum = dft3_forward(grid, rng.standard_normal((6, grid.n_total)))
         workers(n)
         size = spectrum.size
         modes = spectral._planes_per_block(grid, size) * grid.n_y * grid.spectral_shape[-1]
         per_worker = 6 * modes * 8 + np.getbufsize() * 16
-        bound = spectral._slab_count(grid.n_z, size) * per_worker + (64 << 10)
+        bound = (len(spectral._slab_bounds(grid.n_z, size)) - 1) * per_worker + (64 << 10)
         realize(grid, spectrum)  # starts any pool first
         tracemalloc.start()
         try:
