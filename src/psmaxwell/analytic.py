@@ -9,9 +9,8 @@ Every value of a case comes from one path, :meth:`plane_factors`: each
 component is a product of (x, y) plane factors, computed once per call,
 and z factors, so sampling a grid takes trigonometry on ``n_y n_x + n_z``
 values and one product per point and component, slab of z-planes by slab.
-:meth:`evaluate`, :func:`sample_exact`, :func:`sample_initial` and the
-block-by-block sampling of :func:`psmaxwell.diagnostics.error_norms` all
-go through it.
+:func:`sample_exact`, :func:`sample_initial` and the block-by-block
+sampling of :func:`psmaxwell.diagnostics.error_norms` all go through it.
 """
 
 from __future__ import annotations
@@ -34,23 +33,8 @@ __all__ = [
 ]
 
 
-class _Case:
-    """Evaluation of a case through its :meth:`plane_factors`."""
-
-    def evaluate(self, x, y, z, t: float, out=None):
-        """Six exact component values (e_x, e_y, e_z, h_x, h_y, h_z).
-
-        They are the rows of one array over the broadcast shape of the
-        coordinates: ``out`` when given, else a new one.
-        """
-        if out is None:
-            out = np.empty((6,) + np.broadcast(x, y, z).shape)
-        self.plane_factors(x, y, t)(z, out)
-        return out
-
-
 @dataclass(frozen=True)
-class StandingWave(_Case):
+class StandingWave:
     """Standing-wave solution family on ``[0, 2]^3`` (or compatible domains).
 
     Spatial factors use frequencies ``k_w * pi`` and the temporal frequency is
@@ -144,7 +128,7 @@ class StandingWave(_Case):
 
 
 @dataclass(frozen=True)
-class TravelingWave(_Case):
+class TravelingWave:
     """Fixed traveling plane wave on ``[0, 1]^3`` with ``eps = mu = 1``.
 
     ``e_x = cos(2*pi*(x + y + z) - 2*sqrt(3)*pi*t)`` with the remaining

@@ -11,13 +11,16 @@ Subcommands:
   cases are band-limited, so errors sit at the roundoff floor for every
   resolving grid rather than decaying algebraically.
 
-Each command forward-transforms its initial state once per grid and hands
-that spectrum to :func:`psmaxwell.propagator.propagate` for every target
-time, so a record's ``wall_seconds`` covers the coefficients, the flow, the
-Hermitian-plane check and the inverse transform, not the initial transform.
-Record invariants are measured on the returned physical fields.  Each
-record is built by its own helper, so a record's states are freed before
-the next time is propagated.  A record's invariants and drifts are
+Each command forward-transforms its initial state once per grid.  ``run``
+and ``convergence`` hand that spectrum to
+:func:`psmaxwell.propagator.propagate` for every target time, so a record's
+``wall_seconds`` covers the coefficients, the flow, the Hermitian-plane
+check and the inverse transform, not the initial transform; ``run``
+measures its invariants on the returned physical fields.  ``drift`` steps
+the spectrum to each sample time and measures the invariants on the
+stepped spectrum, so it makes no six-field inverse transform.  Each record
+is built by its own helper, so a record's states are freed before the next
+time is reached.  A record's invariants and drifts are
 written field by field from :class:`~psmaxwell.diagnostics.InvariantReport`
 and :class:`~psmaxwell.diagnostics.InvariantDrifts`, in their declared
 order, so those two classes alone list the invariants; floats are written
@@ -47,7 +50,7 @@ from .diagnostics import (
     relative_change,
 )
 from .grid import DomainSpec, build_grid
-from .propagator import FieldState, MediumParams, propagate, to_spectral
+from .propagator import FieldState, MediumParams, build_coefficients, propagate, step, to_spectral
 from .spectral import ImaginaryResidueError
 
 __all__ = ["RunConfig", "main", "run_records", "drift_records", "convergence_records"]
@@ -317,7 +320,8 @@ def drift_records(config: RunConfig, t_max: float, samples: int) -> list[dict]:
 
 
 def _drift_record(initial: FieldState, before: InvariantReport, t: float) -> dict:
-    d = relative_change(before, invariant_report(propagate(initial, t)))
+    stepped = step(initial, build_coefficients(initial.grid, initial.medium, t))
+    d = relative_change(before, invariant_report(stepped))
     names = ("e1", "e2", "e3", "e4", "e5", "e6")
     return {"t": _sig16(t)} | {f"re_{name}": _json(getattr(d, name)) for name in names}
 

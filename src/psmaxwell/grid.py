@@ -51,11 +51,6 @@ class DomainSpec:
         """Cubic domain ``[lo, hi]^3``."""
         return cls(lo, hi, lo, hi, lo, hi)
 
-    def extent(self, axis: int) -> float:
-        """Side length along ``axis`` (0=x, 1=y, 2=z)."""
-        lo, hi = self.bounds(axis)
-        return hi - lo
-
     def bounds(self, axis: int) -> tuple[float, float]:
         return (
             (self.x_lo, self.x_hi),
@@ -78,12 +73,10 @@ class GridSpec:
     domain : DomainSpec
     n_x, n_y, n_z : int
         Positive even point counts per axis.
-    h_x, h_y, h_z : float
-        Step sizes, ``(hi - lo) / n``.
     nu_x, nu_y, nu_z : float
         Base angular frequencies ``2*pi / (hi - lo)``.
     points_x, points_y, points_z : ndarray
-        Collocation coordinates ``lo + j*h`` for ``j = 0 .. n-1``.
+        Collocation coordinates ``lo + j*(hi - lo)/n`` for ``j = 0 .. n-1``.
     kvec_x, kvec_y, kvec_z : ndarray
         Per-axis angular wavenumbers in FFT order with the Nyquist entry
         (index ``n/2``) forced to exactly 0.0 so discrete differentiation
@@ -94,9 +87,6 @@ class GridSpec:
     n_x: int
     n_y: int
     n_z: int
-    h_x: float = field(init=False, compare=False)
-    h_y: float = field(init=False, compare=False)
-    h_z: float = field(init=False, compare=False)
     nu_x: float = field(init=False, compare=False)
     nu_y: float = field(init=False, compare=False)
     nu_z: float = field(init=False, compare=False)
@@ -116,13 +106,11 @@ class GridSpec:
         for axis, name in enumerate("xyz"):
             n = getattr(self, f"n_{name}")
             lo, hi = self.domain.bounds(axis)
-            h = (hi - lo) / n
             nu = 2.0 * np.pi / (hi - lo)
-            points = lo + h * np.arange(n, dtype=np.float64)
+            points = lo + (hi - lo) / n * np.arange(n, dtype=np.float64)
             # Integer ladder 0, 1, ..., n/2-1, 0, -n/2+1, ..., -1 scaled by nu.
             ladder = np.fft.fftfreq(n, d=1.0 / n)
             ladder[n // 2] = 0.0
-            object.__setattr__(self, f"h_{name}", h)
             object.__setattr__(self, f"nu_{name}", nu)
             object.__setattr__(self, f"points_{name}", _readonly(points))
             object.__setattr__(self, f"kvec_{name}", _readonly(nu * ladder))

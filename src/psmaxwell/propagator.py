@@ -122,22 +122,17 @@ def _plane_factors(
 
     The wavenumber ladders at ``-m`` are bitwise minus those at ``m``, and
     ``theta`` sees them only squared, so the formula runs on the y-rows with
-    ``ky >= 0``; the others are reversed copies of those.  For the same
+    ``ky >= 0`` and row ``n_y - m`` is gathered from row ``m``.  For the same
     reason plane ``n_z - q`` gets the bits of plane ``q``.
     """
-    n_y = grid.spectral_shape[1]
-    hy = n_y // 2 + 1
+    n_y = grid.n_y
     bx, by, bz = wavenumbers(grid)
-    b_xy = bx * bx + by[:hy] * by[:hy]
-    theta = np.sqrt(kappa * kappa * (b_xy + bz[planes] * bz[planes]))
-    r1 = np.empty(theta.shape[:1] + (n_y,) + theta.shape[2:])
-    r2 = np.empty_like(r1)
+    by = by[: n_y // 2 + 1]
+    theta = np.sqrt(kappa * kappa * (bx * bx + by * by + bz[planes] * bz[planes]))
+    rows = np.minimum(np.arange(n_y), n_y - np.arange(n_y))
     # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
-    np.multiply(-0.5, np.sinc(theta / (2.0 * np.pi)) ** 2, out=r1[:, :hy])
-    r2[:, :hy] = np.sinc(theta / np.pi)
-    for r in (r1, r2):
-        r[:, hy:] = r[:, hy - 2 : 0 : -1]
-    return r1, r2
+    r1 = -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    return r1[:, rows], np.sinc(theta / np.pi)[:, rows]
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,6 @@ __all__ = [
 # broken conjugate symmetry somewhere upstream.
 IMAG_RESIDUE_RTOL = 1e-10
 
-_AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
-
 # The (n_z, n_y, n_x) cube is the last three axes of a batched field.
 _CUBE_AXES = (-3, -2, -1)
 
@@ -289,15 +287,10 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray, *, overwrite: bool = False) -> n
     return samples[: len(coefs) * n_x].reshape(cube.shape[:-3] + (grid.n_total,))
 
 
-def apply_derivative(grid: GridSpec, F: np.ndarray, axis: int | str) -> np.ndarray:
+def apply_derivative(grid: GridSpec, F: np.ndarray, axis: int) -> np.ndarray:
     """Directional derivative in spectral space: multiply by ``i * kvec[axis]``."""
-    if isinstance(axis, str):
-        try:
-            axis = _AXIS_NAMES[axis]
-        except KeyError:
-            raise ValueError(f"axis must be one of x, y, z or 0..2, got {axis!r}")
     if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be one of x, y, z or 0..2, got {axis!r}")
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
     derivative = 1j * wavenumbers(grid)[axis] * _cube(F, grid.spectral_shape)
     return derivative.reshape(derivative.shape[:-3] + (grid.n_spectral,))
 

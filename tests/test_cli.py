@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psmaxwell import cli, propagator
+from psmaxwell import (
+    build_grid,
+    cli,
+    invariant_report,
+    propagate,
+    propagator,
+    relative_change,
+    sample_initial,
+    to_spectral,
+)
 from psmaxwell.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -204,6 +213,39 @@ class TestDriftRecords:
         assert len(records) == 4
         assert max(r["re_e1"]["value"] for r in records) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"case": "standing", "n_x": 32, "n_y": 32, "n_z": 32},
+            {"case": "traveling", "n_x": 16, "n_y": 16, "n_z": 16},
+            {"case": "standing", "n_x": 32, "n_y": 24, "n_z": 16, "eps": 0.5},
+        ],
+        ids=["standing-32", "traveling-16", "standing-32x24x16-eps0.5"],
+    )
+    def test_drifts_match_propagated_physical_fields(self, raw):
+        # Drifts measured on the stepped spectrum agree with those of the
+        # physical fields propagate returns, up to the inverse's roundoff.
+        cfg = RunConfig.from_mapping(raw)
+        t_max, samples = 1e4, 5
+        records = drift_records(cfg, t_max=t_max, samples=samples)
+        case = cfg.build_case()
+        grid = build_grid(case.default_domain, cfg.n_x, cfg.n_y, cfg.n_z)
+        initial = to_spectral(sample_initial(case, grid))
+        before = invariant_report(initial)
+        for i, record in enumerate(records, start=1):
+            t = t_max * i / samples
+            assert record["t"] == t
+            physical = relative_change(before, invariant_report(propagate(initial, t)))
+            for name in ("e1", "e2", "e3", "e4", "e5", "e6"):
+                got = record[f"re_{name}"]
+                want = getattr(physical, name)
+                pairs = zip(got, want) if isinstance(want, tuple) else [(got, want)]
+                for g, w in pairs:
+                    assert abs(g["value"] - w.value) <= 1e-15, (name, t, g, w)
+                    assert g["absolute"] == w.absolute, (name, t)
+                    if name in ("e5", "e6"):
+                        assert g["value"] == 0.0
+
 
 class TestConvergenceRecords:
     def test_roundoff_floor_across_resolutions(self):
@@ -356,7 +398,9 @@ class TestMainEntry:
             # Errors only: the initial transform is the one forward call.
             (["convergence", "--case", "traveling", "--n-list", "8",
               "--t-end", "1,2,3"], 1),
-            (["drift", "--case", "standing", "--t-max", "10", "--samples", "4"], 5),
+            # Each sample is stepped from that spectrum; the invariants are
+            # taken on the stepped spectrum.
+            (["drift", "--case", "standing", "--t-max", "10", "--samples", "4"], 1),
         ],
         ids=["run", "convergence", "drift"],
     )
@@ -371,6 +415,14 @@ class TestMainEntry:
         monkeypatch.setattr(propagator, "dft3_forward", counting_forward)
         assert cli.main(argv) == EXIT_OK
         assert len(counted) == calls
+
+    def test_drift_makes_no_six_field_inverse(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drift inverse-transformed a state")
+
+        monkeypatch.setattr(propagator, "dft3_inverse", refuse)
+        argv = ["drift", "--case", "standing", "--t-max", "10", "--samples", "4"]
+        assert cli.main(argv) == EXIT_OK
 
     def test_numerical_flag_exits_three(self, monkeypatch, capsys):
         def explode(*args, **kwargs):

@@ -42,7 +42,6 @@ from psmaxwell import (
     to_spectral,
 )
 from psmaxwell.analytic import sample_exact
-from psmaxwell.propagator import _plane_factors
 
 from conftest import random_band_limited_state
 
@@ -158,8 +157,7 @@ def test_coefficients_and_step(workers, state):
         coeffs = build_coefficients(state.grid, MEDIUM, 1.3)
         owned = FieldState(state.grid, MEDIUM, kept.copy())
         in_place = step(owned, coeffs, overwrite=True).data
-        factors = _plane_factors(coeffs.kappa, state.grid, slice(None))
-        return *(r.ravel() for r in factors), step(spectral_state, coeffs).data, in_place
+        return step(spectral_state, coeffs).data, in_place
 
     for serial, parallel in zip(*one_and_three(workers, flow)):
         np.testing.assert_array_equal(serial, parallel)

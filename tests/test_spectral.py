@@ -267,14 +267,14 @@ class TestRealize:
 class TestDerivative:
     def test_sin_becomes_cos(self, grid8):
         x = np.broadcast_to(grid8.points_x.reshape(1, 1, -1), grid8.shape).ravel()
-        dspec = apply_derivative(grid8, dft3_forward(grid8, np.sin(grid8.nu_x * x)), "x")
+        dspec = apply_derivative(grid8, dft3_forward(grid8, np.sin(grid8.nu_x * x)), 0)
         df = dft3_inverse(grid8, dspec)
         expected = grid8.nu_x * np.cos(grid8.nu_x * x)
         assert np.max(np.abs(df - expected)) <= 1e-12 * grid8.nu_x
 
     def test_constant_derivative_is_zero(self, grid4):
         spec = dft3_forward(grid4, np.full(grid4.n_total, 3.0))
-        for axis in ("x", "y", "z"):
+        for axis in (0, 1, 2):
             out = dft3_inverse(grid4, apply_derivative(grid4, spec, axis))
             assert np.max(np.abs(out)) < 1e-13
 
@@ -290,13 +290,15 @@ class TestDerivative:
         # Pure Nyquist sawtooth along x: derivative must be exactly zero.
         cube = np.zeros(grid4.spectral_shape, dtype=complex)
         cube[:, :, grid4.n_x // 2] = 1.0
-        dspec = apply_derivative(grid4, cube.ravel(), "x")
+        dspec = apply_derivative(grid4, cube.ravel(), 0)
         assert np.all(dspec == 0.0)
 
     def test_invalid_axis(self, grid4):
         f = np.zeros(grid4.n_spectral, dtype=complex)
-        with pytest.raises(ValueError, match="axis"):
-            apply_derivative(grid4, f, "w")
+        # Axes are integers only; a letter is refused like any other value.
+        for axis in ("x", 3, -1):
+            with pytest.raises(ValueError, match="axis must be 0, 1 or 2"):
+                apply_derivative(grid4, f, axis)
 
 
 class TestBatch:
@@ -305,7 +307,7 @@ class TestBatch:
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 6, 4, 8)
         data = rng.standard_normal((2, 3, grid.n_total))
         spec = dft3_forward(grid, data)
-        deriv = apply_derivative(grid, spec, "y")
+        deriv = apply_derivative(grid, spec, 1)
         back = dft3_inverse(grid, spec)
         assert spec.shape == deriv.shape == (2, 3, grid.n_spectral)
         assert back.shape == data.shape
@@ -313,7 +315,7 @@ class TestBatch:
             for j in range(3):
                 row = dft3_forward(grid, data[i, j])
                 np.testing.assert_array_equal(spec[i, j], row)
-                np.testing.assert_array_equal(deriv[i, j], apply_derivative(grid, row, "y"))
+                np.testing.assert_array_equal(deriv[i, j], apply_derivative(grid, row, 1))
                 np.testing.assert_array_equal(back[i, j], dft3_inverse(grid, row))
 
 
@@ -338,8 +340,8 @@ class TestProperties:
 
     def test_derivatives_commute(self, grid4, rng):
         spec = rng.standard_normal(grid4.n_spectral) + 1j * rng.standard_normal(grid4.n_spectral)
-        xy = apply_derivative(grid4, apply_derivative(grid4, spec, "x"), "y")
-        yx = apply_derivative(grid4, apply_derivative(grid4, spec, "y"), "x")
+        xy = apply_derivative(grid4, apply_derivative(grid4, spec, 0), 1)
+        yx = apply_derivative(grid4, apply_derivative(grid4, spec, 1), 0)
         scale = max(np.max(np.abs(xy)), 1e-300)
         assert np.max(np.abs(xy - yx)) <= 1e-13 * scale
 
@@ -370,7 +372,7 @@ class TestProperties:
     [
         lambda grid: dft3_forward(grid, np.zeros(grid.n_spectral)),
         lambda grid: dft3_inverse(grid, np.zeros((6, grid.n_total), dtype=complex)),
-        lambda grid: apply_derivative(grid, np.zeros(grid.n_total, dtype=complex), "x"),
+        lambda grid: apply_derivative(grid, np.zeros(grid.n_total, dtype=complex), 0),
         lambda grid: realize(grid, np.zeros(10, dtype=complex)),
     ],
     ids=["dft3_forward", "dft3_inverse", "apply_derivative", "realize"],
