@@ -416,13 +416,21 @@ class TestMainEntry:
         assert cli.main(argv) == EXIT_OK
         assert len(counted) == calls
 
-    def test_drift_makes_no_six_field_inverse(self, monkeypatch, capsys):
+    def test_drift_steps_each_sample_with_no_six_field_inverse(self, monkeypatch, capsys):
+        step, times = cli.step, []
+
+        def recording_step(state, coeffs, **kwargs):
+            times.append(coeffs.t)
+            return step(state, coeffs, **kwargs)
+
         def refuse(*args, **kwargs):
             raise AssertionError("drift inverse-transformed a state")
 
+        monkeypatch.setattr(cli, "step", recording_step)
         monkeypatch.setattr(propagator, "dft3_inverse", refuse)
         argv = ["drift", "--case", "standing", "--t-max", "10", "--samples", "4"]
         assert cli.main(argv) == EXIT_OK
+        assert times == [2.5, 5.0, 7.5, 10.0]
 
     def test_numerical_flag_exits_three(self, monkeypatch, capsys):
         def explode(*args, **kwargs):
