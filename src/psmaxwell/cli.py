@@ -11,16 +11,18 @@ Subcommands:
   cases are band-limited, so errors sit at the roundoff floor for every
   resolving grid rather than decaying algebraically.
 
-Each command forward-transforms its initial state once per grid.  ``run``
-and ``convergence`` hand that spectrum to
-:func:`psmaxwell.propagator.propagate` for every target time, so a record's
-``wall_seconds`` covers the coefficients, the flow, the Hermitian-plane
-check and the inverse transform, not the initial transform; ``run``
-measures its invariants on the returned physical fields.  ``drift`` steps
-the spectrum to each sample time and measures the invariants on the
-stepped spectrum, so it makes no six-field inverse transform.  Each record
-is built by its own helper, so a record's states are freed before the next
-time is reached.  A record's invariants and drifts are
+Each command forward-transforms its initial state once per grid and hands
+that spectrum to :func:`psmaxwell.propagator.propagate` for every target
+time, which returns the stepped spectrum.  ``run`` and ``drift`` measure
+a record's invariants on that spectrum, so they no longer carry the
+inverse transform's roundoff and cost no second forward transform.
+``run`` and ``convergence`` then transform it back with
+:func:`psmaxwell.propagator.to_physical` for the solution errors; a
+record's ``wall_seconds`` covers the coefficients, the flow, the
+Hermitian-plane check and the inverse transform, not the initial transform
+or the invariants.  ``drift`` makes no six-field inverse transform.  Each
+record is built by its own helper, so a record's states are freed before
+the next time is reached.  A record's invariants and drifts are
 written field by field from :class:`~psmaxwell.diagnostics.InvariantReport`
 and :class:`~psmaxwell.diagnostics.InvariantDrifts`, in their declared
 order, so those two classes alone list the invariants; floats are written
@@ -50,7 +52,8 @@ from .diagnostics import (
     relative_change,
 )
 from .grid import DomainSpec, build_grid
-from .propagator import FieldState, MediumParams, build_coefficients, propagate, step, to_spectral
+from . import propagator
+from .propagator import FieldState, MediumParams, propagate, to_spectral
 from .spectral import ImaginaryResidueError
 
 __all__ = ["RunConfig", "main", "run_records", "drift_records", "convergence_records"]
@@ -227,13 +230,22 @@ def _start(config: RunConfig) -> tuple[AnalyticCase, FieldState, InvariantReport
 
 
 def _propagated(
-    initial: FieldState, t_end: float, case: AnalyticCase
-) -> tuple[FieldState, float, ErrorReport]:
-    """The state at ``t_end``, the wall time of its ``propagate`` call and its errors."""
+    initial: FieldState, t_end: float, case: AnalyticCase, *, report: bool = False
+) -> tuple[FieldState, float, ErrorReport, InvariantReport | None]:
+    """The physical state at ``t_end``, the wall time of reaching it, its errors
+    and, with ``report``, the invariants of the stepped spectrum.
+
+    The wall time covers the ``propagate`` call and the inverse transform,
+    not the report taken between them.
+    """
     start = time.perf_counter()
-    final = propagate(initial, t_end)
+    stepped = propagate(initial, t_end)
     wall_seconds = time.perf_counter() - start
-    return final, wall_seconds, error_norms(final, case)
+    after = invariant_report(stepped) if report else None
+    start = time.perf_counter()
+    final = propagator.to_physical(stepped, overwrite=True)
+    wall_seconds += time.perf_counter() - start
+    return final, wall_seconds, error_norms(final, case), after
 
 
 def run_records(config: RunConfig) -> list[dict]:
@@ -249,8 +261,7 @@ def _run_record(
     before: InvariantReport,
     t_end: float,
 ) -> dict:
-    final, wall_seconds, errors = _propagated(initial, t_end, case)
-    after = invariant_report(final)
+    final, wall_seconds, errors, after = _propagated(initial, t_end, case, report=True)
     drifts = relative_change(before, after)
     axis = config.report_axis - 1
     return {
@@ -320,8 +331,7 @@ def drift_records(config: RunConfig, t_max: float, samples: int) -> list[dict]:
 
 
 def _drift_record(initial: FieldState, before: InvariantReport, t: float) -> dict:
-    stepped = step(initial, build_coefficients(initial.grid, initial.medium, t))
-    d = relative_change(before, invariant_report(stepped))
+    d = relative_change(before, invariant_report(propagate(initial, t)))
     names = ("e1", "e2", "e3", "e4", "e5", "e6")
     return {"t": _sig16(t)} | {f"re_{name}": _json(getattr(d, name)) for name in names}
 
@@ -348,7 +358,7 @@ def convergence_records(config: RunConfig, n_list: list[int]) -> list[dict]:
 def _convergence_record(
     config: RunConfig, case: AnalyticCase, initial: FieldState, t_end: float, note: str
 ) -> dict:
-    _, wall_seconds, errors = _propagated(initial, t_end, case)
+    _, wall_seconds, errors, _ = _propagated(initial, t_end, case)
     return {
         "case": config.case,
         "n": initial.grid.n_x,

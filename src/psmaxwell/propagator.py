@@ -16,14 +16,15 @@ A state is one ``(6, N)`` array, which the transforms of
 state holds the half spectrum (the ``kx >= 0`` columns).  ``r1``, ``r2``
 depend on a mode only through ``|b|``, so :func:`step` evaluates them block
 by block on the z-planes with ``kz >= 0`` and reuses each block's factors
-on the mirror planes ``kz < 0``; no array of them is kept.  Total cost of
-:func:`propagate` is one batched real-to-complex transform of the six
-components (none when the state is already spectral), O(n_spectral)
-elementwise work on the spectrum (the factors on about half the modes, two
-per-mode cross products per field, written into a new spectrum when the
-input is spectral), the Hermitian-plane check of
-:func:`psmaxwell.spectral.realize`, and one batched complex-to-real
-transform whose samples are written over the stepped spectrum.
+on the mirror planes ``kz < 0``; no array of them is kept.
+:func:`propagate` returns its result in the representation it was given.
+On a spectral state it costs O(n_spectral) elementwise work (the factors
+on about half the modes, two per-mode cross products per field) written
+into a new spectrum, and no transform.  A physical state adds one batched
+real-to-complex transform of the six components before, and after it the
+Hermitian-plane check of :func:`psmaxwell.spectral.realize` and one
+batched complex-to-real transform whose samples are written over the
+stepped spectrum.
 """
 
 from __future__ import annotations
@@ -305,21 +306,22 @@ def to_physical(state: FieldState, *, overwrite: bool = False) -> FieldState:
 def propagate(initial: FieldState, t_end: float) -> FieldState:
     """Evolve a state by the time increment ``t_end`` in one shot.
 
-    Transform, apply the closed-form flow once, check and transform back;
-    the result is always physical.  ``initial`` may be in either
-    representation: a spectral one is used as given and left unmodified, so
-    a caller that reaches many times from one state transforms it once.
-    The spectrum made for a physical input is stepped in place, a spectral
-    input into one new spectrum.  The coefficients hold no array, and the
-    inverse transform writes its samples over the stepped spectrum, so the
-    returned data is a view into that spectrum's buffer and, besides
-    ``initial``, one spectrum and block-sized temporaries are alive at a
-    time.  The result keeps that buffer, ``2 (n_x//2 + 1) / n_x`` times its
-    samples' memory, for as long as it lives; a caller that holds many
-    results can keep
+    The result is in ``initial``'s representation.  A spectral input is
+    stepped into one new spectrum, which is returned, and is left
+    unmodified, so a caller that reaches many times from one state
+    transforms it once and can measure each result in spectral space
+    before it calls :func:`to_physical`.  A physical input is transformed,
+    stepped in place in the spectrum made for it, checked and transformed
+    back: the inverse writes its samples over the stepped spectrum, so the
+    returned data is a view into that spectrum's buffer.  Either way the
+    coefficients hold no array, and besides ``initial`` one spectrum and
+    block-sized temporaries are alive at a time.  A physical result keeps
+    its buffer, ``2 (n_x//2 + 1) / n_x`` times its samples' memory, for as
+    long as it lives; a caller that holds many results can keep
     ``dataclasses.replace(result, data=result.data.copy())`` instead.
     """
     coeffs = build_coefficients(initial.grid, initial.medium, t_end)
     spectrum = to_spectral(initial)
-    stepped = step(spectrum, coeffs, overwrite=spectrum is not initial)
-    return to_physical(stepped, overwrite=True)
+    if spectrum is initial:
+        return step(spectrum, coeffs)
+    return to_physical(step(spectrum, coeffs, overwrite=True), overwrite=True)

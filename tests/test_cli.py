@@ -18,6 +18,7 @@ from psmaxwell import (
     propagator,
     relative_change,
     sample_initial,
+    to_physical,
     to_spectral,
 )
 from psmaxwell.cli import (
@@ -32,6 +33,7 @@ from psmaxwell.cli import (
     records_to_csv,
     run_records,
 )
+from psmaxwell.diagnostics import NEAR_ZERO_ABS
 from psmaxwell.spectral import ImaginaryResidueError
 
 from conftest import perturb_plane
@@ -39,6 +41,21 @@ from conftest import perturb_plane
 
 # The standing wave's default domain, [0, 2]^3, spelled out field by field.
 _STANDING_DOMAIN = {"x_lo": 0, "x_hi": 2, "y_lo": 0, "y_hi": 2, "z_lo": 0, "z_hi": 2}
+
+# Grids on which invariants of the stepped spectrum are held to those of
+# the physical fields.
+_GRIDS = [
+    {"case": "standing", "n_x": 32, "n_y": 32, "n_z": 32},
+    {"case": "traveling", "n_x": 16, "n_y": 16, "n_z": 16},
+    {"case": "standing", "n_x": 32, "n_y": 24, "n_z": 16, "eps": 0.5},
+]
+_GRID_IDS = ["standing-32", "traveling-16", "standing-32x24x16-eps0.5"]
+
+
+def _initial_spectrum(cfg: RunConfig):
+    case = cfg.build_case()
+    grid = build_grid(case.default_domain, cfg.n_x, cfg.n_y, cfg.n_z)
+    return to_spectral(sample_initial(case, grid))
 
 
 def write_config(tmp_path, payload):
@@ -146,6 +163,26 @@ class TestRunRecords:
         with pytest.raises(ConfigError, match="alias"):
             run_records(cfg)
 
+    @pytest.mark.parametrize("raw", _GRIDS, ids=_GRID_IDS)
+    def test_final_invariants_match_physical_output(self, raw):
+        # A record's invariants are taken on the stepped spectrum; those of
+        # the physical fields it is transformed back into differ only by the
+        # inverse's roundoff: 4e-15 relative, or absolute below NEAR_ZERO_ABS.
+        cfg = RunConfig.from_mapping({**raw, "t_end": [7.0, 1234.5, 1e4]})
+        records = run_records(cfg)
+        initial = _initial_spectrum(cfg)
+        for record, t in zip(records, cfg.t_end, strict=True):
+            got = record["invariants_final"]
+            want = invariant_report(to_physical(propagate(initial, t), overwrite=True))
+            for name in ("e1", "e2", "e3", "e4"):
+                values = getattr(want, name)
+                pairs = zip(got[name], values) if isinstance(values, tuple) else [
+                    (got[name], values)
+                ]
+                for g, w in pairs:
+                    scale = abs(w) if abs(w) >= NEAR_ZERO_ABS else 1.0
+                    assert abs(g - w) <= 4e-15 * scale, (name, t, g, w)
+
 
 class TestRecordSchema:
     """The exact ordered keys of each record kind, and the CSV's agreement with JSON."""
@@ -213,29 +250,21 @@ class TestDriftRecords:
         assert len(records) == 4
         assert max(r["re_e1"]["value"] for r in records) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            {"case": "standing", "n_x": 32, "n_y": 32, "n_z": 32},
-            {"case": "traveling", "n_x": 16, "n_y": 16, "n_z": 16},
-            {"case": "standing", "n_x": 32, "n_y": 24, "n_z": 16, "eps": 0.5},
-        ],
-        ids=["standing-32", "traveling-16", "standing-32x24x16-eps0.5"],
-    )
+    @pytest.mark.parametrize("raw", _GRIDS, ids=_GRID_IDS)
     def test_drifts_match_propagated_physical_fields(self, raw):
         # Drifts measured on the stepped spectrum agree with those of the
-        # physical fields propagate returns, up to the inverse's roundoff.
+        # physical fields it is transformed back into, up to the inverse's
+        # roundoff.
         cfg = RunConfig.from_mapping(raw)
         t_max, samples = 1e4, 5
         records = drift_records(cfg, t_max=t_max, samples=samples)
-        case = cfg.build_case()
-        grid = build_grid(case.default_domain, cfg.n_x, cfg.n_y, cfg.n_z)
-        initial = to_spectral(sample_initial(case, grid))
+        initial = _initial_spectrum(cfg)
         before = invariant_report(initial)
         for i, record in enumerate(records, start=1):
             t = t_max * i / samples
             assert record["t"] == t
-            physical = relative_change(before, invariant_report(propagate(initial, t)))
+            final = to_physical(propagate(initial, t), overwrite=True)
+            physical = relative_change(before, invariant_report(final))
             for name in ("e1", "e2", "e3", "e4", "e5", "e6"):
                 got = record[f"re_{name}"]
                 want = getattr(physical, name)
@@ -393,8 +422,9 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "argv, calls",
         [
-            # One initial transform, then one per record for its invariants.
-            (["run", "--case", "standing", "--t-end", "1,2,3,4,5,6,7,8"], 9),
+            # Each record is stepped from the initial spectrum, and its
+            # invariants are taken on the stepped spectrum.
+            (["run", "--case", "standing", "--t-end", "1,2,3,4,5,6,7,8"], 1),
             # Errors only: the initial transform is the one forward call.
             (["convergence", "--case", "traveling", "--n-list", "8",
               "--t-end", "1,2,3"], 1),
@@ -417,7 +447,7 @@ class TestMainEntry:
         assert len(counted) == calls
 
     def test_drift_steps_each_sample_with_no_six_field_inverse(self, monkeypatch, capsys):
-        step, times = cli.step, []
+        step, times = propagator.step, []
 
         def recording_step(state, coeffs, **kwargs):
             times.append(coeffs.t)
@@ -426,7 +456,7 @@ class TestMainEntry:
         def refuse(*args, **kwargs):
             raise AssertionError("drift inverse-transformed a state")
 
-        monkeypatch.setattr(cli, "step", recording_step)
+        monkeypatch.setattr(propagator, "step", recording_step)
         monkeypatch.setattr(propagator, "dft3_inverse", refuse)
         argv = ["drift", "--case", "standing", "--t-max", "10", "--samples", "4"]
         assert cli.main(argv) == EXIT_OK

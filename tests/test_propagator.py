@@ -21,7 +21,7 @@ from psmaxwell import (
     to_physical,
     to_spectral,
 )
-from psmaxwell import spectral
+from psmaxwell import propagator, spectral
 from psmaxwell.propagator import _plane_factors
 from psmaxwell.spectral import ImaginaryResidueError, cross, wavenumbers
 
@@ -371,19 +371,34 @@ class TestPropagate:
 
     def test_spectral_input_matches_physical(self, grid8, rng):
         # A spectral initial state skips the forward transform and is stepped
-        # into a new spectrum, a physical one in place in its own: the
-        # results are bitwise the same, and the caller's spectrum is not
-        # touched.
-        state = random_band_limited_state(grid8, rng, MediumParams(mu=2.0, eps=0.5))
+        # into a new spectrum, which is returned as it is: bitwise step's
+        # result.  Transformed back, it is bitwise what a physical input,
+        # stepped in place in its own spectrum, gives, and the caller's
+        # spectrum is not touched.
+        medium = MediumParams(mu=2.0, eps=0.5)
+        state = random_band_limited_state(grid8, rng, medium)
         spectral = to_spectral(state)
         kept = spectral.data.copy()
         from_physical = propagate(state, 3.7)
         from_spectral = propagate(spectral, 3.7)
-        np.testing.assert_array_equal(from_spectral.data, from_physical.data)
-        assert from_spectral.representation == "physical"
-        assert from_spectral.time == from_physical.time
-        assert from_spectral.imag_residue == from_physical.imag_residue
+        assert from_spectral.representation == "spectral"
+        stepped = step(spectral, build_coefficients(grid8, medium, 3.7))
+        np.testing.assert_array_equal(from_spectral.data, stepped.data)
+        assert from_spectral.time == stepped.time == 3.7
+        final = to_physical(from_spectral, overwrite=True)
+        np.testing.assert_array_equal(final.data, from_physical.data)
+        assert final.time == from_physical.time
+        assert final.imag_residue == from_physical.imag_residue
         np.testing.assert_array_equal(spectral.data, kept)
+
+    def test_spectral_input_is_never_transformed_back(self, grid8, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagate transformed a spectral input back")
+
+        spectral = to_spectral(random_band_limited_state(grid8, rng))
+        monkeypatch.setattr(propagator, "realize", refuse)
+        monkeypatch.setattr(propagator, "dft3_inverse", refuse)
+        assert propagate(spectral, 2.9).representation == "spectral"
 
     def test_traveling_wave_example(self):
         case = TravelingWave()
@@ -435,12 +450,13 @@ class TestPropagate:
             tracemalloc.stop()
         return peak / (6 * state.grid.n_total * 8)
 
-    # Half spectra, one batched transform each way, factors built block by
-    # block inside step, and an inverse that writes its samples over the
-    # stepped spectrum: a physical input is stepped in place in the spectrum
-    # propagate made for it, and a spectral input into one new spectrum, so
-    # either peaks in step, with one spectrum and the block temporaries
-    # alive (1.67 states at 32^3).
+    # Half spectra, factors built block by block inside step, and for a
+    # physical input one batched transform each way, the inverse writing
+    # its samples over the stepped spectrum: a physical input is stepped in
+    # place in the spectrum propagate made for it, and a spectral input
+    # into one new spectrum, which is returned, so either peaks in step,
+    # with one spectrum and the block temporaries alive (1.67 states at
+    # 32^3).
     def test_peak_memory_within_two_states(self, rng):
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 32, 32, 32)
         state = random_band_limited_state(grid, rng)
@@ -453,8 +469,8 @@ class TestPropagate:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_from_spectrum_allocates_one_spectrum(self, workers, rng, n):
-        # The stepped spectrum, which the inverse writes its samples over, is
-        # the only spectrum-sized array.  Besides it each of step's slabs
+        # The stepped spectrum, which is returned, is the only
+        # spectrum-sized array.  Besides it each of step's slabs
         # holds one block's temporaries: the curls scratch (6 complex per
         # mode), one double-curl component and the product subtracted from
         # it (2 complex), the two factor blocks and one scaled factor
