@@ -442,6 +442,29 @@ class TestMainEntry:
         assert cli.main(argv) == EXIT_OK
         assert len(counted) == calls
 
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["run", "--case", "standing", "--t-end", "1,2,3"], 3),
+            (["convergence", "--case", "traveling", "--n-list", "4,8",
+              "--t-end", "1,2"], 4),
+        ],
+        ids=["run", "convergence"],
+    )
+    def test_inverse_overwrites_the_stepped_spectrum(self, monkeypatch, capsys, argv, calls):
+        # Each record's inverse writes its samples over the spectrum
+        # propagate returned; a copy would hold a second spectrum, which
+        # test_propagator's peak-memory tests bound for this same call.
+        to_physical, overwrites = propagator.to_physical, []
+
+        def recording_to_physical(state, **kwargs):
+            overwrites.append(kwargs.get("overwrite", False))
+            return to_physical(state, **kwargs)
+
+        monkeypatch.setattr(propagator, "to_physical", recording_to_physical)
+        assert cli.main(argv) == EXIT_OK
+        assert overwrites == [True] * calls
+
     def test_drift_steps_each_sample_with_no_six_field_inverse(self, monkeypatch, capsys):
         step, times = propagator.step, []
 

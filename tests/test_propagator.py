@@ -441,22 +441,23 @@ class TestPropagate:
 
     @staticmethod
     def propagation_peak_in_states(state: FieldState) -> float:
-        """Tracemalloc peak of one propagation, in real six-component states."""
+        """Tracemalloc peak of reaching the physical state at t = 1.3 the way
+        the CLI does, inverse included, in real six-component states."""
         tracemalloc.start()
         try:
-            propagate(state, 1.3)
+            to_physical(propagate(state, 1.3), overwrite=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         return peak / (6 * state.grid.n_total * 8)
 
-    # Half spectra, factors built block by block inside step, and for a
-    # physical input one batched transform each way, the inverse writing
-    # its samples over the stepped spectrum: a physical input is stepped in
-    # place in the spectrum propagate made for it, and a spectral input
-    # into one new spectrum, which is returned, so either peaks in step,
-    # with one spectrum and the block temporaries alive (1.67 states at
-    # 32^3).
+    # Half spectra, factors built block by block inside step, and one
+    # batched transform each way, the inverse writing its samples over the
+    # stepped spectrum: a physical input is stepped in place in the
+    # spectrum propagate made for it, and a spectral input into one new
+    # spectrum, which propagate returns and to_physical overwrites, so
+    # either peaks in step, with one spectrum and the block temporaries
+    # alive (1.67 states at 32^3).
     def test_peak_memory_within_two_states(self, rng):
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 32, 32, 32)
         state = random_band_limited_state(grid, rng)
@@ -469,12 +470,13 @@ class TestPropagate:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_from_spectrum_allocates_one_spectrum(self, workers, rng, n):
-        # The stepped spectrum, which is returned, is the only
-        # spectrum-sized array.  Besides it each of step's slabs
-        # holds one block's temporaries: the curls scratch (6 complex per
-        # mode), one double-curl component and the product subtracted from
-        # it (2 complex), the two factor blocks and one scaled factor
-        # (3 real), and a numpy ufunc buffer for the real-to-complex casts.
+        # The stepped spectrum, which propagate returns and to_physical
+        # writes its samples over, is the only spectrum-sized array, inverse
+        # included.  Besides it each of step's slabs holds one block's
+        # temporaries: the curls scratch (6 complex per mode), one
+        # double-curl component and the product subtracted from it
+        # (2 complex), the two factor blocks and one scaled factor (3 real),
+        # and a numpy ufunc buffer for the real-to-complex casts.
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
         state = to_spectral(random_band_limited_state(grid, rng))
         workers(n)
@@ -483,10 +485,10 @@ class TestPropagate:
         per_worker = modes * (8 * 16 + 3 * 8) + np.getbufsize() * 16
         slabs = len(spectral._slab_bounds(grid.n_z // 2 + 1, size)) - 1
         bound = state.data.nbytes + slabs * per_worker + (64 << 10)
-        propagate(state, 1.3)  # starts any pool first
+        to_physical(propagate(state, 1.3), overwrite=True)  # starts any pool first
         tracemalloc.start()
         try:
-            propagate(state, 1.3)
+            to_physical(propagate(state, 1.3), overwrite=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
