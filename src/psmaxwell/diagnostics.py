@@ -30,7 +30,7 @@ over the modes of the forward spectra of a closed-form scalar of
 - ``rho = b.(Hr x Hi) / eps + b.(Er x Ei) / mu``: ``h1`` sums it and ``h2``
   sums ``|b|^2 rho / (mu eps)``,
 
-so no rate spectrum, curl or squared-magnitude field is ever formed.  The
+so no rate spectrum or curl field is ever formed.  The
 spectra are half spectra (the ``kx >= 0`` columns of
 :mod:`psmaxwell.spectral`); the symbols map the spectrum of a real field to
 that of a real field, so the summand at ``-m`` equals the one at ``m`` and
@@ -45,13 +45,22 @@ A report forward-transforms the six components once, in one batched
 transform (a state given in spectral representation is taken to be the
 spectrum of real fields and used as it is), and makes one pass over blocks
 of z-planes, on the thread pool for large grids
-(:func:`psmaxwell.spectral._for_slabs`).  Each block writes one row of
-partial sums per z-plane, and every invariant is one sum over those rows
-in plane order; the rows do not depend on how the planes are cut into
-blocks, so a report is bitwise the same for any worker count.  The same
-pass writes the divergence spectra ``i eps b.E`` and ``i mu b.H`` into one
-two-row buffer, which one batched inverse turns in place into the two
-divergence fields, whose max norms need physical samples.
+(:func:`psmaxwell.spectral._for_slabs`).  Each block copies its real and
+imaginary parts into its slab's scratch, forms the four real fields
+``w1``, ``w2``, ``p`` and ``rho`` there without the Parseval weight, and
+reduces each to five moments per z-plane, ``M(g) = sum w g f`` over the
+plane for ``g = 1, b_x^2, b_x, b_y^2, b_y``: the field's sums over y
+contracted with ``w``, ``w b_x^2`` and ``w b_x``, and its ``w``-weighted
+sums over x contracted with ``b_y^2`` and ``b_y``.  ``b_z`` is constant
+on a plane, so ``M(b_z^2) = b_z^2 M(1)`` and ``M(b_z) = b_z M(1)``, and
+every invariant is a sum over the planes, in plane order, of one moment
+(``e3 = (M(b_x^2), M(b_y^2), M(b_z^2))`` of ``w1``, ``m1`` those of
+``b_k`` of ``p``) or of three (``mu eps h2`` the ``M(b_k^2)`` of ``rho``).
+A plane's moments do not depend on how the planes are cut into blocks, so
+a report is bitwise the same for any worker count.  The same pass writes
+the divergence spectra ``i eps b.E`` and ``i mu b.H`` into one two-row
+buffer, which one batched inverse turns in place into the two divergence
+fields, whose max norms need physical samples.
 :func:`energies`, :func:`helicities`, :func:`momenta` and
 :func:`divergences` are projections of that pass.
 
@@ -65,13 +74,16 @@ for any worker count.
 
 A non-finite sample or mode raises :class:`ImaginaryResidueError` instead
 of giving NaN invariants; so do finite modes whose squares overflow, and
-finite errors whose ``l2`` or ``linf`` is not finite.
+finite errors whose ``l2`` or ``linf`` is not finite.  The report checks
+its totals once, after the pass: ``e1`` weighs every mode by at least 1,
+so a non-finite mode always makes it non-finite, and only then is the
+spectrum scanned, to tell a non-finite mode from squares that overflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -112,11 +124,6 @@ def _parseval_weights(state: FieldState) -> np.ndarray:
     w = np.full(state.grid.spectral_shape[-1], 2.0)
     w[0] = w[-1] = 1.0  # kx = 0 and kx = n_x/2 are self-conjugate
     return w
-
-
-def _abs_sq(f: np.ndarray) -> np.ndarray:
-    """Squared magnitude of complex ``f``, elementwise."""
-    return f.real * f.real + f.imag * f.imag
 
 
 def spectral_time_derivative(state: FieldState) -> FieldState:
@@ -194,58 +201,130 @@ class InvariantDrifts:
 def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
     """Every invariant of a state in one pass, and its two divergence fields.
 
-    Block by block of z-planes, the per-mode closed forms of the module
-    docstring are summed over each plane into one row of ``rows``, and the
-    divergence spectra are written into the block's planes of ``div``.
+    Block by block of z-planes, the four per-mode fields of the module
+    docstring are formed in the slab's scratch and reduced to five moments
+    per plane each, and the divergence spectra are written into the block's
+    planes of ``div``.
     """
     grid = state.grid
     mu, eps = state.medium.mu, state.medium.eps
     s = to_spectral(state).data.reshape((6,) + grid.spectral_shape)
+    n_z, n_y, n_xh = grid.spectral_shape
     bx, by, bz = wavenumbers(grid)
     w = _parseval_weights(state)
-    # One row per z-plane; the columns are e1, e3 (3), e2, e4 (3), m1 (3),
-    # h1 and mu eps h2.
-    rows = np.empty((grid.n_z, 13))
+    # Whole planes of b_x and b_y, so that products with a block coalesce.
+    b_x = np.broadcast_to(bx, (n_y, n_xh)).copy()
+    b_y = np.broadcast_to(by, (n_y, n_xh)).copy()
+    b_xy_sq = b_x * b_x + b_y * b_y
+    # Per (E, H): the divergence's factor, and the weights of rho and w2.
+    scale = np.array([eps, mu]).reshape(2, 1, 1, 1)
+    inverse = 1.0 / scale[::-1]
+    half_inverse = 0.5 * inverse
+    # Per z-plane and field (w1, w2, p, rho), the moments M(g) = sum of
+    # w g f over the plane for g = 1, bx^2, bx, by^2, by: the first three
+    # from the field's sums over y, the last two from its w-weighted sums
+    # over x.
+    x_weights = np.stack([w, w * bx * bx, w * bx])
+    y_weights = np.stack([by * by, by])[..., 0]
+    moments = np.empty((n_z, 4, 5))
     div = np.empty((2,) + grid.spectral_shape, np.complex128)
+    block_planes = _planes_per_block(grid, s.size)
 
-    def block(planes: slice) -> None:
-        if not np.isfinite(s[:, planes]).all():
-            raise ImaginaryResidueError("non-finite mode in the state's spectrum")
+    def report_scratch(start: int, stop: int) -> tuple[np.ndarray]:
+        return (np.empty((24, min(block_planes, stop - start), n_y, n_xh)),)
+
+    def block(planes: slice, scratch: np.ndarray) -> None:
+        shape = (planes.stop - planes.start, n_y, n_xh)
+        scratch = scratch[:, : shape[0]]
+        # The block's real and imaginary parts, components E then H: every
+        # product below is real by real.  numpy rounds a complex product
+        # differently in its SIMD body than in its scalar tail, which would
+        # tie a mode's bits to where it falls in the block.
+        parts = scratch[:12].reshape((2, 6) + shape)
+        temps, fields = scratch[12:20], scratch[20:]
+        re, im = parts
+        w1, w2, p, rho = fields
+        bz_planes = bz[planes]
         # Squares of finite modes may overflow; the totals are checked below.
         # Pool threads do not inherit the caller's error state, so it is set here.
         with np.errstate(over="ignore", invalid="ignore"):
-            e, h = s[:3, planes], s[3:, planes]
-            b = (bx, by, bz[planes])
-            b_sq = tuple(bk * bk for bk in b)
-            bb = b_sq[0] + b_sq[1] + b_sq[2]
-            be = b[0] * e[0] + b[1] * e[1] + b[2] * e[2]
-            bh = b[0] * h[0] + b[1] * h[1] + b[2] * h[2]
-            np.multiply(1j * eps, be, out=div[0, planes])
-            np.multiply(1j * mu, bh, out=div[1, planes])
-            e_sq, h_sq = np.sum(_abs_sq(e), axis=0), np.sum(_abs_sq(h), axis=0)
-            w1 = w * (0.5 * eps * e_sq + 0.5 * mu * h_sq)
-            w2 = w * (
-                0.5 * (bb * h_sq - _abs_sq(bh)) / eps + 0.5 * (bb * e_sq - _abs_sq(be)) / mu
-            )
-            p = w * np.sum(h.imag * e.real - h.real * e.imag, axis=0)
-            # b.(Fr x Fi) = Fi.(b x Fr) for each of F = E, H.
-            work = np.empty(e.shape)
-            rho = np.sum(cross(b, h.real, work) * h.imag, axis=0) / eps
-            rho += np.sum(cross(b, e.real, work) * e.imag, axis=0) / mu
-            rho *= w
-            terms = chain(
-                (w1,), (bk * w1 for bk in b_sq), (w2,), (bk * w2 for bk in b_sq),
-                (bk * p for bk in b), (rho, bb * rho),
-            )
-            for column, term in enumerate(terms):
-                rows[planes, column] = np.sum(term.reshape(len(term), -1), axis=1)
+            np.copyto(re, s[:, planes].real)
+            np.copyto(im, s[:, planes].imag)
+            # |E|^2 and |H|^2, held in the w2 and p slots until w2 is formed.
+            sq = fields[1:3]
+            squares = temps[:6].reshape((2, 3) + shape)
+            for field, components in enumerate((slice(0, 3), slice(3, 6))):
+                np.square(parts[:, components], out=squares)
+                np.sum(squares, axis=(0, 1), out=sq[field])
+            np.multiply(sq[0], 0.5 * eps, out=w1)
+            np.multiply(sq[1], 0.5 * mu, out=temps[0])
+            w1 += temps[0]
+            # b.E and b.H, real then imaginary parts.
+            bf, t = temps[:4].reshape((2, 2) + shape), temps[4:8].reshape((2, 2) + shape)
+            np.multiply(parts[:, 0::3], b_x, out=bf)
+            np.multiply(parts[:, 1::3], b_y, out=t)
+            bf += t
+            np.multiply(parts[:, 2::3], bz_planes, out=t)
+            bf += t
+            # i eps b.E and i mu b.H.
+            d = div[:, planes].view(np.float64).reshape((2,) + shape + (2,))
+            np.multiply(bf[1], -scale, out=d[..., 0])
+            np.multiply(bf[0], scale, out=d[..., 1])
+            b_sq = rho  # |b|^2, in the rho slot until rho is formed
+            np.add(b_xy_sq, bz_planes * bz_planes, out=b_sq)
+            np.square(bf, out=bf)
+            bf[0] += bf[1]
+            sq *= b_sq
+            sq -= bf[0]
+            sq *= half_inverse
+            np.add(sq[0], sq[1], out=w2)
+            # p: sum_c Hi_c Er_c - Hr_c Ei_c.
+            np.multiply(im[3:], re[:3], out=temps[:3])
+            np.multiply(re[3:], im[:3], out=temps[3:6])
+            temps[:3] -= temps[3:6]
+            np.add(temps[0], temps[1], out=p)
+            p += temps[2]
+            # rho: b.(Hr x Hi) / eps + b.(Er x Ei) / mu.
+            cross_parts, t = temps[:6].reshape((3, 2) + shape), temps[6:8]
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                np.multiply(re[j::3], im[k::3], out=cross_parts[i])
+                np.multiply(re[k::3], im[j::3], out=t)
+                cross_parts[i] -= t
+            cross_parts *= inverse
+            q = cross_parts[:, 0]
+            q += cross_parts[:, 1]
+            np.multiply(q[0], b_x, out=rho)
+            np.multiply(q[1], b_y, out=q[1])
+            rho += q[1]
+            np.multiply(q[2], bz_planes, out=q[2])
+            rho += q[2]
+            # einsum rather than matmul: its sums run along x or y within a
+            # plane, whatever the block's length, and it needs no BLAS.
+            y_sums = np.einsum("fpyx->fpx", fields)
+            x_sums = np.einsum("fpyx,x->fpy", fields, w)
+            moments[planes, :, :3] = np.einsum("fpx,kx->pfk", y_sums, x_weights)
+            moments[planes, :, 3:] = np.einsum("fpy,ky->pfk", x_sums, y_weights)
 
-    _for_slabs(block, grid.n_z, s.size, _planes_per_block(grid, s.size))
+    _for_slabs(block, n_z, s.size, block_planes, report_scratch)
     with np.errstate(over="ignore", invalid="ignore"):
-        totals = np.sum(rows, axis=0) / grid.n_total ** 2
-    if not np.isfinite(totals).all():
+        # Two more moments per plane, M(bz^2) and M(bz), then each moment
+        # summed over the planes in plane order.
+        bz = bz.reshape(n_z, 1, 1)
+        z_moments = moments[..., :1] * bz * bz, moments[..., :1] * bz
+        moments = np.concatenate([moments, *z_moments], axis=2)
+        sums = (np.sum(moments, axis=0) / grid.n_total ** 2).tolist()
+    # Per field, M(g) for g = 1, bx^2, bx, by^2, by, bz^2, bz.  In order:
+    # e1, e3 (3), e2, e4 (3), m1 (3), h1 and mu eps h2.
+    energy, rate_energy, momentum, helicity = sums
+    totals = [
+        energy[0], *energy[1::2], rate_energy[0], *rate_energy[1::2], *momentum[2::2],
+        helicity[0], sum(helicity[1::2]),
+    ]
+    if not all(map(math.isfinite, totals)):
+        # Every weight of e1 is at least 1, so a non-finite mode shows there.
+        if not np.isfinite(s).all():
+            raise ImaginaryResidueError("non-finite mode in the state's spectrum")
         raise ImaginaryResidueError("non-finite invariant: the state's squared modes overflow")
-    totals = totals.tolist()
     div_fields = dft3_inverse(grid, div.reshape(2, -1), overwrite=True)
     m1 = tuple(totals[8:11])
     report = InvariantReport(

@@ -313,32 +313,48 @@ def realize(grid: GridSpec, F: np.ndarray) -> tuple[np.ndarray, float]:
     flagged for its own roundoff.
 
     Both go in one pass over blocks of z-planes (:func:`_planes_per_block`):
-    each block takes its magnitude, then its two columns against their
-    mirrors, gathered by index (``-kz mod n_z``, ``-ky mod n_y``); the
-    magnitude's finiteness is checked first.  Only block-sized temporaries
-    are allocated, and as a max does not depend on the order, the residue
+    each block takes its largest real or imaginary part, then its two
+    columns against their mirrors, gathered by index (``-kz mod n_z``,
+    ``-ky mod n_y``).  The largest part ``L`` bounds the magnitude from
+    below, and within a factor sqrt(2) from above, so when ``L`` is below
+    half the largest float and the defect within ``IMAG_RESIDUE_RTOL L``,
+    the spectrum passes without its magnitude; otherwise (including any
+    non-finite mode) a second pass takes the magnitude, and its
+    finiteness is checked first.  Only block-sized temporaries are
+    allocated, and as a max does not depend on the order, the residue
     does not depend on the block size or the worker count.
     """
     cube = _cube(F, grid.spectral_shape)
     columns = slice(None, None, grid.n_x // 2)  # the kx = 0 and kx = n_x/2 columns
     mirror_y = -np.arange(grid.n_y) % grid.n_y
-    maxima = np.zeros((2, grid.n_z))  # magnitude and defect per z-plane
+    maxima = np.zeros((2, grid.n_z))  # largest part (then magnitude) and defect per z-plane
+    block = _planes_per_block(grid, cube.size)
 
     def check(planes: slice) -> None:
-        maxima[0, planes] = np.max(np.abs(cube[..., planes, :, :]), initial=0.0)
+        part = cube[..., planes, :, :]
+        floats = part.view(part.real.dtype)  # real and imaginary parts side by side
+        maxima[0, planes] = np.maximum(floats.max(), -floats.min())
         mirror_z = -np.arange(planes.start, planes.stop) % grid.n_z
         mirror = cube[..., mirror_z[:, None], mirror_y, columns]
-        here = cube[..., planes, :, columns]
+        here = part[..., columns]
         # inf - inf in a self-conjugate mode; the magnitude check below raises
         # first.  Pool threads do not inherit the caller's error state.
         with np.errstate(invalid="ignore"):
             maxima[1, planes] = np.max(np.abs(here - mirror.conj()), initial=0.0)
 
-    _for_slabs(check, grid.n_z, cube.size, _planes_per_block(grid, cube.size))
+    def magnitude(planes: slice) -> None:
+        maxima[0, planes] = np.max(np.abs(cube[..., planes, :, :]), initial=0.0)
+
+    _for_slabs(check, grid.n_z, cube.size, block)
+    largest = float(np.max(maxima[0], initial=0.0))
+    defect = 0.5 * float(np.max(maxima[1], initial=0.0))
+    # False for a NaN bound or defect as well.
+    if largest < np.finfo(np.float64).max / 2 and defect <= IMAG_RESIDUE_RTOL * largest:
+        return F, defect / grid.n_total
+    _for_slabs(magnitude, grid.n_z, cube.size, block)
     scale = float(np.max(maxima[0], initial=0.0))
     if not np.isfinite(scale):
         raise ImaginaryResidueError(f"non-finite spectrum magnitude {scale}")
-    defect = 0.5 * float(np.max(maxima[1], initial=0.0))
     if defect > IMAG_RESIDUE_RTOL * scale:
         raise ImaginaryResidueError(
             f"kx = 0 / n_x/2 planes off Hermitian by {defect:.3e}, over "

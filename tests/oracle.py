@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from psmaxwell.grid import GridSpec
-from psmaxwell.propagator import _plane_factors
+from psmaxwell.propagator import _plane_factors, to_spectral
+from psmaxwell.spectral import cross, wavenumbers
 
 __all__ = [
     "broadcast_wavenumbers",
@@ -44,6 +45,7 @@ __all__ = [
     "traveling_wave_e_x",
     "traveling_wave_e_x_longdouble",
     "whole_array_error_norms",
+    "column_sum_report",
 ]
 
 _MAX_DIFF_N = 16
@@ -269,3 +271,68 @@ def whole_array_error_norms(exact: np.ndarray, data: np.ndarray) -> tuple[float,
     per_row = np.max(errors, axis=1)
     l2 = float(np.sqrt(np.sum(np.square(errors)) / errors.shape[1]))
     return l2, float(np.max(per_row)), tuple(float(v) for v in per_row)
+
+
+def column_sum_report(state) -> tuple[dict, dict]:
+    """Every invariant of a state from full-size per-mode column terms.
+
+    The package's earlier report body, kept as the reference its moment
+    sums are checked against.  Over the whole half spectrum at once it forms
+    the per-mode forms ``w1``, ``w2``, ``p`` and ``rho`` (Parseval weight
+    included), multiplies out the 13 column terms (e1, e3 per axis, e2, e4
+    per axis, m1 per axis, h1 and ``mu eps h2``), sums each over every
+    z-plane's modes and then over the planes in order.  The divergence
+    norms come from ``numpy.fft.irfftn`` of ``i eps b.E`` and ``i mu b.H``.
+
+    Returns the invariants by their :class:`psmaxwell.InvariantReport`
+    names, and for each the same sums taken over the magnitudes of the
+    terms: the scale any summation order's roundoff is relative to.  For
+    e1-e4 it is the invariant itself; h1, h2 and m1 are sums of terms of
+    either sign, which may cancel to far below it.
+    """
+    grid = state.grid
+    mu, eps = state.medium.mu, state.medium.eps
+    s = to_spectral(state).data.reshape((6,) + grid.spectral_shape)
+    w = np.full(grid.spectral_shape[-1], 2.0)
+    w[0] = w[-1] = 1.0  # kx = 0 and kx = n_x/2 are self-conjugate
+
+    def abs_sq(f):
+        return f.real * f.real + f.imag * f.imag
+
+    e, h = s[:3], s[3:]
+    b = wavenumbers(grid)
+    b_sq = tuple(bk * bk for bk in b)
+    bb = b_sq[0] + b_sq[1] + b_sq[2]
+    be = b[0] * e[0] + b[1] * e[1] + b[2] * e[2]
+    bh = b[0] * h[0] + b[1] * h[1] + b[2] * h[2]
+    div = np.stack([1j * eps * be, 1j * mu * bh])
+    e_sq, h_sq = np.sum(abs_sq(e), axis=0), np.sum(abs_sq(h), axis=0)
+    w1 = w * (0.5 * eps * e_sq + 0.5 * mu * h_sq)
+    w2 = w * (0.5 * (bb * h_sq - abs_sq(bh)) / eps + 0.5 * (bb * e_sq - abs_sq(be)) / mu)
+    p = w * np.sum(h.imag * e.real - h.real * e.imag, axis=0)
+    # b.(Fr x Fi) = Fi.(b x Fr) for each of F = E, H.
+    work = np.empty(e.shape)
+    rho = np.sum(cross(b, h.real, work) * h.imag, axis=0) / eps
+    rho += np.sum(cross(b, e.real, work) * e.imag, axis=0) / mu
+    rho *= w
+    terms = [w1, *(bk * w1 for bk in b_sq), w2, *(bk * w2 for bk in b_sq)]
+    terms += [*(bk * p for bk in b), rho, bb * rho]
+
+    def invariants(terms) -> dict:
+        rows = np.stack([np.sum(term.reshape(grid.n_z, -1), axis=1) for term in terms], axis=1)
+        totals = (np.sum(rows, axis=0) / grid.n_total ** 2).tolist()
+        return dict(
+            e1=totals[0],
+            e2=totals[4],
+            e3=tuple(totals[1:4]),
+            e4=tuple(totals[5:8]),
+            h1=totals[11],
+            h2=totals[12] / (mu * eps),
+            m1=tuple(totals[8:11]),
+        )
+
+    div_fields = np.fft.irfftn(div, s=grid.shape, axes=(-3, -2, -1))
+    reference = invariants(terms)
+    reference["div_e_norm"] = float(np.max(np.abs(div_fields[0])))
+    reference["div_h_norm"] = float(np.max(np.abs(div_fields[1])))
+    return reference, invariants([np.abs(term) for term in terms])

@@ -34,7 +34,13 @@ from psmaxwell.analytic import sample_exact
 from psmaxwell.diagnostics import NEAR_ZERO_ABS
 
 from conftest import random_band_limited_state, zero_state
-from oracle import dense_curl, inner_product_N, standing_wave_samples, whole_array_error_norms
+from oracle import (
+    column_sum_report,
+    dense_curl,
+    inner_product_N,
+    standing_wave_samples,
+    whole_array_error_norms,
+)
 
 
 def _axis_coordinate(grid, axis):
@@ -447,6 +453,19 @@ class TestNonFiniteInput:
         with pytest.raises(ImaginaryResidueError, match="non-finite"):
             measure(state)
 
+    # One non-finite mode in the Nyquist column (b_x = 0) of plane n_z/2
+    # (b_z = 0), where some of the report's weights vanish: e1 weighs every
+    # mode by at least 1, so its total shows the mode.  At 64^3 the pass
+    # runs on the thread pool when there is more than one CPU.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_non_finite_mode_raises(self, rng, bad, n):
+        grid = build_grid(DomainSpec.cube(0.0, 1.0), n, n, n)
+        state = to_spectral(random_band_limited_state(grid, rng))
+        state.data.reshape((6,) + grid.spectral_shape)[4, n // 2, 1, -1] = bad
+        with pytest.raises(ImaginaryResidueError, match="non-finite mode"):
+            invariant_report(state)
+
     # Finite samples whose squared modes overflow: without the check the
     # sums give inf and nan invariants.  At 64^3 the pass runs on the
     # thread pool when there is more than one CPU.
@@ -574,6 +593,36 @@ class TestSpectralEvaluation:
                     np.testing.assert_allclose(
                         got, ref, rtol=1e-12, atol=0.0, err_msg=f"{name} on {counts}"
                     )
+
+    @pytest.mark.parametrize("nyquist", [False, True], ids=["band-limited", "nyquist"])
+    @pytest.mark.parametrize("representation", ["physical", "spectral"])
+    @pytest.mark.parametrize(
+        "counts", [(2, 4, 6), (6, 8, 4), (32, 32, 32), (32, 24, 16)],
+        ids=lambda c: "x".join(map(str, c)),
+    )
+    def test_moment_sums_match_column_sums(self, rng, counts, representation, nyquist):
+        # Each invariant within 4e-15 of its scale, the same sum over its
+        # terms' magnitudes (absolute below NEAR_ZERO_ABS): the invariant
+        # itself for e1-e4, far more than it for h1, h2 and m1, whose terms
+        # cancel.  The divergence norms are bitwise those of irfftn.
+        grid = build_grid(DomainSpec(0.0, 2.0, -1.0, 2.5, 0.5, 1.7), *counts)
+        medium = MediumParams(mu=2.0, eps=0.5)
+        if nyquist:
+            state = FieldState(grid, medium, rng.standard_normal((6, grid.n_total)))
+        else:
+            state = random_band_limited_state(grid, rng, medium)
+        if representation == "spectral":
+            state = to_spectral(state)
+        report = invariant_report(state)
+        reference, scales = column_sum_report(state)
+        for name, want in reference.items():
+            got = getattr(report, name)
+            if name.startswith("div"):
+                assert got == want, name
+                continue
+            for g, w, scale in zip(*map(np.atleast_1d, (got, want, scales[name]))):
+                bound = 4e-15 * (scale if scale >= NEAR_ZERO_ABS else 1.0)
+                assert abs(g - w) <= bound, (name, g, w, scale)
 
     def test_m2_is_exactly_minus_m1(self, grid4, rng):
         m1, m2 = momenta(random_band_limited_state(grid4, rng))

@@ -242,15 +242,20 @@ def test_invariant_report(workers, state, representation):
     assert serial == parallel
 
 
-@pytest.mark.parametrize("modes", [1, 10**9], ids=["one-plane", "whole-array"])
-def test_invariant_report_blocks(monkeypatch, state, modes):
-    # One row of partial sums per z-plane: how the planes are cut into
-    # blocks does not show in the report.
+@pytest.mark.parametrize(
+    "planes", [1, 3, 10**9], ids=["one-plane", "three-plane-ragged", "whole-array"]
+)
+def test_invariant_report_blocks(monkeypatch, state, planes):
+    # One row of moments per z-plane: how the planes are cut into blocks
+    # does not show in the report.  Three-plane blocks end in a shorter
+    # block on 32^3 (two planes) and 128x64x4 (one), so no per-plane value
+    # may depend on where in a block its plane falls.
     def reports():
         return invariant_report(state), invariant_report(to_spectral(state))
 
     expected = reports()
-    monkeypatch.setattr(spectral, "_BLOCK_MODES", modes)
+    n_y, n_xh = state.grid.spectral_shape[1:]
+    monkeypatch.setattr(spectral, "_BLOCK_MODES", planes * n_y * n_xh)
     assert reports() == expected
 
 
