@@ -212,10 +212,12 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
     n_z, n_y, n_xh = grid.spectral_shape
     bx, by, bz = wavenumbers(grid)
     w = _parseval_weights(state)
-    # Whole planes of b_x and b_y, so that products with a block coalesce.
+    # Whole planes of b_x and b_y, so that products with a block coalesce,
+    # and their values for each float (real and imaginary part) of a mode.
     b_x = np.broadcast_to(bx, (n_y, n_xh)).copy()
     b_y = np.broadcast_to(by, (n_y, n_xh)).copy()
     b_xy_sq = b_x * b_x + b_y * b_y
+    b_x2, b_y2 = np.repeat(b_x, 2, axis=1), np.repeat(b_y, 2, axis=1)
     # Per (E, H): the divergence's factor, and the weights of rho and w2.
     scale = np.array([eps, mu]).reshape(2, 1, 1, 1)
     inverse = 1.0 / scale[::-1]
@@ -231,51 +233,49 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
     block_planes = _planes_per_block(grid, s.size)
 
     def report_scratch(start: int, stop: int) -> tuple[np.ndarray]:
-        return (np.empty((24, min(block_planes, stop - start), n_y, n_xh)),)
+        return (np.empty(12 * min(block_planes, stop - start) * n_y * n_xh),)
 
     def block(planes: slice, scratch: np.ndarray) -> None:
         shape = (planes.stop - planes.start, n_y, n_xh)
-        scratch = scratch[:, : shape[0]]
-        # The block's real and imaginary parts, components E then H: every
-        # product below is real by real.  numpy rounds a complex product
-        # differently in its SIMD body than in its scalar tail, which would
-        # tie a mode's bits to where it falls in the block.
-        parts = scratch[:12].reshape((2, 6) + shape)
-        temps, fields = scratch[12:20], scratch[20:]
-        re, im = parts
+        m = math.prod(shape)
+        fields, temps = scratch[: 4 * m].reshape((4,) + shape), scratch[4 * m : 12 * m]
         w1, w2, p, rho = fields
+        # The block's components float by float, and as real and imaginary
+        # parts.  Every product is real by real: numpy rounds a complex
+        # product differently in its SIMD body than in its scalar tail,
+        # which would tie a mode's bits to where it falls in the block.
+        floats = s[:, planes].view(np.float64)
+        re, im = s[:, planes].real, s[:, planes].imag
         bz_planes = bz[planes]
         # Squares of finite modes may overflow; the totals are checked below.
         # Pool threads do not inherit the caller's error state, so it is set here.
         with np.errstate(over="ignore", invalid="ignore"):
-            np.copyto(re, s[:, planes].real)
-            np.copyto(im, s[:, planes].imag)
-            # |E|^2 and |H|^2, held in the w2 and p slots until w2 is formed.
-            sq = fields[1:3]
-            squares = temps[:6].reshape((2, 3) + shape)
-            for field, components in enumerate((slice(0, 3), slice(3, 6))):
-                np.square(parts[:, components], out=squares)
-                np.sum(squares, axis=(0, 1), out=sq[field])
+            # Float by float for E and H: the sum of squares, then b.F.
+            pairs, t = temps.reshape((2, 2) + shape[:-1] + (2 * n_xh,))
+            np.square(floats[0::3], out=pairs)
+            np.square(floats[1::3], out=t)
+            pairs += t
+            np.square(floats[2::3], out=t)
+            pairs += t
+            sq = fields[1:3]  # |E|^2 and |H|^2, in the w2 and p slots for now
+            np.add(pairs[..., 0::2], pairs[..., 1::2], out=sq)
+            np.multiply(floats[0::3], b_x2, out=pairs)
+            np.multiply(floats[1::3], b_y2, out=t)
+            pairs += t
+            np.multiply(floats[2::3], bz_planes, out=t)
+            pairs += t
+            d = div[:, planes].view(np.float64)  # i eps b.E and i mu b.H
+            np.multiply(pairs[..., 1::2], -scale, out=d[..., 0::2])
+            np.multiply(pairs[..., 0::2], scale, out=d[..., 1::2])
+            np.square(pairs, out=pairs)
+            temps = temps.reshape((8,) + shape)
+            np.add(pairs[..., 0::2], pairs[..., 1::2], out=temps[4:6])  # |b.E|^2, |b.H|^2
             np.multiply(sq[0], 0.5 * eps, out=w1)
-            np.multiply(sq[1], 0.5 * mu, out=temps[0])
-            w1 += temps[0]
-            # b.E and b.H, real then imaginary parts.
-            bf, t = temps[:4].reshape((2, 2) + shape), temps[4:8].reshape((2, 2) + shape)
-            np.multiply(parts[:, 0::3], b_x, out=bf)
-            np.multiply(parts[:, 1::3], b_y, out=t)
-            bf += t
-            np.multiply(parts[:, 2::3], bz_planes, out=t)
-            bf += t
-            # i eps b.E and i mu b.H.
-            d = div[:, planes].view(np.float64).reshape((2,) + shape + (2,))
-            np.multiply(bf[1], -scale, out=d[..., 0])
-            np.multiply(bf[0], scale, out=d[..., 1])
-            b_sq = rho  # |b|^2, in the rho slot until rho is formed
-            np.add(b_xy_sq, bz_planes * bz_planes, out=b_sq)
-            np.square(bf, out=bf)
-            bf[0] += bf[1]
-            sq *= b_sq
-            sq -= bf[0]
+            np.multiply(sq[1], 0.5 * mu, out=temps[6])
+            w1 += temps[6]
+            np.add(b_xy_sq, bz_planes * bz_planes, out=temps[6])  # |b|^2
+            sq *= temps[6]
+            sq -= temps[4:6]
             sq *= half_inverse
             np.add(sq[0], sq[1], out=w2)
             # p: sum_c Hi_c Er_c - Hr_c Ei_c.

@@ -187,6 +187,16 @@ class TestRealize:
             with pytest.raises(ImaginaryResidueError, match="Hermitian"):
                 realize(grid4, bad)
 
+    def test_magnitude_decides_beyond_the_largest_part(self, grid4):
+        # The largest real or imaginary part is 1 and the magnitude sqrt(2):
+        # a defect between 1e-10 and 1.41e-10 passes on the magnitude alone.
+        spec = np.zeros(grid4.n_spectral, dtype=complex)
+        spec[1] = 1.0 + 1.0j  # kx = 1, off the self-conjugate planes
+        _, residue = realize(grid4, perturb_plane(spec, grid4, 0, 2.4e-10))
+        assert residue == pytest.approx(1.2e-10 / grid4.n_total)
+        with pytest.raises(ImaginaryResidueError, match="Hermitian"):
+            realize(grid4, perturb_plane(spec, grid4, 0, 3e-10))
+
     def test_other_columns_may_carry_any_phase(self, grid4):
         # Off the two self-conjugate planes every mode is free.
         spec = np.zeros(grid4.n_spectral, dtype=complex)
