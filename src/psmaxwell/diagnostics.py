@@ -45,10 +45,10 @@ A report forward-transforms the six components once, in one batched
 transform (a state given in spectral representation is taken to be the
 spectrum of real fields and used as it is), and makes one pass over blocks
 of z-planes, on the thread pool for large grids
-(:func:`psmaxwell.spectral._for_slabs`).  Each block copies its real and
-imaginary parts into its slab's scratch, forms the four real fields
-``w1``, ``w2``, ``p`` and ``rho`` there without the Parseval weight, and
-reduces each to five moments per z-plane, ``M(g) = sum w g f`` over the
+(:func:`psmaxwell.spectral._for_slabs`).  Each block forms the four real
+fields ``w1``, ``w2``, ``p`` and ``rho``, without the Parseval weight, in
+its slab's scratch (12 reals per mode of a block), and reduces each to
+five moments per z-plane, ``M(g) = sum w g f`` over the
 plane for ``g = 1, b_x^2, b_x, b_y^2, b_y``: the field's sums over y
 contracted with ``w``, ``w b_x^2`` and ``w b_x``, and its ``w``-weighted
 sums over x contracted with ``b_y^2`` and ``b_y``.  ``b_z`` is constant
@@ -208,7 +208,8 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
     """
     grid = state.grid
     mu, eps = state.medium.mu, state.medium.eps
-    s = to_spectral(state).data.reshape((6,) + grid.spectral_shape)
+    # Contiguous, so that its floats have a view (a copy only for strided input).
+    s = np.ascontiguousarray(to_spectral(state).data).reshape((6,) + grid.spectral_shape)
     n_z, n_y, n_xh = grid.spectral_shape
     bx, by, bz = wavenumbers(grid)
     w = _parseval_weights(state)

@@ -324,7 +324,8 @@ def realize(grid: GridSpec, F: np.ndarray) -> tuple[np.ndarray, float]:
     allocated, and as a max does not depend on the order, the residue
     does not depend on the block size or the worker count.
     """
-    cube = _cube(F, grid.spectral_shape)
+    # Contiguous, so that its floats have a view (a copy only for strided input).
+    cube = _cube(np.ascontiguousarray(F), grid.spectral_shape)
     columns = slice(None, None, grid.n_x // 2)  # the kx = 0 and kx = n_x/2 columns
     mirror_y = -np.arange(grid.n_y) % grid.n_y
     maxima = np.zeros((2, grid.n_z))  # largest part (then magnitude) and defect per z-plane

@@ -624,6 +624,15 @@ class TestSpectralEvaluation:
                 bound = 4e-15 * (scale if scale >= NEAR_ZERO_ABS else 1.0)
                 assert abs(g - w) <= bound, (name, g, w, scale)
 
+    def test_strided_spectrum(self, grid8, rng):
+        # A spectral state may be a strided view; its floats are read from a
+        # contiguous copy.
+        state = to_spectral(random_band_limited_state(grid8, rng))
+        wide = np.zeros((6, 2 * grid8.n_spectral), dtype=complex)
+        wide[:, ::2] = state.data
+        strided = FieldState(grid8, state.medium, wide[:, ::2])
+        assert invariant_report(strided) == invariant_report(state)
+
     def test_m2_is_exactly_minus_m1(self, grid4, rng):
         m1, m2 = momenta(random_band_limited_state(grid4, rng))
         assert m2 == tuple(-m for m in m1)

@@ -197,6 +197,13 @@ class TestRealize:
         with pytest.raises(ImaginaryResidueError, match="Hermitian"):
             realize(grid4, perturb_plane(spec, grid4, 0, 3e-10))
 
+    def test_strided_input(self, grid4, rng):
+        spec = dft3_forward(grid4, rng.standard_normal((2, grid4.n_total)))
+        wide = np.zeros((2, 2 * grid4.n_spectral), dtype=complex)
+        wide[:, ::2] = spec
+        out, residue = realize(grid4, wide[:, ::2])
+        assert out.base is wide and residue == realize(grid4, spec)[1]
+
     def test_other_columns_may_carry_any_phase(self, grid4):
         # Off the two self-conjugate planes every mode is free.
         spec = np.zeros(grid4.n_spectral, dtype=complex)
