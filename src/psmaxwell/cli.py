@@ -14,8 +14,8 @@ Subcommands:
 Each command forward-transforms its initial state once per grid and hands
 that spectrum to :func:`psmaxwell.propagator.propagate` for every target
 time, which returns the stepped spectrum.  ``run`` and ``drift`` measure
-a record's invariants on that spectrum, so they no longer carry the
-inverse transform's roundoff and cost no second forward transform.
+a record's invariants on that spectrum itself, without transforming it
+back and forth.
 ``run`` and ``convergence`` then transform it back with
 :func:`psmaxwell.propagator.to_physical` for the solution errors; a
 record's ``wall_seconds`` covers the coefficients, the flow, the

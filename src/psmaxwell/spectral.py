@@ -28,12 +28,11 @@ rejects a non-finite spectrum or one whose planes are not Hermitian beyond
 roundoff.  Only numpy is used.
 
 Large arrays are worked on by one thread per CPU in the process's affinity
-mask (:func:`_for_slabs`): the transforms split the batch into row groups
-(the inverse's real pass splits its x-lines), the other stages split the
-z-planes into slabs, each with its own scratch or saved band.  Every slab
-goes through the same elementwise operations and FFT lines as the whole
-array would, so the results are bitwise those of one thread, whatever the
-worker count.
+mask (:func:`_for_slabs`): the transforms split the batch into row groups,
+the other stages split the z-planes into slabs, each with its own scratch.
+Every slab goes through the same elementwise operations and FFT lines as
+the whole array would, so the results are bitwise those of one thread,
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -111,9 +110,8 @@ def _for_slabs(fn, n: int, size: int, block: int | None = None, per_slab=None) -
 
     ``state`` is ``per_slab(start, stop)`` for the slab ``[start, stop)``, or
     ``()`` without ``per_slab``.  ``per_slab`` runs on the calling thread,
-    once per slab and for every slab before ``fn`` is first called; pool
-    threads' own scratches stayed resident in their malloc arenas (0.7 MiB
-    more peak RSS in a 128^3 convergence run).
+    once per slab: a scratch a pool thread allocates stays resident in that
+    thread's malloc arena.
     """
     global _pool
     bounds = _slab_bounds(n, size)
@@ -220,25 +218,25 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray, *, overwrite: bool = False) -> n
     The passes are those of ``irfftn`` in its order (z, y, then the real x
     pass), so the result is bitwise the same.  They all run in one spectrum
     buffer, and the real samples are written over it: the returned
-    ``(..., n_total)`` float64 array is a C-contiguous view of the front of
-    that buffer.  By default the buffer is a copy of ``F``, which is left
-    untouched.  With ``overwrite`` it is ``F`` itself, which must then be a
-    writeable C-contiguous complex128 array that the caller owns and no
-    longer needs as a spectrum (``ValueError`` otherwise), and nothing
-    spectrum-sized is allocated.
+    ``(..., n_total)`` float64 array is a view of that buffer.  By default
+    the buffer is a copy of ``F``, which is left untouched.  With
+    ``overwrite`` it is ``F`` itself, which must then be a writeable
+    C-contiguous complex128 array that the caller owns and no longer needs
+    as a spectrum (``ValueError`` otherwise), and nothing spectrum-sized is
+    allocated.
 
-    The x pass runs block by block of lines in increasing order: the
-    ``n_x`` samples of x-line ``r`` go to floats ``[r n_x, (r+1) n_x)``,
-    inside the ``2 (n_x//2 + 1)`` floats of the lines up to ``r``.  Each
-    block is transformed straight from the spectrum: where its samples
-    overlap its coefficients, numpy's rule for overlapping operands (the
-    ``numpy.fft`` functions are gufuncs since numpy 2.0) copies the block's
-    input first, so at most one block per worker is copied at a time.
-    On the thread pool each slab reads those of its last lines that the next
-    slab's samples overwrite from a band saved as its :func:`_for_slabs`
-    state, which is right only because every band is saved before any slab
-    runs: with ``W`` slabs over ``L`` lines, about ``(W - 1) L / (n_x + 2)``
-    lines in all, a whole slab on small grids.
+    Each row of the batch goes through all three passes on one worker, the
+    x pass block by block of lines in increasing order: the ``n_x`` samples
+    of the row's x-line ``l`` go to its floats ``[l n_x, (l+1) n_x)``,
+    inside the ``2 (n_x//2 + 1)`` floats of its lines up to ``l``, so no row
+    writes over another row's coefficients.  Each block is transformed
+    straight from the spectrum: where its samples overlap its coefficients,
+    numpy's rule for overlapping operands (the ``numpy.fft`` functions are
+    gufuncs since numpy 2.0) copies the block's input first, so at most one
+    block per worker is copied at a time.  Each row of the result is
+    C-contiguous and starts at the first byte of its spectrum row, so rows
+    lie ``2 n_spectral`` floats apart; a single field's result is
+    C-contiguous.
 
     The buffer behind the result holds ``2 (n_x//2 + 1) / n_x`` times the
     samples' memory (1.6% more at ``n_x = 128``, twice at ``n_x = 2``) for
@@ -258,33 +256,22 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray, *, overwrite: bool = False) -> n
     if not overwrite:
         cube = np.array(cube, np.complex128)
     rows = _rows(cube)
-
-    def complex_passes(group: slice) -> None:
-        np.fft.ifft(rows[group], axis=-3, out=rows[group])
-        np.fft.ifft(rows[group], axis=-2, out=rows[group])
-
-    _for_slabs(complex_passes, len(rows), cube.size)
-
     n_x, n_xh = grid.n_x, grid.spectral_shape[-1]
-    coefs = rows.reshape(-1, n_xh)
-    samples = coefs.reshape(-1).view(np.float64)
+    floats = rows.reshape(len(rows), math.prod(grid.spectral_shape)).view(np.float64)
+    lines = max(1, _POOLED_BLOCK_MODES // n_xh)
 
-    def save_band(start: int, stop: int) -> tuple[int, np.ndarray]:
-        # The slab's lines from the first one that the next slab's samples,
-        # written from float stop * n_x on, reach; none for the last slab.
-        band = stop if stop == len(coefs) else max(start, stop * n_x // (2 * n_xh))
-        return band, coefs[band:stop].copy()
+    def inverse(row: slice) -> None:
+        r = row.start  # blocks of one row
+        np.fft.ifft(rows[r], axis=-3, out=rows[r])
+        np.fft.ifft(rows[r], axis=-2, out=rows[r])
+        coefs, samples = rows[r].reshape(-1, n_xh), floats[r]
+        for first in range(0, len(coefs), lines):
+            stop = min(first + lines, len(coefs))
+            out = samples[first * n_x : stop * n_x].reshape(-1, n_x)
+            np.fft.irfft(coefs[first:stop], n=n_x, axis=-1, out=out)
 
-    def real_pass(lines: slice, band: int, saved: np.ndarray) -> None:
-        first, stop = lines.start, lines.stop
-        cut = min(max(first, band), stop)
-        parts = ((first, cut, coefs[first:cut]), (cut, stop, saved[cut - band : stop - band]))
-        for lo, hi, part in parts:
-            out = samples[lo * n_x : hi * n_x].reshape(-1, n_x)
-            np.fft.irfft(part, n=n_x, axis=-1, out=out)
-
-    _for_slabs(real_pass, len(coefs), cube.size, max(1, _POOLED_BLOCK_MODES // n_xh), save_band)
-    return samples[: len(coefs) * n_x].reshape(cube.shape[:-3] + (grid.n_total,))
+    _for_slabs(inverse, len(rows), cube.size, 1)
+    return floats[:, : grid.n_total].reshape(cube.shape[:-3] + (grid.n_total,))
 
 
 def apply_derivative(grid: GridSpec, F: np.ndarray, axis: int) -> np.ndarray:

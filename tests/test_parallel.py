@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from psmaxwell import (
     dft3_inverse,
     error_norms,
     invariant_report,
+    propagate,
     realize,
     spectral,
     step,
@@ -88,15 +90,18 @@ def test_transforms(workers, state, rows):
 )
 @pytest.mark.parametrize("rows", [1, 2, 6])
 def test_in_place_inverse(workers, monkeypatch, state, rows, block_modes):
-    # On 2 and 4 workers every slab but the last saves a band of its last
-    # lines; on 2x4x6 (n_x = 2) a band is a whole slab.  Blocks of at most
-    # 62 modes (1000 bytes) make many blocks per slab, some of them
-    # straddling a band's start.
+    # Each row's samples go over its own coefficients, one block of lines
+    # after another: a line's samples land on the coefficients of lines up
+    # to it, half as far into the row on 2x4x6 (n_x = 2).  Blocks of at
+    # most 62 modes (1000 bytes) make many blocks per row.  Blocks run out
+    # of order would give the same wrong samples on every worker count, so
+    # the reference is numpy's irfftn.
     monkeypatch.setattr(spectral, "_POOLED_BLOCK_MODES", block_modes)
     grid = state.grid
     spectrum = dft3_forward(grid, state.data[:rows])
-    workers(1)
-    expected = dft3_inverse(grid, spectrum)
+    expected = np.fft.irfftn(
+        spectrum.reshape((rows,) + grid.spectral_shape), s=grid.shape, axes=(-3, -2, -1)
+    ).reshape(rows, grid.n_total)
     for n in (1, 2, 4):
         workers(n)
         owned = spectrum.copy()
@@ -105,8 +110,9 @@ def test_in_place_inverse(workers, monkeypatch, state, rows, block_modes):
 
 def test_in_place_inverse_under_thread_switching(workers, monkeypatch, rng):
     # Four slabs on fewer cores, small blocks and a thread switch every
-    # microsecond: a slab reading its last lines after the next slab wrote
-    # its first samples over them would return wrong samples.
+    # microsecond: a worker that wrote samples over another row's
+    # coefficients, or over its own before transforming them, would return
+    # wrong samples.
     grid = build_grid(DomainSpec.cube(0.0, 1.0), 16, 16, 64)
     spectrum = dft3_forward(grid, random_band_limited_state(grid, rng, MEDIUM).data)
     # 16-line blocks: each line is 9 modes.
@@ -127,17 +133,15 @@ def test_in_place_inverse_under_thread_switching(workers, monkeypatch, rng):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_in_place_inverse_copies_one_block_per_worker(workers, rng, n):
     # irfft reads each block from the spectrum it writes its samples over,
-    # and numpy copies the block, not the slab, where the two overlap.  So
-    # besides the saved bands the x pass holds one block per worker.
+    # and numpy copies the block, not the row, where the two overlap.  So
+    # the x pass holds one block per busy worker, and no more workers are
+    # busy than there are rows.
     grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
     spectrum = dft3_forward(grid, random_band_limited_state(grid, rng, MEDIUM).data)
     n_xh = grid.spectral_shape[-1]
-    lines = spectrum.size // n_xh
     workers(n)
-    bounds = spectral._slab_bounds(lines, spectrum.size)
-    band_lines = sum(hi - hi * grid.n_x // (2 * n_xh) for hi in bounds[1:-1])
     block_bytes = (spectral._POOLED_BLOCK_MODES // n_xh) * n_xh * spectrum.itemsize
-    bound = band_lines * n_xh * spectrum.itemsize + (len(bounds) - 1) * block_bytes + (64 << 10)
+    bound = min(n, len(spectrum)) * block_bytes + (64 << 10)
     dft3_inverse(grid, spectrum.copy(), overwrite=True)  # starts any pool first
     owned = spectrum.copy()
     tracemalloc.start()
@@ -242,6 +246,25 @@ def test_invariant_report(workers, state, representation):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("counts", [(2, 4, 6), (40, 40, 40)], ids=lambda c: "x".join(map(str, c)))
+def test_row_strided_physical_state(workers, rng, counts, n):
+    # An in-place to_physical leaves each row's samples at the front of its
+    # spectrum row, 2 n_spectral floats apart: every stage that takes a
+    # physical state gives the same bits on it as on a contiguous copy.
+    workers(n)
+    grid = grid_for(counts)
+    spectrum = to_spectral(random_band_limited_state(grid, rng, MEDIUM))
+    strided = to_physical(replace(spectrum, time=0.7), overwrite=True)
+    assert not strided.data.flags.c_contiguous
+    copy = replace(strided, data=strided.data.copy())
+    case = TravelingWave()
+    np.testing.assert_array_equal(to_spectral(strided).data, to_spectral(copy).data)
+    assert error_norms(strided, case) == error_norms(copy, case)
+    assert invariant_report(strided) == invariant_report(copy)
+    np.testing.assert_array_equal(propagate(strided, 1.3).data, propagate(copy, 1.3).data)
+
+
 @pytest.mark.parametrize(
     "planes", [1, 3, 10**9], ids=["one-plane", "three-plane-ragged", "whole-array"]
 )
@@ -296,8 +319,8 @@ def test_slabs_run_on_the_pool(workers):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_per_slab_state_comes_first(workers, n):
-    # The inverse's saved bands rely on every slab's state being made, on
-    # the calling thread, before any slab runs.
+    # Every slab's state is made on the calling thread before any slab
+    # runs, so no pool thread allocates a scratch.
     workers(n)
     events = []
 
