@@ -19,8 +19,9 @@ by block on the z-planes with ``kz >= 0`` and reuses each block's factors
 on the mirror planes ``kz < 0``; no array of them is kept.
 :func:`propagate` returns its result in the representation it was given.
 On a spectral state it costs O(n_spectral) elementwise work (the factors
-on about half the modes, two per-mode cross products per field) written
-into a new spectrum, and no transform.  A physical state adds one batched
+on about half the modes, two per-mode cross products per field, each numpy
+call covering E and H together) written into a new spectrum, and no
+transform.  A physical state adds one batched
 real-to-complex transform of the six components before, and after it the
 Hermitian-plane check of :func:`psmaxwell.spectral.realize` and one
 batched complex-to-real transform whose samples are written over the
@@ -207,11 +208,25 @@ def step(
     ``0 < q < n_z/2``, which have the same factors bit for bit.  The
     per-mode operations are those of the whole-array formula in the same
     order, so the result does not depend on the block size or on which
-    thread runs the block.  Each slab gets one six-field scratch of a
-    block's size from :func:`psmaxwell.spectral._for_slabs` for its blocks'
-    curls ``b x E`` and ``b x H``; the double curl is formed one component
-    at a time, so the workers' other temporaries are one component or one
-    real factor block each.
+    thread runs the block.
+
+    A block of E and H is one ``(2, 3, planes, n_y, n_x//2 + 1)`` view, so
+    every cross product, double-curl component, factor and sine call covers
+    both fields at once: 27 numpy calls per block, each twice as long
+    as one field's, which is fewer hand-offs of the interpreter lock
+    between the pool's workers.  No strided stack is multiplied by an
+    operand numpy must cast: the x and y wavenumbers are complex planes
+    built once per step, the z ladder is complex, and the cosine factor is
+    made complex once per block; only the real sine factor is cast, in one
+    call per block on the contiguous curls.  numpy's ufunc buffers are
+    kept no longer than a plane.  Each slab gets one
+    scratch of a block's size from :func:`psmaxwell.spectral._for_slabs`
+    for its blocks' curls ``b x E`` and ``b x H``.  The double curl is
+    formed one component of both fields at a time, in the output's own
+    component, or with ``overwrite`` in two more complex per mode of the
+    slab's scratch, so a worker's other temporaries are the two factors
+    and one product of a component of both fields.
+
     Each block is read from the input's spectrum and its result written to
     the output's.  By default the output is a new spectrum and the input is
     left unmodified.  With ``overwrite`` the output is the input's spectrum,
@@ -226,50 +241,63 @@ def step(
         raise ValueError("state and coefficients use different media")
     grid, medium = coeffs.grid, coeffs.medium
     kx, ky, kz = wavenumbers(grid)
-    source = state.data.reshape((6,) + grid.spectral_shape)
+    n_z, n_y, n_xh = grid.spectral_shape
+    # E, then H: each call below works on both fields at once.
+    source = state.data.reshape((2, 3) + grid.spectral_shape)
     fields = source if overwrite else np.empty(source.shape, np.complex128)
-    n_z = grid.n_z
     hz = n_z // 2 + 1
     block_planes = min(_planes_per_block(grid, fields.size), hz)
+    # Operands are complex, but for the real sine factor applied once per
+    # flow: numpy casts a real operand through its buffers, slowly for a
+    # strided stack, and (b + 0j) z has the bits of b z.  The x and y
+    # wavenumbers are whole planes, so that each call runs over whole planes.
+    b_xy = [np.broadcast_to(k, (n_y, n_xh)).astype(np.complex128, order="C") for k in (kx, ky)]
+    b_z = kz.astype(np.complex128)
+    sine_units = np.array([-1j / medium.mu, 1j / medium.eps]).reshape(2, 1, 1, 1, 1)
 
-    def curls_scratch(start: int, stop: int) -> tuple[np.ndarray]:
-        return (np.empty(6 * block_planes * grid.n_spectral // n_z, np.complex128),)
+    def slab_scratch(start: int, stop: int) -> tuple[np.ndarray]:
+        # The curls b x E, b x H and, over the input, a double-curl component.
+        size = (8 if overwrite else 6) * block_planes * n_y * n_xh
+        return (np.empty(size, np.complex128),)
 
-    def flow(block: slice, r1: np.ndarray, r2: np.ndarray, scratch: np.ndarray) -> None:
-        s, f = source[:, block], fields[:, block]
-        b = (kx, ky, kz[block])
-        curls = scratch[: s.size].reshape(s.shape)  # b x E, then b x H
-        cross(b, s[:3], curls[:3])
-        cross(b, s[3:], curls[3:])
-        # C F = F + rho b x (b x F), one component at a time as in cross.
-        rho = (-coeffs.kappa * coeffs.kappa) * r1
-        term = np.empty(s.shape[1:], np.complex128)
-        for c in (0, 3):
-            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                np.multiply(b[j], curls[c + k], out=term)
-                term -= b[k] * curls[c + j]
-                term *= rho
-                np.add(s[c + i], term, out=f[c + i])
-        curls *= coeffs.t * r2
-        curls[:3] *= -1j / medium.mu
-        curls[3:] *= 1j / medium.eps
-        # One component at a time: the sums of stacked, strided blocks
-        # would go through numpy's iterator buffers.
-        for i in range(3):
-            f[i] += curls[3 + i]
-            f[3 + i] += curls[i]
+    def flow(block: slice, rho: np.ndarray, sine: np.ndarray, scratch: np.ndarray) -> None:
+        s, f = source[:, :, block], fields[:, :, block]
+        b = (*b_xy, b_z[block])
+        curls = scratch[: s.size].reshape(s.shape)
+        cross(b, s, curls)
+        # C F = F + rho b x (b x F), one component at a time, formed in the
+        # output's own component unless that is the input's.
+        spare = scratch[s.size : s.size * 4 // 3].reshape(f[:, 0].shape) if overwrite else None
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            term = spare if overwrite else f[:, i]
+            np.multiply(b[j], curls[:, k], out=term)
+            term -= b[k] * curls[:, j]
+            term *= rho
+            np.add(s[:, i], term, out=f[:, i])
+        curls *= sine
+        curls *= sine_units
+        f += curls[::-1]  # each field gets the other's scaled curl
 
     def mirror_pair(planes: slice, scratch: np.ndarray) -> None:
-        r1, r2 = _plane_factors(coeffs.kappa, grid, planes)
-        flow(planes, r1, r2, scratch)
-        # Planes 0 and n_z/2 are their own mirrors.
-        first, last = max(planes.start, 1), min(planes.stop, n_z // 2)
-        if first < last:
-            cut = slice(first - planes.start, last - planes.start)
-            mirror = slice(n_z - last + 1, n_z - first + 1)
-            flow(mirror, r1[cut][::-1], r2[cut][::-1], scratch)
+        with np.errstate():
+            # numpy 2.4 copies an operand broadcast over planes, and the
+            # others with it, into its buffers to lengthen the inner loop;
+            # with buffers no longer than a plane it loops over the planes.
+            # A multiple of 16, as older numpy releases require.
+            np.setbufsize(min(np.getbufsize(), max(16, n_y * n_xh // 16 * 16)))
+            r1, r2 = _plane_factors(coeffs.kappa, grid, planes)
+            rho = ((-coeffs.kappa * coeffs.kappa) * r1).astype(np.complex128)
+            del r1  # the slab's peak comes later, without it
+            r2 *= coeffs.t
+            flow(planes, rho, r2, scratch)
+            # Planes 0 and n_z/2 are their own mirrors.
+            first, last = max(planes.start, 1), min(planes.stop, n_z // 2)
+            if first < last:
+                cut = slice(first - planes.start, last - planes.start)
+                mirror = slice(n_z - last + 1, n_z - first + 1)
+                flow(mirror, rho[cut][::-1], r2[cut][::-1], scratch)
 
-    _for_slabs(mirror_pair, hz, fields.size, block_planes, curls_scratch)
+    _for_slabs(mirror_pair, hz, fields.size, block_planes, slab_scratch)
     return replace(state, data=fields.reshape(6, -1), time=state.time + coeffs.t)
 
 

@@ -183,12 +183,15 @@ def wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def cross(b: tuple, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-mode cross product ``b x f`` written into ``out``.
 
-    ``b`` is a :func:`wavenumbers` triple and ``f`` a stacked
-    ``(3, n_z, n_y, n_x//2 + 1)`` vector field; ``out`` must not overlap ``f``.
+    ``b`` is a :func:`wavenumbers` triple, or arrays that broadcast like it,
+    and ``f`` a ``(..., 3, n_z, n_y, n_x//2 + 1)`` stack of vector fields,
+    whose components are its fourth axis from the end; ``out`` has ``f``'s
+    shape and must not overlap it.
     """
+    f, comps = np.moveaxis(f, -4, 0), np.moveaxis(out, -4, 0)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(b[j], f[k], out=out[i])
-        out[i] -= b[k] * f[j]
+        np.multiply(b[j], f[k], out=comps[i])
+        comps[i] -= b[k] * f[j]
     return out
 
 

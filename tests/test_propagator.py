@@ -282,6 +282,26 @@ class TestStep:
         assert in_place.time == out.time
         assert in_place.data.ctypes.data == owned.data.ctypes.data
 
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("t", [0.0, 1.3, -7.9])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_pooled_blocks_match_whole_array_formula(self, workers, rng, n, t, overwrite):
+        # An anisotropic box of 1000 modes per plane, in blocks of 4 planes
+        # on the calling thread and of 16 in each of the pool's slabs,
+        # against the formula's bits, signed zeros included.
+        grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 48, 40, 36)
+        medium = MediumParams(mu=2.0, eps=0.5)
+        state = to_spectral(random_band_limited_state(grid, rng, medium))
+        coeffs = build_coefficients(grid, medium, t)
+        expected = whole_array_step(state, coeffs)
+        workers(n)
+        assert spectral._planes_per_block(grid, state.data.size) == (4 if n == 1 else 16)
+        assert len(spectral._slab_bounds(grid.n_z // 2 + 1, state.data.size)) == n + 1
+        if overwrite:
+            state = FieldState(grid, medium, state.data.copy())
+        out = step(state, coeffs, overwrite=overwrite)
+        np.testing.assert_array_equal(out.data.view(np.uint64), expected.view(np.uint64))
+
     def test_zero_time_is_bitwise_identity(self, grid4, rng):
         # Bitwise for a non-unit medium too: step applies the flow unscaled.
         for medium in (MediumParams(), MediumParams(mu=2.0, eps=0.5)):
@@ -468,21 +488,24 @@ class TestPropagate:
         state = to_spectral(random_band_limited_state(grid, rng))
         assert self.propagation_peak_in_states(state) <= 1.75
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 4])
     def test_from_spectrum_allocates_one_spectrum(self, workers, rng, n):
         # The stepped spectrum, which propagate returns and to_physical
         # writes its samples over, is the only spectrum-sized array, inverse
         # included.  Besides it each of step's slabs holds one block's
-        # temporaries: the curls scratch (6 complex per mode), one
-        # double-curl component and the product subtracted from it
-        # (2 complex), the two factor blocks and one scaled factor (3 real),
-        # and a numpy ufunc buffer for the real-to-complex casts.
+        # temporaries, for E and H together: the curls scratch (6 complex
+        # per mode), the complex cosine factor (1 complex), the scaled sine
+        # factor (1 real), and a product of one component of both fields,
+        # subtracted from another formed in the output (2 complex).  The
+        # buffer term has room for numpy's ufunc buffers, which step keeps
+        # no longer than a plane, and for the two complex wavenumber planes
+        # the slabs share (66 KiB here).
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
         state = to_spectral(random_band_limited_state(grid, rng))
         workers(n)
         size = state.data.size
         modes = spectral._planes_per_block(grid, size) * grid.n_y * grid.spectral_shape[-1]
-        per_worker = modes * (8 * 16 + 3 * 8) + np.getbufsize() * 16
+        per_worker = modes * (9 * 16 + 8) + np.getbufsize() * 16
         slabs = len(spectral._slab_bounds(grid.n_z // 2 + 1, size)) - 1
         bound = state.data.nbytes + slabs * per_worker + (64 << 10)
         to_physical(propagate(state, 1.3), overwrite=True)  # starts any pool first
