@@ -247,10 +247,10 @@ def step(
     fields = source if overwrite else np.empty(source.shape, np.complex128)
     hz = n_z // 2 + 1
     block_planes = min(_planes_per_block(grid, fields.size), hz)
-    # Operands are complex, but for the real sine factor applied once per
-    # flow: numpy casts a real operand through its buffers, slowly for a
-    # strided stack, and (b + 0j) z has the bits of b z.  The x and y
-    # wavenumbers are whole planes, so that each call runs over whole planes.
+    # Complex operands, so that no call on a strided stack casts one, and
+    # (b + 0j) z has the bits of b z.  The x and y wavenumbers are whole
+    # planes in C order (astype keeps a broadcast's layout otherwise), so
+    # that each call runs over whole planes.
     b_xy = [np.broadcast_to(k, (n_y, n_xh)).astype(np.complex128, order="C") for k in (kx, ky)]
     b_z = kz.astype(np.complex128)
     sine_units = np.array([-1j / medium.mu, 1j / medium.eps]).reshape(2, 1, 1, 1, 1)
