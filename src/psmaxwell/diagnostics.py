@@ -233,9 +233,6 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
     div = np.empty((2,) + grid.spectral_shape, np.complex128)
     block_planes = _planes_per_block(grid, s.size)
 
-    def report_scratch(start: int, stop: int) -> tuple[np.ndarray]:
-        return (np.empty(12 * min(block_planes, stop - start) * n_y * n_xh),)
-
     def block(planes: slice, scratch: np.ndarray) -> None:
         shape = (planes.stop - planes.start, n_y, n_xh)
         m = math.prod(shape)
@@ -248,66 +245,64 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
         floats = s[:, planes].view(np.float64)
         re, im = s[:, planes].real, s[:, planes].imag
         bz_planes = bz[planes]
-        # Squares of finite modes may overflow; the totals are checked below.
-        # Pool threads do not inherit the caller's error state, so it is set here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Float by float for E and H: the sum of squares, then b.F.
-            pairs, t = temps.reshape((2, 2) + shape[:-1] + (2 * n_xh,))
-            np.square(floats[0::3], out=pairs)
-            np.square(floats[1::3], out=t)
-            pairs += t
-            np.square(floats[2::3], out=t)
-            pairs += t
-            sq = fields[1:3]  # |E|^2 and |H|^2, in the w2 and p slots for now
-            np.add(pairs[..., 0::2], pairs[..., 1::2], out=sq)
-            np.multiply(floats[0::3], b_x2, out=pairs)
-            np.multiply(floats[1::3], b_y2, out=t)
-            pairs += t
-            np.multiply(floats[2::3], bz_planes, out=t)
-            pairs += t
-            d = div[:, planes].view(np.float64)  # i eps b.E and i mu b.H
-            np.multiply(pairs[..., 1::2], -scale, out=d[..., 0::2])
-            np.multiply(pairs[..., 0::2], scale, out=d[..., 1::2])
-            np.square(pairs, out=pairs)
-            temps = temps.reshape((8,) + shape)
-            np.add(pairs[..., 0::2], pairs[..., 1::2], out=temps[4:6])  # |b.E|^2, |b.H|^2
-            np.multiply(sq[0], 0.5 * eps, out=w1)
-            np.multiply(sq[1], 0.5 * mu, out=temps[6])
-            w1 += temps[6]
-            np.add(b_xy_sq, bz_planes * bz_planes, out=temps[6])  # |b|^2
-            sq *= temps[6]
-            sq -= temps[4:6]
-            sq *= half_inverse
-            np.add(sq[0], sq[1], out=w2)
-            # p: sum_c Hi_c Er_c - Hr_c Ei_c.
-            np.multiply(im[3:], re[:3], out=temps[:3])
-            np.multiply(re[3:], im[:3], out=temps[3:6])
-            temps[:3] -= temps[3:6]
-            np.add(temps[0], temps[1], out=p)
-            p += temps[2]
-            # rho: b.(Hr x Hi) / eps + b.(Er x Ei) / mu.
-            cross_parts, t = temps[:6].reshape((3, 2) + shape), temps[6:8]
-            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                np.multiply(re[j::3], im[k::3], out=cross_parts[i])
-                np.multiply(re[k::3], im[j::3], out=t)
-                cross_parts[i] -= t
-            cross_parts *= inverse
-            q = cross_parts[:, 0]
-            q += cross_parts[:, 1]
-            np.multiply(q[0], b_x, out=rho)
-            np.multiply(q[1], b_y, out=q[1])
-            rho += q[1]
-            np.multiply(q[2], bz_planes, out=q[2])
-            rho += q[2]
-            # einsum rather than matmul: its sums run along x or y within a
-            # plane, whatever the block's length, and it needs no BLAS.
-            y_sums = np.einsum("fpyx->fpx", fields)
-            x_sums = np.einsum("fpyx,x->fpy", fields, w)
-            moments[planes, :, :3] = np.einsum("fpx,kx->pfk", y_sums, x_weights)
-            moments[planes, :, 3:] = np.einsum("fpy,ky->pfk", x_sums, y_weights)
+        # Float by float for E and H: the sum of squares, then b.F.
+        pairs, t = temps.reshape((2, 2) + shape[:-1] + (2 * n_xh,))
+        np.square(floats[0::3], out=pairs)
+        np.square(floats[1::3], out=t)
+        pairs += t
+        np.square(floats[2::3], out=t)
+        pairs += t
+        sq = fields[1:3]  # |E|^2 and |H|^2, in the w2 and p slots for now
+        np.add(pairs[..., 0::2], pairs[..., 1::2], out=sq)
+        np.multiply(floats[0::3], b_x2, out=pairs)
+        np.multiply(floats[1::3], b_y2, out=t)
+        pairs += t
+        np.multiply(floats[2::3], bz_planes, out=t)
+        pairs += t
+        d = div[:, planes].view(np.float64)  # i eps b.E and i mu b.H
+        np.multiply(pairs[..., 1::2], -scale, out=d[..., 0::2])
+        np.multiply(pairs[..., 0::2], scale, out=d[..., 1::2])
+        np.square(pairs, out=pairs)
+        temps = temps.reshape((8,) + shape)
+        np.add(pairs[..., 0::2], pairs[..., 1::2], out=temps[4:6])  # |b.E|^2, |b.H|^2
+        np.multiply(sq[0], 0.5 * eps, out=w1)
+        np.multiply(sq[1], 0.5 * mu, out=temps[6])
+        w1 += temps[6]
+        np.add(b_xy_sq, bz_planes * bz_planes, out=temps[6])  # |b|^2
+        sq *= temps[6]
+        sq -= temps[4:6]
+        sq *= half_inverse
+        np.add(sq[0], sq[1], out=w2)
+        # p: sum_c Hi_c Er_c - Hr_c Ei_c.
+        np.multiply(im[3:], re[:3], out=temps[:3])
+        np.multiply(re[3:], im[:3], out=temps[3:6])
+        temps[:3] -= temps[3:6]
+        np.add(temps[0], temps[1], out=p)
+        p += temps[2]
+        # rho: b.(Hr x Hi) / eps + b.(Er x Ei) / mu.
+        cross_parts, t = temps[:6].reshape((3, 2) + shape), temps[6:8]
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(re[j::3], im[k::3], out=cross_parts[i])
+            np.multiply(re[k::3], im[j::3], out=t)
+            cross_parts[i] -= t
+        cross_parts *= inverse
+        q = cross_parts[:, 0]
+        q += cross_parts[:, 1]
+        np.multiply(q[0], b_x, out=rho)
+        np.multiply(q[1], b_y, out=q[1])
+        rho += q[1]
+        np.multiply(q[2], bz_planes, out=q[2])
+        rho += q[2]
+        # einsum rather than matmul: its sums run along x or y within a
+        # plane, whatever the block's length, and it needs no BLAS.
+        y_sums = np.einsum("fpyx->fpx", fields)
+        x_sums = np.einsum("fpyx,x->fpy", fields, w)
+        moments[planes, :, :3] = np.einsum("fpx,kx->pfk", y_sums, x_weights)
+        moments[planes, :, 3:] = np.einsum("fpy,ky->pfk", x_sums, y_weights)
 
-    _for_slabs(block, n_z, s.size, block_planes, report_scratch)
+    # Squares of finite modes may overflow; the totals are checked below.
     with np.errstate(over="ignore", invalid="ignore"):
+        _for_slabs(block, n_z, s.size, block_planes, 12 * n_y * n_xh)
         # Two more moments per plane, M(bz^2) and M(bz), then each moment
         # summed over the planes in plane order.
         bz = bz.reshape(n_z, 1, 1)
@@ -399,25 +394,21 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     squares = np.empty((grid.n_z, 6))
     block_planes = max(1, spectral._POOLED_BLOCK_MODES // (grid.n_y * grid.n_x))
 
-    def errors_scratch(start: int, stop: int) -> tuple[np.ndarray]:
-        return (np.empty(6 * block_planes * grid.n_y * grid.n_x),)
-
     def block(planes: slice, scratch: np.ndarray) -> None:
         count = planes.stop - planes.start
         e = scratch[: 6 * count * grid.n_y * grid.n_x].reshape((6, count) + grid.shape[1:])
         rows = e.reshape(6, count, -1)
         sample(planes, e)
-        # Errors of finite samples may overflow; the norms are checked below.
-        # Pool threads do not inherit the caller's error state, so it is set here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # |exact - data| equals |data - exact| exactly.
-            np.subtract(e, data[:, planes], out=e)
-            np.abs(e, out=e)
-            maxima[planes] = np.max(e.reshape(6, -1), axis=1)
-            np.square(e, out=e)
-            squares[planes] = np.sum(rows, axis=-1).T
+        # |exact - data| equals |data - exact| exactly.
+        np.subtract(e, data[:, planes], out=e)
+        np.abs(e, out=e)
+        maxima[planes] = np.max(e.reshape(6, -1), axis=1)
+        np.square(e, out=e)
+        squares[planes] = np.sum(rows, axis=-1).T
 
-    _for_slabs(block, grid.n_z, data.size, block_planes, errors_scratch)
+    # Errors of finite samples may overflow; the norms are checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _for_slabs(block, grid.n_z, data.size, block_planes, 6 * grid.n_y * grid.n_x)
     per_row = np.max(maxima, axis=0)
     linf = float(np.max(per_row))
     l2 = float(np.sqrt(np.sum(squares) / grid.n_total))

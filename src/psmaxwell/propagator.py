@@ -219,9 +219,9 @@ def step(
     built once per step, the z ladder is complex, and the cosine factor is
     made complex once per block; only the real sine factor is cast, in one
     call per block on the contiguous curls.  numpy's ufunc buffers are
-    kept no longer than a plane.  Each slab gets one
-    scratch of a block's size from :func:`psmaxwell.spectral._for_slabs`
-    for its blocks' curls ``b x E`` and ``b x H``.  The double curl is
+    kept no longer than a plane.  Each slab's blocks share one scratch of
+    a block's size from :func:`psmaxwell.spectral._for_slabs`, viewed as
+    complex, for their curls ``b x E`` and ``b x H``.  The double curl is
     formed one component of both fields at a time, in the output's own
     component, or with ``overwrite`` in two more complex per mode of the
     slab's scratch, so a worker's other temporaries are the two factors
@@ -255,11 +255,6 @@ def step(
     b_z = kz.astype(np.complex128)
     sine_units = np.array([-1j / medium.mu, 1j / medium.eps]).reshape(2, 1, 1, 1, 1)
 
-    def slab_scratch(start: int, stop: int) -> tuple[np.ndarray]:
-        # The curls b x E, b x H and, over the input, a double-curl component.
-        size = (8 if overwrite else 6) * block_planes * n_y * n_xh
-        return (np.empty(size, np.complex128),)
-
     def flow(block: slice, rho: np.ndarray, sine: np.ndarray, scratch: np.ndarray) -> None:
         s, f = source[:, :, block], fields[:, :, block]
         b = (*b_xy, b_z[block])
@@ -279,25 +274,29 @@ def step(
         f += curls[::-1]  # each field gets the other's scaled curl
 
     def mirror_pair(planes: slice, scratch: np.ndarray) -> None:
-        with np.errstate():
-            # numpy 2.4 copies an operand broadcast over planes, and the
-            # others with it, into its buffers to lengthen the inner loop;
-            # with buffers no longer than a plane it loops over the planes.
-            # A multiple of 16, as older numpy releases require.
-            np.setbufsize(min(np.getbufsize(), max(16, n_y * n_xh // 16 * 16)))
-            r1, r2 = _plane_factors(coeffs.kappa, grid, planes)
-            rho = ((-coeffs.kappa * coeffs.kappa) * r1).astype(np.complex128)
-            del r1  # the slab's peak comes later, without it
-            r2 *= coeffs.t
-            flow(planes, rho, r2, scratch)
-            # Planes 0 and n_z/2 are their own mirrors.
-            first, last = max(planes.start, 1), min(planes.stop, n_z // 2)
-            if first < last:
-                cut = slice(first - planes.start, last - planes.start)
-                mirror = slice(n_z - last + 1, n_z - first + 1)
-                flow(mirror, rho[cut][::-1], r2[cut][::-1], scratch)
+        scratch = scratch.view(np.complex128)
+        r1, r2 = _plane_factors(coeffs.kappa, grid, planes)
+        rho = ((-coeffs.kappa * coeffs.kappa) * r1).astype(np.complex128)
+        del r1  # the slab's peak comes later, without it
+        r2 *= coeffs.t
+        flow(planes, rho, r2, scratch)
+        # Planes 0 and n_z/2 are their own mirrors.
+        first, last = max(planes.start, 1), min(planes.stop, n_z // 2)
+        if first < last:
+            cut = slice(first - planes.start, last - planes.start)
+            mirror = slice(n_z - last + 1, n_z - first + 1)
+            flow(mirror, rho[cut][::-1], r2[cut][::-1], scratch)
 
-    _for_slabs(mirror_pair, hz, fields.size, block_planes, slab_scratch)
+    with np.errstate():
+        # numpy 2.4 copies an operand broadcast over planes, and the others
+        # with it, into its buffers to lengthen the inner loop; with buffers
+        # no longer than a plane it loops over the planes.  A multiple of
+        # 16, as older numpy releases require.
+        np.setbufsize(min(np.getbufsize(), max(16, n_y * n_xh // 16 * 16)))
+        # Floats per plane for the complex curls b x E, b x H and, over the
+        # input, a double-curl component.
+        per_plane = 2 * (8 if overwrite else 6) * n_y * n_xh
+        _for_slabs(mirror_pair, hz, fields.size, block_planes, per_plane)
     return replace(state, data=fields.reshape(6, -1), time=state.time + coeffs.t)
 
 

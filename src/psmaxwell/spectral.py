@@ -31,12 +31,14 @@ Large arrays are worked on by one thread per CPU in the process's affinity
 mask (:func:`_for_slabs`): the transforms split the batch into row groups,
 the other stages split the z-planes into slabs, each with its own scratch.
 Every slab goes through the same elementwise operations and FFT lines as
-the whole array would, so the results are bitwise those of one thread,
-whatever the worker count.
+the whole array would, under the caller's numpy error state and ufunc
+buffer size, so the results are bitwise those of one thread, and warn or
+raise as on one thread, whatever the worker count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 
@@ -95,8 +97,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _for_slabs(fn, n: int, size: int, block: int | None = None, per_slab=None) -> None:
-    """Call ``fn(slab, *state)`` over contiguous slices ``slab`` that cover ``range(n)``.
+def _for_slabs(fn, n: int, size: int, block: int | None = None, scratch: int = 0) -> None:
+    """Call ``fn(slab)`` over contiguous slices ``slab`` that cover ``range(n)``.
 
     When ``size``, the element count of the array being worked on, is below
     ``_PARALLEL_MIN_SIZE`` or there is one CPU, this runs on the calling
@@ -108,19 +110,25 @@ def _for_slabs(fn, n: int, size: int, block: int | None = None, per_slab=None) -
     any array.  An exception raised by ``fn`` reaches the caller once every
     slab has finished.
 
-    ``state`` is ``per_slab(start, stop)`` for the slab ``[start, stop)``, or
-    ``()`` without ``per_slab``.  ``per_slab`` runs on the calling thread,
-    once per slab: a scratch a pool thread allocates stays resident in that
-    thread's malloc arena.
+    With ``scratch``, each call is ``fn(slab, buffer)``, where ``buffer`` is
+    the slab's own float64 array of ``scratch`` elements per index of its
+    longest slice.  Every buffer is made on the calling thread before any
+    slab runs: one a pool thread allocates stays resident in that thread's
+    malloc arena.  Each slab runs in a copy of the caller's context, so its
+    blocks see the caller's numpy error state and ufunc buffer size, which
+    numpy keeps in a context variable.
     """
     global _pool
     bounds = _slab_bounds(n, size)
-    slabs = [(lo, hi, per_slab(lo, hi) if per_slab else ()) for lo, hi in zip(bounds, bounds[1:])]
+    slabs = [
+        (lo, hi, (np.empty(scratch * min(block or hi - lo, hi - lo)),) if scratch else ())
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
-    def run(start: int, stop: int, state: tuple) -> None:
+    def run(start: int, stop: int, args: tuple) -> None:
         width = block or max(1, stop - start)
         for first in range(start, stop, width):
-            fn(slice(first, min(first + width, stop)), *state)
+            fn(slice(first, min(first + width, stop)), *args)
 
     if len(slabs) == 1:
         run(*slabs[0])
@@ -129,7 +137,7 @@ def _for_slabs(fn, n: int, size: int, block: int | None = None, per_slab=None) -
 
     if _pool is None:
         _pool = concurrent.futures.ThreadPoolExecutor(_WORKERS, "psmaxwell-slab")
-    futures = [_pool.submit(run, *slab) for slab in slabs]
+    futures = [_pool.submit(contextvars.copy_context().run, run, *slab) for slab in slabs]
     concurrent.futures.wait(futures)
     for future in futures:
         future.result()
@@ -328,15 +336,14 @@ def realize(grid: GridSpec, F: np.ndarray) -> tuple[np.ndarray, float]:
         mirror_z = -np.arange(planes.start, planes.stop) % grid.n_z
         mirror = cube[..., mirror_z[:, None], mirror_y, columns]
         here = part[..., columns]
-        # inf - inf in a self-conjugate mode; the magnitude check below raises
-        # first.  Pool threads do not inherit the caller's error state.
-        with np.errstate(invalid="ignore"):
-            maxima[1, planes] = np.max(np.abs(here - mirror.conj()), initial=0.0)
+        maxima[1, planes] = np.max(np.abs(here - mirror.conj()), initial=0.0)
 
     def magnitude(planes: slice) -> None:
         maxima[0, planes] = np.max(np.abs(cube[..., planes, :, :]), initial=0.0)
 
-    _for_slabs(check, grid.n_z, cube.size, block)
+    # inf - inf in a self-conjugate mode; the magnitude check below raises first.
+    with np.errstate(invalid="ignore"):
+        _for_slabs(check, grid.n_z, cube.size, block)
     largest = float(np.max(maxima[0], initial=0.0))
     defect = 0.5 * float(np.max(maxima[1], initial=0.0))
     # False for a NaN bound or defect as well.

@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -317,31 +318,66 @@ def test_slabs_run_on_the_pool(workers):
     assert spectral._pool._max_workers == 3
 
 
+@pytest.mark.parametrize("block", [2, 3, None], ids=["block2", "block3", "whole-slab"])
 @pytest.mark.parametrize("n", [1, 3])
-def test_per_slab_state_comes_first(workers, n):
-    # Every slab's state is made on the calling thread before any slab
-    # runs, so no pool thread allocates a scratch.
+def test_slab_buffers_come_first(workers, monkeypatch, n, block):
+    # Every slab's buffer is made on the calling thread before any slab
+    # runs, so no pool thread allocates a scratch.  It holds 5 floats per
+    # index of the slab's longest block.
     workers(n)
-    events = []
+    events, buffers = [], []
 
-    def per_slab(start, stop):
-        events.append(("state", (start, stop), threading.current_thread()))
-        return start, stop
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    def job(block, start, stop):
-        events.append(("block", (start, stop), (block.start, block.stop)))
+        def empty(self, size):
+            buffers.append(np.empty(size))
+            events.append(("buffer", threading.current_thread()))
+            return buffers[-1]
 
-    spectral._for_slabs(job, 7, 7, 2, per_slab)
+    def job(planes, buffer):
+        slab = next(i for i, b in enumerate(buffers) if b is buffer)
+        events.append(("block", slab, (planes.start, planes.stop)))
+
+    monkeypatch.setattr(spectral, "np", Numpy())
+    spectral._for_slabs(job, 7, 7, block, 5)
     slabs = [(0, 7)] if n == 1 else [(0, 2), (2, 4), (4, 7)]
     made, ran = events[: len(slabs)], events[len(slabs) :]
-    assert [(kind, slab) for kind, slab, _ in made] == [("state", slab) for slab in slabs]
-    assert all(thread is threading.current_thread() for *_, thread in made)
-    # Each slab's blocks of two receive its tuple.
-    assert sorted(ran) == [
-        ("block", (start, stop), (first, min(first + 2, stop)))
-        for start, stop in slabs
-        for first in range(start, stop, 2)
+    assert made == [("buffer", threading.current_thread())] * len(slabs)
+    assert [(b.dtype, b.shape) for b in buffers] == [
+        (np.float64, (5 * min(block or stop - start, stop - start),)) for start, stop in slabs
     ]
+    # Each slab's blocks receive its buffer.
+    width = block or 7
+    assert sorted(ran) == [
+        ("block", i, (first, min(first + width, stop)))
+        for i, (start, stop) in enumerate(slabs)
+        for first in range(start, stop, width)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_slabs_keep_the_callers_numpy_state(workers, n):
+    # numpy keeps its error state and ufunc buffer size in a context
+    # variable, which a pool thread does not inherit by itself.  An inf
+    # sample in the third of six rows, which three workers put on the
+    # pool, raises under "raise" and stays silent under "ignore".
+    workers(n)
+    grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
+    data = np.ones((6, grid.n_total))
+    data[2, 5] = np.inf
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        dft3_forward(grid, data)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        dft3_forward(grid, data)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    seen = []
+    with np.errstate(over="raise"):
+        np.setbufsize(4096)
+        spectral._for_slabs(lambda rows: seen.append((np.geterr()["over"], np.getbufsize())), 6, 6)
+    assert seen == [("raise", 4096)] * n
 
 
 def test_job_exception_reaches_caller(workers):

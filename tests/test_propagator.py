@@ -427,6 +427,28 @@ class TestPropagate:
         errors = error_norms(final, case)
         assert errors.linf <= 1e-8
 
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            TravelingWave(),
+            StandingWave(),
+            StandingWave(medium=MediumParams(eps=2.0)),
+            StandingWave(medium=MediumParams(eps=0.3)),
+        ],
+        ids=["traveling", "standing", "standing-eps2", "standing-eps0.3"],
+    )
+    def test_long_time_error_model(self, case, n):
+        # The field error grows only through the rounding of each mode's
+        # angle theta and of the reference's time phase, so with C = 1
+        # linf <= C 2^-53 theta_max max|u(0)| + 1e-13 at any time.  Round
+        # times can cancel the two roundings, which leaves some far below.
+        grid = build_grid(case.default_domain, n, n, n)
+        initial = sample_initial(case, grid)
+        for t in (1.0, 1.2345e3, 1e6 + 0.37, 1.2345e9, 3.3e10, 1.2345e12):
+            bound = 2.0**-53 * theta_max(grid, case.medium, t) * state_norm(initial) + 1e-13
+            assert error_norms(propagate(initial, t), case).linf <= bound, t
+
     def test_non_unit_permittivity(self):
         # The impedance scaling sqrt(mu)/sqrt(eps) inside step must be right
         # for the eps != 1 member of the standing family to track its
