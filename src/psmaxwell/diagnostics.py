@@ -87,13 +87,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import spectral
 from .analytic import AnalyticCase, _plane_sampler
 from .propagator import PHYSICAL, FieldState, to_physical, to_spectral
 from .spectral import (
     ImaginaryResidueError,
     _for_slabs,
-    _planes_per_block,
     cross,
     dft3_inverse,
     wavenumbers,
@@ -231,7 +229,6 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
     y_weights = np.stack([by * by, by])[..., 0]
     moments = np.empty((n_z, 4, 5))
     div = np.empty((2,) + grid.spectral_shape, np.complex128)
-    block_planes = _planes_per_block(grid, s.size)
 
     def block(planes: slice, scratch: np.ndarray) -> None:
         shape = (planes.stop - planes.start, n_y, n_xh)
@@ -302,7 +299,7 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
 
     # Squares of finite modes may overflow; the totals are checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        _for_slabs(block, n_z, s.size, block_planes, 12 * n_y * n_xh)
+        _for_slabs(block, n_z, s.size, n_y * n_xh, 12)
         # Two more moments per plane, M(bz^2) and M(bz), then each moment
         # summed over the planes in plane order.
         bz = bz.reshape(n_z, 1, 1)
@@ -376,8 +373,10 @@ def divergences(
 def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     """L2 and max-norm errors of a physical state against the exact solution.
 
-    Block by block of z-planes, the exact solution is sampled into a
-    block-sized scratch and the state subtracted there.  The block's
+    Block by block of z-planes, cut by :func:`psmaxwell.spectral._for_slabs`
+    from the plane's ``n_y n_x`` samples as every stage's blocks are, the
+    exact solution is sampled into the slab's block-sized scratch and the
+    state subtracted there.  The block's
     per-component maxima of ``|error|`` are written to each of its planes,
     and each (z-plane, component) row gives one sum of squares, taken over
     the row's contiguous samples, so the sums do not depend on how the
@@ -392,7 +391,6 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
     sample = _plane_sampler(case, grid, state.time)
     maxima = np.empty((grid.n_z, 6))
     squares = np.empty((grid.n_z, 6))
-    block_planes = max(1, spectral._POOLED_BLOCK_MODES // (grid.n_y * grid.n_x))
 
     def block(planes: slice, scratch: np.ndarray) -> None:
         count = planes.stop - planes.start
@@ -408,7 +406,7 @@ def error_norms(state: FieldState, case: AnalyticCase) -> ErrorReport:
 
     # Errors of finite samples may overflow; the norms are checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        _for_slabs(block, grid.n_z, data.size, block_planes, 6 * grid.n_y * grid.n_x)
+        _for_slabs(block, grid.n_z, data.size, grid.n_y * grid.n_x, 6)
     per_row = np.max(maxima, axis=0)
     linf = float(np.max(per_row))
     l2 = float(np.sqrt(np.sum(squares) / grid.n_total))

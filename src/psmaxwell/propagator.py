@@ -39,7 +39,6 @@ from .grid import GridSpec
 from .spectral import (
     ImaginaryResidueError,
     _for_slabs,
-    _planes_per_block,
     cross,
     dft3_forward,
     dft3_inverse,
@@ -202,7 +201,7 @@ def step(
     norm ``eps |E|^2 + mu |H|^2``, up to roundoff.
 
     The spectrum is worked on block by block of the z-planes ``q`` with
-    ``kz >= 0`` (:func:`psmaxwell.spectral._planes_per_block` of them).
+    ``kz >= 0``, in blocks that :func:`psmaxwell.spectral._for_slabs` cuts.
     Each block evaluates ``r1``, ``r2`` on its planes once and applies them
     there, then, reversed, to the mirror planes ``n_z - q`` for
     ``0 < q < n_z/2``, which have the same factors bit for bit.  The
@@ -218,10 +217,10 @@ def step(
     operand numpy must cast: the x and y wavenumbers are complex planes
     built once per step, the z ladder is complex, and the cosine factor is
     made complex once per block; only the real sine factor is cast, in one
-    call per block on the contiguous curls.  numpy's ufunc buffers are
-    kept no longer than a plane.  Each slab's blocks share one scratch of
-    a block's size from :func:`psmaxwell.spectral._for_slabs`, viewed as
-    complex, for their curls ``b x E`` and ``b x H``.  The double curl is
+    call per block on the contiguous curls.  ``_for_slabs`` runs the blocks
+    with numpy's ufunc buffers no longer than a plane, and gives each
+    slab's blocks one scratch of a block's size, viewed as complex, for
+    their curls ``b x E`` and ``b x H``.  The double curl is
     formed one component of both fields at a time, in the output's own
     component, or with ``overwrite`` in two more complex per mode of the
     slab's scratch, so a worker's other temporaries are the two factors
@@ -245,8 +244,6 @@ def step(
     # E, then H: each call below works on both fields at once.
     source = state.data.reshape((2, 3) + grid.spectral_shape)
     fields = source if overwrite else np.empty(source.shape, np.complex128)
-    hz = n_z // 2 + 1
-    block_planes = min(_planes_per_block(grid, fields.size), hz)
     # Complex operands, so that no call on a strided stack casts one, and
     # (b + 0j) z has the bits of b z.  The x and y wavenumbers are whole
     # planes in C order (astype keeps a broadcast's layout otherwise), so
@@ -287,16 +284,9 @@ def step(
             mirror = slice(n_z - last + 1, n_z - first + 1)
             flow(mirror, rho[cut][::-1], r2[cut][::-1], scratch)
 
-    with np.errstate():
-        # numpy 2.4 copies an operand broadcast over planes, and the others
-        # with it, into its buffers to lengthen the inner loop; with buffers
-        # no longer than a plane it loops over the planes.  A multiple of
-        # 16, as older numpy releases require.
-        np.setbufsize(min(np.getbufsize(), max(16, n_y * n_xh // 16 * 16)))
-        # Floats per plane for the complex curls b x E, b x H and, over the
-        # input, a double-curl component.
-        per_plane = 2 * (8 if overwrite else 6) * n_y * n_xh
-        _for_slabs(mirror_pair, hz, fields.size, block_planes, per_plane)
+    # Floats per mode of a block for the complex curls b x E, b x H and,
+    # over the input, a double-curl component.
+    _for_slabs(mirror_pair, n_z // 2 + 1, fields.size, n_y * n_xh, 16 if overwrite else 12)
     return replace(state, data=fields.reshape(6, -1), time=state.time + coeffs.t)
 
 

@@ -30,10 +30,11 @@ roundoff.  Only numpy is used.
 Large arrays are worked on by one thread per CPU in the process's affinity
 mask (:func:`_for_slabs`): the transforms split the batch into row groups,
 the other stages split the z-planes into slabs, each with its own scratch.
-Every slab goes through the same elementwise operations and FFT lines as
-the whole array would, under the caller's numpy error state and ufunc
-buffer size, so the results are bitwise those of one thread, and warn or
-raise as on one thread, whatever the worker count.
+:func:`_for_slabs` alone turns a stage's plane size into its block length
+and its ufunc buffer size.  Every slab goes through the same elementwise
+operations and FFT lines as the whole array would, under the caller's
+numpy error state, so the results are bitwise those of one thread, and
+warn or raise as on one thread, whatever the worker count or buffer size.
 """
 
 from __future__ import annotations
@@ -68,14 +69,13 @@ _CUBE_AXES = (-3, -2, -1)
 # it the pool's hand-off costs more than the second CPU saves.
 _PARALLEL_MIN_SIZE = 1 << 18
 
-# Elements per block where a stage works block by block: on the calling
-# thread ``_BLOCK_MODES``, small enough for the block's temporaries to stay
-# in cache; on the thread pool ``_POOLED_BLOCK_MODES``, larger because there
-# every thread pays the per-block overhead, yet small enough that the
-# temporaries pool threads allocate do not stay resident.  Two stages take
-# the pooled block on either path: the inverse's real pass, because numpy
-# copies each block once where its samples overlap its coefficients, and
-# ``error_norms``, whose scratch is one z-plane at 128^3.
+# Elements per block where a stage works block by block (:func:`_for_slabs`):
+# on the calling thread ``_BLOCK_MODES``, small enough for the block's
+# temporaries to stay in cache; on the thread pool ``_POOLED_BLOCK_MODES``,
+# larger because there every thread pays the per-block overhead, yet small
+# enough that the temporaries pool threads allocate do not stay resident.
+# The inverse's real pass takes the pooled block on either path, because
+# numpy copies each block once where its samples overlap its coefficients.
 _BLOCK_MODES = 4096
 _POOLED_BLOCK_MODES = 16384
 
@@ -97,41 +97,54 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _for_slabs(fn, n: int, size: int, block: int | None = None, scratch: int = 0) -> None:
+def _for_slabs(fn, n: int, size: int, plane: int = 0, scratch: int = 0) -> None:
     """Call ``fn(slab)`` over contiguous slices ``slab`` that cover ``range(n)``.
 
     When ``size``, the element count of the array being worked on, is below
     ``_PARALLEL_MIN_SIZE`` or there is one CPU, this runs on the calling
     thread; otherwise ``range(n)`` is cut into one slab per worker
     (:func:`_slab_bounds`) and the slabs run on a thread pool, created on
-    first use with one thread per CPU.  Within its slab, or within
-    ``range(n)`` on the calling thread, ``fn`` is called on one slice, or in
-    order on slices ``block`` long.  ``fn`` must only write its own slab of
-    any array.  An exception raised by ``fn`` reaches the caller once every
-    slab has finished.
+    first use with one thread per CPU.  ``fn`` must only write its own slab
+    of any array.  An exception raised by ``fn`` reaches the caller once
+    every slab has finished.  Each slab runs in a copy of the caller's
+    context, so it sees the caller's numpy error state and ufunc buffer
+    size, which numpy keeps in a context variable, and the caller's are
+    the same afterwards.
 
-    With ``scratch``, each call is ``fn(slab, buffer)``, where ``buffer`` is
-    the slab's own float64 array of ``scratch`` elements per index of its
-    longest slice.  Every buffer is made on the calling thread before any
-    slab runs: one a pool thread allocates stays resident in that thread's
-    malloc arena.  Each slab runs in a copy of the caller's context, so its
-    blocks see the caller's numpy error state and ufunc buffer size, which
-    numpy keeps in a context variable.
+    Without ``plane``, ``fn`` gets one call per slab.  ``plane`` is the
+    number of elements one index holds in one field; given it, each slab is
+    cut in order into blocks of ``max(1, M // plane)`` indices, with ``M``
+    ``_POOLED_BLOCK_MODES`` on the pool and ``_BLOCK_MODES`` otherwise, and
+    ``fn`` gets one call per block.  The blocks run with numpy's ufunc
+    buffer no longer than a plane (nor than the caller's): numpy 2.4 copies
+    an operand broadcast over planes, and the others with it, into its
+    buffers to lengthen the inner loop, while with buffers no longer than a
+    plane it loops over the planes.  A multiple of 16, as older numpy
+    releases require.
+
+    With ``scratch``, each call is ``fn(block, buffer)``, where ``buffer``
+    is the slab's own float64 array of ``scratch`` elements per element of
+    its longest block's planes.  Every buffer is made on the calling thread
+    before any slab runs: one a pool thread allocates stays resident in
+    that thread's malloc arena.
     """
     global _pool
     bounds = _slab_bounds(n, size)
+    modes = _POOLED_BLOCK_MODES if _pooled(size) else _BLOCK_MODES
+    width = max(1, modes // plane if plane else n)
     slabs = [
-        (lo, hi, (np.empty(scratch * min(block or hi - lo, hi - lo)),) if scratch else ())
+        (lo, hi, (np.empty(scratch * plane * min(width, hi - lo)),) if scratch else ())
         for lo, hi in zip(bounds, bounds[1:])
     ]
 
     def run(start: int, stop: int, args: tuple) -> None:
-        width = block or max(1, stop - start)
+        if plane:
+            np.setbufsize(min(np.getbufsize(), max(16, plane // 16 * 16)))
         for first in range(start, stop, width):
             fn(slice(first, min(first + width, stop)), *args)
 
     if len(slabs) == 1:
-        run(*slabs[0])
+        contextvars.copy_context().run(run, *slabs[0])
         return
     import concurrent.futures
 
@@ -152,17 +165,6 @@ def _slab_bounds(n: int, size: int) -> list[int]:
 def _pooled(size: int) -> bool:
     """Whether :func:`_for_slabs` runs an array of ``size`` elements on the pool."""
     return size >= _PARALLEL_MIN_SIZE and _WORKERS > 1
-
-
-def _planes_per_block(grid: GridSpec, size: int) -> int:
-    """Whole half-spectrum z-planes in one block of a stage over ``size`` elements.
-
-    About ``_BLOCK_MODES`` modes on the calling thread and
-    ``_POOLED_BLOCK_MODES`` on the thread pool.
-    """
-    n_z, n_y, n_xh = grid.spectral_shape
-    modes = _POOLED_BLOCK_MODES if _pooled(size) else _BLOCK_MODES
-    return max(1, modes // (n_y * n_xh))
 
 
 class ImaginaryResidueError(RuntimeError):
@@ -271,17 +273,17 @@ def dft3_inverse(grid: GridSpec, F: np.ndarray, *, overwrite: bool = False) -> n
     floats = rows.reshape(len(rows), math.prod(grid.spectral_shape)).view(np.float64)
     lines = max(1, _POOLED_BLOCK_MODES // n_xh)
 
-    def inverse(row: slice) -> None:
-        r = row.start  # blocks of one row
-        np.fft.ifft(rows[r], axis=-3, out=rows[r])
-        np.fft.ifft(rows[r], axis=-2, out=rows[r])
-        coefs, samples = rows[r].reshape(-1, n_xh), floats[r]
-        for first in range(0, len(coefs), lines):
-            stop = min(first + lines, len(coefs))
-            out = samples[first * n_x : stop * n_x].reshape(-1, n_x)
-            np.fft.irfft(coefs[first:stop], n=n_x, axis=-1, out=out)
+    def inverse(batch: slice) -> None:
+        for r in range(batch.start, batch.stop):
+            np.fft.ifft(rows[r], axis=-3, out=rows[r])
+            np.fft.ifft(rows[r], axis=-2, out=rows[r])
+            coefs, samples = rows[r].reshape(-1, n_xh), floats[r]
+            for first in range(0, len(coefs), lines):
+                stop = min(first + lines, len(coefs))
+                out = samples[first * n_x : stop * n_x].reshape(-1, n_x)
+                np.fft.irfft(coefs[first:stop], n=n_x, axis=-1, out=out)
 
-    _for_slabs(inverse, len(rows), cube.size, 1)
+    _for_slabs(inverse, len(rows), cube.size)
     return floats[:, : grid.n_total].reshape(cube.shape[:-3] + (grid.n_total,))
 
 
@@ -310,7 +312,7 @@ def realize(grid: GridSpec, F: np.ndarray) -> tuple[np.ndarray, float]:
     component of a stacked state which happens to be identically zero is not
     flagged for its own roundoff.
 
-    Both go in one pass over blocks of z-planes (:func:`_planes_per_block`):
+    Both go in one pass over blocks of z-planes (:func:`_for_slabs`):
     each block takes its largest real or imaginary part, then its two
     columns against their mirrors, gathered by index (``-kz mod n_z``,
     ``-ky mod n_y``).  The largest part ``L`` bounds the magnitude from
@@ -327,7 +329,7 @@ def realize(grid: GridSpec, F: np.ndarray) -> tuple[np.ndarray, float]:
     columns = slice(None, None, grid.n_x // 2)  # the kx = 0 and kx = n_x/2 columns
     mirror_y = -np.arange(grid.n_y) % grid.n_y
     maxima = np.zeros((2, grid.n_z))  # largest part (then magnitude) and defect per z-plane
-    block = _planes_per_block(grid, cube.size)
+    plane = grid.n_y * grid.spectral_shape[-1]
 
     def check(planes: slice) -> None:
         part = cube[..., planes, :, :]
@@ -343,13 +345,13 @@ def realize(grid: GridSpec, F: np.ndarray) -> tuple[np.ndarray, float]:
 
     # inf - inf in a self-conjugate mode; the magnitude check below raises first.
     with np.errstate(invalid="ignore"):
-        _for_slabs(check, grid.n_z, cube.size, block)
+        _for_slabs(check, grid.n_z, cube.size, plane)
     largest = float(np.max(maxima[0], initial=0.0))
     defect = 0.5 * float(np.max(maxima[1], initial=0.0))
     # False for a NaN bound or defect as well.
     if largest < np.finfo(np.float64).max / 2 and defect <= IMAG_RESIDUE_RTOL * largest:
         return F, defect / grid.n_total
-    _for_slabs(magnitude, grid.n_z, cube.size, block)
+    _for_slabs(magnitude, grid.n_z, cube.size, plane)
     scale = float(np.max(maxima[0], initial=0.0))
     if not np.isfinite(scale):
         raise ImaginaryResidueError(f"non-finite spectrum magnitude {scale}")

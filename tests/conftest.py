@@ -34,6 +34,25 @@ def workers(monkeypatch):
         spectral._pool.shutdown()
 
 
+def handed_out_blocks(module, call):
+    """``call()``'s result, and the sorted ``(start, stop)`` of every block
+    handed to a stage meanwhile by the ``_for_slabs`` that ``module`` calls."""
+    blocks = []
+    run_slabs = spectral._for_slabs
+
+    def spy(fn, *args):
+        def record(block, *rest):
+            blocks.append((block.start, block.stop))
+            fn(block, *rest)
+
+        run_slabs(record, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_for_slabs", spy)
+        result = call()
+    return result, sorted(blocks)
+
+
 @pytest.fixture
 def grid4() -> GridSpec:
     """[0, 2*pi]^3 with N=4: kvec is exactly (0, 1, 0, -1) per axis."""

@@ -3,7 +3,9 @@
 Every test that uses the ``workers`` fixture (``conftest.py``) drops the
 size threshold to 0, so even the smallest array is cut into slabs.  Most run
 each computation twice: with one worker (the calling thread alone) and with
-three, which cuts 2 or 6 rows and 4, 6 or 32 z-planes into uneven slabs.
+three, which cuts 2 or 6 rows and 4, 6 or 32 z-planes into uneven slabs;
+the stages that work in blocks run once more under a caller's ufunc
+buffer of 16 elements.
 The in-place inverse runs on one, two and four workers, where its
 temporaries are also measured, and it, ``step`` and ``error_norms`` each
 run on four workers under fast thread switching.  Each test starts at most
@@ -65,6 +67,13 @@ def one_and_three(workers, fn):
 
 def grid_for(counts):
     return build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
+
+
+def small_buffer(fn):
+    """``fn()`` under a caller's ufunc buffer of 16 elements, numpy's least."""
+    with np.errstate():
+        np.setbufsize(16)
+        return fn()
 
 
 @pytest.fixture(params=COUNTS, ids=lambda c: "x".join(map(str, c)))
@@ -164,16 +173,19 @@ def test_coefficients_and_step(workers, state):
         in_place = step(owned, coeffs, overwrite=True).data
         return step(spectral_state, coeffs).data, in_place
 
-    for serial, parallel in zip(*one_and_three(workers, flow)):
-        np.testing.assert_array_equal(serial, parallel)
+    serial, parallel = one_and_three(workers, flow)
+    for one, three, small in zip(serial, parallel, small_buffer(flow)):
+        np.testing.assert_array_equal(one, three)
+        np.testing.assert_array_equal(one, small)
     np.testing.assert_array_equal(spectral_state.data, kept)
 
 
 def test_realize(workers, state):
     spectrum = dft3_forward(state.grid, state.data)
     serial, parallel = one_and_three(workers, lambda: realize(state.grid, spectrum))
-    assert serial[0] is parallel[0] is spectrum
-    assert serial[1] == parallel[1]
+    small = small_buffer(lambda: realize(state.grid, spectrum))
+    assert serial[0] is parallel[0] is small[0] is spectrum
+    assert serial[1] == parallel[1] == small[1]
 
 
 @pytest.mark.parametrize("counts", COUNTS, ids=lambda c: "x".join(map(str, c)))
@@ -194,7 +206,7 @@ def test_sample_exact(workers, case, counts):
 def test_error_norms(workers, case, state):
     state = FieldState(state.grid, state.medium, state.data, time=0.7)
     serial, parallel = one_and_three(workers, lambda: error_norms(state, case))
-    assert serial == parallel
+    assert serial == parallel == small_buffer(lambda: error_norms(state, case))
 
 
 def test_error_norms_scratches_under_thread_switching(workers, monkeypatch, rng):
@@ -270,17 +282,18 @@ def test_row_strided_physical_state(workers, rng, counts, n):
     "planes", [1, 3, 10**9], ids=["one-plane", "three-plane-ragged", "whole-array"]
 )
 def test_invariant_report_blocks(monkeypatch, state, planes):
-    # One row of moments per z-plane: how the planes are cut into blocks
-    # does not show in the report.  Three-plane blocks end in a shorter
-    # block on 32^3 (two planes) and 128x64x4 (one), so no per-plane value
-    # may depend on where in a block its plane falls.
+    # One row of moments per z-plane: how the planes are cut into blocks,
+    # or how long the caller's ufunc buffer is, does not show in the
+    # report.  Three-plane blocks end in a shorter block on 32^3 (two
+    # planes) and 128x64x4 (one), so no per-plane value may depend on where
+    # in a block its plane falls.
     def reports():
         return invariant_report(state), invariant_report(to_spectral(state))
 
     expected = reports()
     n_y, n_xh = state.grid.spectral_shape[1:]
     monkeypatch.setattr(spectral, "_BLOCK_MODES", planes * n_y * n_xh)
-    assert reports() == expected
+    assert reports() == small_buffer(reports) == expected
 
 
 @pytest.mark.parametrize(
@@ -308,23 +321,30 @@ def test_slabs_run_on_the_pool(workers):
     workers(3)
     threads = {}
 
-    def job(slab):
-        threads[slab.start] = threading.current_thread().name
+    def job(block):
+        threads[block.start] = threading.current_thread().name
 
-    spectral._for_slabs(job, 7, 7, block=2)
-    # Slabs 0-1, 2-3 and 4-6, the last cut into blocks of two planes.
+    # Two indices of half the pooled block's elements make a block.
+    spectral._for_slabs(job, 7, 7, plane=spectral._POOLED_BLOCK_MODES // 2)
+    # Slabs 0-1, 2-3 and 4-6, the last cut into blocks of two indices.
     assert sorted(threads) == [0, 2, 4, 6]
     assert all(name.startswith("psmaxwell-slab") for name in threads.values())
     assert spectral._pool._max_workers == 3
 
 
-@pytest.mark.parametrize("block", [2, 3, None], ids=["block2", "block3", "whole-slab"])
+@pytest.mark.parametrize("plane", [6, 4, 1], ids=["block2", "block3", "whole-slab"])
 @pytest.mark.parametrize("n", [1, 3])
-def test_slab_buffers_come_first(workers, monkeypatch, n, block):
+def test_slab_buffers_come_first(workers, monkeypatch, n, plane):
     # Every slab's buffer is made on the calling thread before any slab
     # runs, so no pool thread allocates a scratch.  It holds 5 floats per
-    # index of the slab's longest block.
+    # element of the slab's longest block, whose indices hold ``plane``
+    # elements each.  With 12-element blocks on either path, a plane of 6
+    # makes blocks of 2 indices, one of 4 blocks of 3, and one of 1 blocks
+    # longer than any slab.
     workers(n)
+    monkeypatch.setattr(spectral, "_BLOCK_MODES", 12)
+    monkeypatch.setattr(spectral, "_POOLED_BLOCK_MODES", 12)
+    block = 12 // plane
     events, buffers = [], []
 
     class Numpy:
@@ -341,19 +361,50 @@ def test_slab_buffers_come_first(workers, monkeypatch, n, block):
         events.append(("block", slab, (planes.start, planes.stop)))
 
     monkeypatch.setattr(spectral, "np", Numpy())
-    spectral._for_slabs(job, 7, 7, block, 5)
+    spectral._for_slabs(job, 7, 7, plane, 5)
     slabs = [(0, 7)] if n == 1 else [(0, 2), (2, 4), (4, 7)]
     made, ran = events[: len(slabs)], events[len(slabs) :]
     assert made == [("buffer", threading.current_thread())] * len(slabs)
     assert [(b.dtype, b.shape) for b in buffers] == [
-        (np.float64, (5 * min(block or stop - start, stop - start),)) for start, stop in slabs
+        (np.float64, (5 * plane * min(block, stop - start),)) for start, stop in slabs
     ]
     # Each slab's blocks receive its buffer.
-    width = block or 7
     assert sorted(ran) == [
-        ("block", i, (first, min(first + width, stop)))
+        ("block", i, (first, min(first + block, stop)))
         for i, (start, stop) in enumerate(slabs)
-        for first in range(start, stop, width)
+        for first in range(start, stop, block)
+    ]
+
+
+@pytest.mark.parametrize("caller", [8192, 256, 16])
+@pytest.mark.parametrize("plane", [1, 8, 100, 544, 5000])
+@pytest.mark.parametrize("n", [1, 3])
+def test_blocks_and_buffers_come_from_the_plane(workers, n, plane, caller):
+    # The runner alone turns a stage's plane size into its blocks, its
+    # scratch and its ufunc buffer.  Blocks are _BLOCK_MODES // plane
+    # indices long on the calling thread and _POOLED_BLOCK_MODES // plane
+    # on the pool (at least one), and run with a buffer no longer than a
+    # plane, in a multiple of 16 of at least 16, nor than the caller's,
+    # whose own buffer is the same afterwards.  Each slab's buffer holds 3
+    # floats per element of its longest block.
+    workers(n)
+    seen = []
+
+    def job(block, buffer):
+        seen.append((block.start, block.stop, np.getbufsize(), buffer.size))
+
+    with np.errstate():
+        np.setbufsize(caller)
+        spectral._for_slabs(job, 40, 40, plane, 3)
+        assert np.getbufsize() == caller
+    modes = spectral._BLOCK_MODES if n == 1 else spectral._POOLED_BLOCK_MODES
+    block = max(1, modes // plane)
+    bufsize = min(caller, max(16, plane // 16 * 16))
+    bounds = [0, 40] if n == 1 else [0, 13, 26, 40]
+    assert sorted(seen) == [
+        (first, min(first + block, stop), bufsize, 3 * plane * min(block, stop - start))
+        for start, stop in zip(bounds, bounds[1:])
+        for first in range(start, stop, block)
     ]
 
 

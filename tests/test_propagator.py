@@ -26,6 +26,7 @@ from psmaxwell.propagator import _plane_factors
 from psmaxwell.spectral import ImaginaryResidueError, cross, wavenumbers
 
 from conftest import (
+    handed_out_blocks,
     perturb_plane,
     random_band_limited_state,
     state_norm,
@@ -287,19 +288,26 @@ class TestStep:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_pooled_blocks_match_whole_array_formula(self, workers, rng, n, t, overwrite):
         # An anisotropic box of 1000 modes per plane, in blocks of 4 planes
-        # on the calling thread and of 16 in each of the pool's slabs,
-        # against the formula's bits, signed zeros included.
+        # on the calling thread and of up to 16 in each of the pool's slabs,
+        # which are shorter, so each slab is one block, against the
+        # formula's bits, signed zeros included.
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 48, 40, 36)
         medium = MediumParams(mu=2.0, eps=0.5)
         state = to_spectral(random_band_limited_state(grid, rng, medium))
         coeffs = build_coefficients(grid, medium, t)
         expected = whole_array_step(state, coeffs)
         workers(n)
-        assert spectral._planes_per_block(grid, state.data.size) == (4 if n == 1 else 16)
-        assert len(spectral._slab_bounds(grid.n_z // 2 + 1, state.data.size)) == n + 1
+        bounds = spectral._slab_bounds(grid.n_z // 2 + 1, state.data.size)
+        assert len(bounds) == n + 1
         if overwrite:
             state = FieldState(grid, medium, state.data.copy())
-        out = step(state, coeffs, overwrite=overwrite)
+        out, blocks = handed_out_blocks(
+            propagator, lambda: step(state, coeffs, overwrite=overwrite)
+        )
+        if n == 1:
+            assert blocks == [(0, 4), (4, 8), (8, 12), (12, 16), (16, 19)]
+        else:
+            assert blocks == list(zip(bounds, bounds[1:]))
         np.testing.assert_array_equal(out.data.view(np.uint64), expected.view(np.uint64))
 
     def test_zero_time_is_bitwise_identity(self, grid4, rng):
@@ -525,12 +533,15 @@ class TestPropagate:
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
         state = to_spectral(random_band_limited_state(grid, rng))
         workers(n)
-        size = state.data.size
-        modes = spectral._planes_per_block(grid, size) * grid.n_y * grid.spectral_shape[-1]
+        # The warm-up call starts any pool first.
+        _, blocks = handed_out_blocks(
+            propagator, lambda: to_physical(propagate(state, 1.3), overwrite=True)
+        )
+        planes = max(stop - start for start, stop in blocks)
+        modes = planes * grid.n_y * grid.spectral_shape[-1]
         per_worker = modes * (9 * 16 + 8) + np.getbufsize() * 16
-        slabs = len(spectral._slab_bounds(grid.n_z // 2 + 1, size)) - 1
+        slabs = len(spectral._slab_bounds(grid.n_z // 2 + 1, state.data.size)) - 1
         bound = state.data.nbytes + slabs * per_worker + (64 << 10)
-        to_physical(propagate(state, 1.3), overwrite=True)  # starts any pool first
         tracemalloc.start()
         try:
             to_physical(propagate(state, 1.3), overwrite=True)

@@ -22,7 +22,7 @@ from psmaxwell import (
     spectral,
 )
 
-from conftest import perturb_plane, random_band_limited_field
+from conftest import handed_out_blocks, perturb_plane, random_band_limited_field
 from oracle import dense_diff_operator, naive_dft3
 
 
@@ -262,11 +262,13 @@ class TestRealize:
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
         spectrum = dft3_forward(grid, rng.standard_normal((6, grid.n_total)))
         workers(n)
-        size = spectrum.size
-        modes = spectral._planes_per_block(grid, size) * grid.n_y * grid.spectral_shape[-1]
+        # The warm-up call starts any pool first.
+        _, blocks = handed_out_blocks(spectral, lambda: realize(grid, spectrum))
+        planes = max(stop - start for start, stop in blocks)
+        modes = planes * grid.n_y * grid.spectral_shape[-1]
         per_worker = 6 * modes * 8 + np.getbufsize() * 16
-        bound = (len(spectral._slab_bounds(grid.n_z, size)) - 1) * per_worker + (64 << 10)
-        realize(grid, spectrum)  # starts any pool first
+        slabs = len(spectral._slab_bounds(grid.n_z, spectrum.size)) - 1
+        bound = slabs * per_worker + (64 << 10)
         tracemalloc.start()
         try:
             realize(grid, spectrum)
@@ -337,6 +339,16 @@ class TestBatch:
                 np.testing.assert_array_equal(spec[i, j], row)
                 np.testing.assert_array_equal(deriv[i, j], apply_derivative(grid, row, 1))
                 np.testing.assert_array_equal(back[i, j], dft3_inverse(grid, row))
+
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_batch(self, workers, grid4, n):
+        # No rows make no slabs and no work, on the pool too.
+        workers(n)
+        forward = dft3_forward(grid4, np.empty((0, grid4.n_total)))
+        inverse = dft3_inverse(grid4, np.empty((0, grid4.n_spectral), np.complex128))
+        assert (forward.shape, forward.dtype) == ((0, grid4.n_spectral), np.complex128)
+        assert (inverse.shape, inverse.dtype) == ((0, grid4.n_total), np.float64)
 
 
 class TestProperties:
