@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass
@@ -435,8 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-1e5" or "-2.5,1" for an unknown option; no option
+    # here starts with a digit, so such a word is the previous option's value.
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"-\.?\d", argv[i]) and argv[i - 1].startswith("--"):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
         if args.command == "run":

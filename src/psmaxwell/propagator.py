@@ -14,18 +14,16 @@ invariant drift only at roundoff level.
 A state is one ``(6, N)`` array, which the transforms of
 :mod:`psmaxwell.spectral` take as it is, together with the grid.  A spectral
 state holds the half spectrum (the ``kx >= 0`` columns).  ``r1``, ``r2``
-depend on a mode only through ``|b|``, so :func:`step` evaluates them block
-by block on the z-planes with ``kz >= 0`` and reuses each block's factors
-on the mirror planes ``kz < 0``; no array of them is kept.
-:func:`propagate` returns its result in the representation it was given.
-On a spectral state it costs O(n_spectral) elementwise work (the factors
-on about half the modes, two per-mode cross products per field, each numpy
-call covering E and H together) written into a new spectrum, and no
-transform.  A physical state adds one batched
-real-to-complex transform of the six components before, and after it the
-Hermitian-plane check of :func:`psmaxwell.spectral.realize` and one
-batched complex-to-real transform whose samples are written over the
-stepped spectrum.
+depend on a mode only through ``|b|``, so :func:`step` evaluates them once
+per call on a table over the distinct mode norms, and each block of z-planes
+gathers its modes' factors from it.  :func:`propagate` returns its result in
+the representation it was given.  On a spectral state it costs O(n_spectral)
+elementwise work (two gathers from the tables, two per-mode cross products
+per field, each numpy call covering E and H together) written into a new
+spectrum, and no transform.  A physical state adds one batched real-to-complex
+transform of the six components before, and after it the Hermitian-plane
+check of :func:`psmaxwell.spectral.realize` and one batched complex-to-real
+transform whose samples are written over the stepped spectrum.
 """
 
 from __future__ import annotations
@@ -116,26 +114,6 @@ class FieldState:
         return tuple(self.data)
 
 
-def _plane_factors(
-    kappa: float, grid: GridSpec, planes: slice
-) -> tuple[np.ndarray, np.ndarray]:
-    """``r1``, ``r2`` at ``theta = |kappa| |b|`` on the half-spectrum z-planes ``planes``.
-
-    The wavenumber ladders at ``-m`` are bitwise minus those at ``m``, and
-    ``theta`` sees them only squared, so the formula runs on the y-rows with
-    ``ky >= 0`` and row ``n_y - m`` is gathered from row ``m``.  For the same
-    reason plane ``n_z - q`` gets the bits of plane ``q``.
-    """
-    n_y = grid.n_y
-    bx, by, bz = wavenumbers(grid)
-    by = by[: n_y // 2 + 1]
-    theta = np.sqrt(kappa * kappa * (bx * bx + by * by + bz[planes] * bz[planes]))
-    rows = np.minimum(np.arange(n_y), n_y - np.arange(n_y))
-    # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
-    r1 = -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
-    return r1[:, rows], np.sinc(theta / np.pi)[:, rows]
-
-
 @dataclass(frozen=True)
 class PropagatorCoefficients:
     """Per-mode closed-form flow coefficients for one time increment ``t``.
@@ -151,9 +129,8 @@ class PropagatorCoefficients:
     :func:`step` applies them as the cosine block
     ``C = I - kappa^2 r1 [b]x^2`` and the purely imaginary sine block
     ``S = i kappa r2 [b]x`` through per-mode cross products, without
-    materializing either block.  It builds the factors block by block of
-    z-planes as it goes, so the coefficients hold no array and are reusable
-    across any number of states.
+    materializing either block.  It tabulates the factors once per call, so
+    the coefficients hold no array and are reusable across any number of states.
     """
 
     grid: GridSpec
@@ -173,7 +150,7 @@ def build_coefficients(
     any factor is evaluated.  Modes whose wavenumber triple vanishes (the
     zero mode and Nyquist-zeroed corners) take the analytic limits
     ``r1 = -1/2, r2 = 1`` branch-free, and their 6x6 block degenerates to
-    the identity.  No array is built: :func:`step` evaluates the factors.
+    the identity.  No array is built: :func:`step` tabulates the factors.
     """
     if not math.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
@@ -185,6 +162,34 @@ def build_coefficients(
             f"= {kappa * kappa * b_sq_max} at t = {t}"
         )
     return PropagatorCoefficients(grid, medium, float(t), kappa)
+
+
+def _flow_tables(coeffs: PropagatorCoefficients) -> tuple[np.ndarray, ...]:
+    """Keys ``key_xy``, ``key_z`` and tables of ``rho = -kappa^2 r1`` (complex) and ``t r2``.
+
+    Mode ``(q, row, col)`` takes entry ``key_xy[row, col] + key_z[q]``.  On a
+    cube (``nu_x == nu_y == nu_z``) the key is ``M = mx^2 + my^2 + mz^2``,
+    with ``|b|^2 = nu^2 M``; otherwise it is the octant position
+    ``(|mz|, |my|, mx)``, with ``|b|^2`` formed as on the mode, whose ladders
+    at ``-m`` are minus those at ``m`` bit for bit.  A Nyquist mode's zero
+    wavenumber keys as ``m = 0``.
+    """
+    grid, kappa = coeffs.grid, coeffs.kappa
+    b, nu = wavenumbers(grid), (grid.nu_x, grid.nu_y, grid.nu_z)
+    mx, my, mz = (np.rint(np.abs(k) / n).astype(np.intp) for k, n in zip(b, nu))
+    if nu[0] == nu[1] == nu[2]:
+        key_xy, key_z = mx * mx + my * my, mz * mz
+        b_sq = nu[0] * nu[0] * np.arange(key_xy.max() + key_z.max() + 1)
+    else:
+        n_xh, n_yh = mx.size, grid.n_y // 2 + 1
+        key_xy, key_z = my * n_xh + mx, mz * (n_yh * n_xh)
+        bx, by, bz = b[0], b[1][:n_yh], b[2][: grid.n_z // 2 + 1]
+        b_sq = (bx * bx + by * by + bz * bz).ravel()
+    theta = np.sqrt(kappa * kappa * b_sq)
+    # np.sinc(x) = sin(pi x)/(pi x) with the removable singularity filled in.
+    r1 = -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    rho = ((-kappa * kappa) * r1).astype(np.complex128)
+    return key_xy, key_z, rho, coeffs.t * np.sinc(theta / np.pi)
 
 
 def step(
@@ -200,31 +205,28 @@ def step(
     returns the input bitwise.  The map is exactly unitary in the energy
     norm ``eps |E|^2 + mu |H|^2``, up to roundoff.
 
-    The spectrum is worked on block by block of the z-planes ``q`` with
-    ``kz >= 0``, in blocks that :func:`psmaxwell.spectral._for_slabs` cuts.
-    Each block evaluates ``r1``, ``r2`` on its planes once and applies them
-    there, then, reversed, to the mirror planes ``n_z - q`` for
-    ``0 < q < n_z/2``, which have the same factors bit for bit.  The
-    per-mode operations are those of the whole-array formula in the same
-    order, so the result does not depend on the block size or on which
-    thread runs the block.
+    The factors are evaluated once per call on tables over the distinct
+    mode norms.  The spectrum is worked on in blocks of z-planes that
+    :func:`psmaxwell.spectral._for_slabs` cuts, each of which gathers its
+    modes' factors from the tables.  The per-mode operations are those of
+    the whole-array formula in the same order, so the result does not
+    depend on the block size or on which thread runs the block.
 
     A block of E and H is one ``(2, 3, planes, n_y, n_x//2 + 1)`` view, so
     every cross product, double-curl component, factor and sine call covers
-    both fields at once: 27 numpy calls per block, each twice as long
-    as one field's, which is fewer hand-offs of the interpreter lock
-    between the pool's workers.  No strided stack is multiplied by an
-    operand numpy must cast: the x and y wavenumbers are complex planes
-    built once per step, the z ladder is complex, and the cosine factor is
-    made complex once per block; only the real sine factor is cast, in one
-    call per block on the contiguous curls.  ``_for_slabs`` runs the blocks
-    with numpy's ufunc buffers no longer than a plane, and gives each
-    slab's blocks one scratch of a block's size, viewed as complex, for
-    their curls ``b x E`` and ``b x H``.  The double curl is
-    formed one component of both fields at a time, in the output's own
-    component, or with ``overwrite`` in two more complex per mode of the
-    slab's scratch, so a worker's other temporaries are the two factors
-    and one product of a component of both fields.
+    both fields at once: 27 numpy calls per block, each twice as long as one
+    field's, which is fewer hand-offs of the interpreter lock between the
+    pool's workers.  No strided stack is multiplied by an operand numpy must
+    cast: the x and y wavenumbers are complex planes built once per step,
+    and the z ladder and the cosine factor's table are complex; only the
+    real sine factor is cast, in one call per block on the contiguous curls.
+    ``_for_slabs`` runs the blocks with numpy's ufunc buffers no longer than
+    a plane, and gives each slab's blocks one scratch of a block's size,
+    viewed as complex, for their curls ``b x E`` and ``b x H``.  The double
+    curl is formed one component of both fields at a time, in the output's
+    own component, or with ``overwrite`` in two more complex per mode of the
+    slab's scratch, so a worker's other temporaries are the two factors and
+    one product of a component of both fields.
 
     Each block is read from the input's spectrum and its result written to
     the output's.  By default the output is a new spectrum and the input is
@@ -251,10 +253,15 @@ def step(
     b_xy = [np.broadcast_to(k, (n_y, n_xh)).astype(np.complex128, order="C") for k in (kx, ky)]
     b_z = kz.astype(np.complex128)
     sine_units = np.array([-1j / medium.mu, 1j / medium.eps]).reshape(2, 1, 1, 1, 1)
+    key_xy, key_z, rho_table, sine_table = _flow_tables(coeffs)
 
-    def flow(block: slice, rho: np.ndarray, sine: np.ndarray, scratch: np.ndarray) -> None:
+    def flow(block: slice, scratch: np.ndarray) -> None:
+        index = key_xy + key_z[block]
+        rho, sine = rho_table.take(index), sine_table.take(index)
+        del index  # the slab's peak comes later, without it
         s, f = source[:, :, block], fields[:, :, block]
         b = (*b_xy, b_z[block])
+        scratch = scratch.view(np.complex128)
         curls = scratch[: s.size].reshape(s.shape)
         cross(b, s, curls)
         # C F = F + rho b x (b x F), one component at a time, formed in the
@@ -270,23 +277,9 @@ def step(
         curls *= sine_units
         f += curls[::-1]  # each field gets the other's scaled curl
 
-    def mirror_pair(planes: slice, scratch: np.ndarray) -> None:
-        scratch = scratch.view(np.complex128)
-        r1, r2 = _plane_factors(coeffs.kappa, grid, planes)
-        rho = ((-coeffs.kappa * coeffs.kappa) * r1).astype(np.complex128)
-        del r1  # the slab's peak comes later, without it
-        r2 *= coeffs.t
-        flow(planes, rho, r2, scratch)
-        # Planes 0 and n_z/2 are their own mirrors.
-        first, last = max(planes.start, 1), min(planes.stop, n_z // 2)
-        if first < last:
-            cut = slice(first - planes.start, last - planes.start)
-            mirror = slice(n_z - last + 1, n_z - first + 1)
-            flow(mirror, rho[cut][::-1], r2[cut][::-1], scratch)
-
     # Floats per mode of a block for the complex curls b x E, b x H and,
     # over the input, a double-curl component.
-    _for_slabs(mirror_pair, n_z // 2 + 1, fields.size, n_y * n_xh, 16 if overwrite else 12)
+    _for_slabs(flow, n_z, fields.size, n_y * n_xh, 16 if overwrite else 12)
     return replace(state, data=fields.reshape(6, -1), time=state.time + coeffs.t)
 
 

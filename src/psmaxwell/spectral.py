@@ -198,10 +198,10 @@ def cross(b: tuple, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     whose components are its fourth axis from the end; ``out`` has ``f``'s
     shape and must not overlap it.
     """
-    f, comps = np.moveaxis(f, -4, 0), np.moveaxis(out, -4, 0)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(b[j], f[k], out=comps[i])
-        comps[i] -= b[k] * f[j]
+        comp = out[..., i, :, :, :]
+        np.multiply(b[j], f[..., k, :, :, :], out=comp)
+        comp -= b[k] * f[..., j, :, :, :]
     return out
 
 

@@ -11,9 +11,13 @@ checked against; only tests use it.
 
 The flow-coefficient helpers at the end are the exception on purpose: they
 take a :class:`psmaxwell.PropagatorCoefficients` and read the package's own
-half-spectrum ``r1``, ``r2``, mirrored to the full mode layout, so the
-per-mode blocks checked against the series exponential are built from the
-package's numbers rather than from an independent evaluation.
+factors ``rho = -kappa^2 r1`` and ``t r2`` from its table, gathered onto the
+half spectrum or mirrored to the full mode layout, so the per-mode blocks
+checked against the series exponential are built from the package's
+numbers rather than from an independent evaluation.  Beside them,
+``direct_flow_factors`` evaluates the same factors by the closed form on
+every mode, as the package did before its table, and is the reference the
+table is checked against.
 
 The sample formulas and the error norms near the end are the package's
 earlier whole-array forms, kept as the references its factored, blocked
@@ -27,11 +31,13 @@ from __future__ import annotations
 import numpy as np
 
 from psmaxwell.grid import GridSpec
-from psmaxwell.propagator import _plane_factors, to_spectral
+from psmaxwell.propagator import _flow_tables, to_spectral
 from psmaxwell.spectral import cross, wavenumbers
 
 __all__ = [
     "broadcast_wavenumbers",
+    "direct_flow_factors",
+    "table_flow_factors",
     "full_flow_factors",
     "flow_blocks",
     "dense_diff_matrix",
@@ -189,16 +195,38 @@ def broadcast_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.nd
     return tuple(np.broadcast_to(b, grid.shape).ravel() for b in ladders)
 
 
-def full_flow_factors(coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """The package's ``r1``, ``r2`` mirrored to all ``n_total`` modes.
+def direct_flow_factors(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """``rho = -kappa^2 r1`` (complex) and ``t r2`` by the closed form on every half-spectrum mode.
 
-    They are :func:`psmaxwell.propagator._plane_factors` on every
-    half-spectrum z-plane.  Both depend on ``b_x`` only through ``b_x^2``,
-    so full column ``n_x - j`` repeats half-spectrum column ``j``.
+    ``theta`` is formed from each mode's own wavenumbers, ``r1`` and ``r2``
+    as in :class:`psmaxwell.PropagatorCoefficients`, and both are scaled
+    and cast as ``step`` applies them: flat arrays of ``n_spectral``.
+    """
+    kappa = coeffs.kappa
+    bx, by, bz = wavenumbers(coeffs.grid)
+    theta = np.sqrt(kappa * kappa * (bx * bx + by * by + bz * bz))
+    r1 = -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    rho = ((-kappa * kappa) * r1).astype(np.complex128)
+    return rho.ravel(), (coeffs.t * np.sinc(theta / np.pi)).ravel()
+
+
+def table_flow_factors(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The package's ``rho``, ``t r2``, gathered from its tables onto every half-spectrum mode."""
+    key_xy, key_z, rho, sine = _flow_tables(coeffs)
+    index = (key_xy + key_z).ravel()
+    return rho[index], sine[index]
+
+
+def full_flow_factors(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The package's ``rho``, ``t r2`` mirrored to all ``n_total`` modes.
+
+    They are :func:`table_flow_factors`.  Both depend on ``b_x`` only
+    through ``b_x^2``, so full column ``n_x - j`` repeats half-spectrum
+    column ``j``.
     """
     grid = coeffs.grid
     mirror = slice(grid.n_x // 2 - 1, 0, -1)
-    halves = _plane_factors(coeffs.kappa, grid, slice(None))
+    halves = (h.reshape(grid.spectral_shape) for h in table_flow_factors(coeffs))
     return tuple(np.concatenate([h, h[..., mirror]], axis=-1).ravel() for h in halves)
 
 
@@ -206,17 +234,18 @@ def flow_blocks(coeffs) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode cosine and sine blocks over the full flat mode layout.
 
     Returns ``C = I - kappa^2 r1 [b]x^2`` and ``S = i kappa r2 [b]x``, each
-    of shape ``(n_total, 3, 3)``, built from :func:`full_flow_factors`.
+    of shape ``(n_total, 3, 3)``, built from :func:`full_flow_factors`:
+    ``C = I + rho [b]x^2`` and ``kappa r2 = t r2 / sqrt(mu eps)``.
     """
     b = broadcast_wavenumbers(coeffs.grid)
     b_cross = np.zeros((coeffs.grid.n_total, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         b_cross[:, i, j] = -b[k]
         b_cross[:, j, i] = b[k]
-    r1, r2 = full_flow_factors(coeffs)
-    kappa = coeffs.kappa
-    cos = np.eye(3) - (kappa * kappa * r1)[:, None, None] * (b_cross @ b_cross)
-    sin = 1j * kappa * r2[:, None, None] * b_cross
+    rho, sine = full_flow_factors(coeffs)
+    kappa_r2 = sine / np.sqrt(coeffs.medium.mu * coeffs.medium.eps)
+    cos = np.eye(3) + rho.real[:, None, None] * (b_cross @ b_cross)
+    sin = 1j * kappa_r2[:, None, None] * b_cross
     return cos, sin
 
 

@@ -309,6 +309,23 @@ class TestMainEntry:
         assert first[0] == "traveling"
         assert float(first[6]) <= 1e-10  # linf column
 
+    @pytest.mark.parametrize(
+        "argv, times",
+        [
+            (["run", "--t-end", "-2.5,1"], [-2.5, 1.0]),
+            (["run", "--t-end", "-1e5"], [-1e5]),
+            (["drift", "--t-max", "-1e4", "--samples", "2"], [-5e3, -1e4]),
+        ],
+        ids=["t-end-list", "t-end-exponent", "t-max-exponent"],
+    )
+    def test_negative_time_as_its_own_word(self, capsys, argv, times):
+        # Not only as --t-end=-2.5,1: argparse alone reads these words as
+        # unknown options.
+        code = cli.main([argv[0], "--case", "standing", "--n", "8", *argv[1:]])
+        assert code == EXIT_OK
+        records = json.loads(capsys.readouterr().out)
+        assert [r["t_end" if argv[0] == "run" else "t"] for r in records] == times
+
     def test_config_file_with_overrides(self, tmp_path, capsys):
         path = write_config(
             tmp_path, {"case": "standing", "n_x": 8, "n_y": 8, "n_z": 8, "t_end": [7.0]}

@@ -22,7 +22,6 @@ from psmaxwell import (
     to_spectral,
 )
 from psmaxwell import propagator, spectral
-from psmaxwell.propagator import _plane_factors
 from psmaxwell.spectral import ImaginaryResidueError, cross, wavenumbers
 
 from conftest import (
@@ -36,8 +35,10 @@ from oracle import (
     broadcast_wavenumbers,
     dense_curl,
     dense_expm,
+    direct_flow_factors,
     flow_blocks,
     full_flow_factors,
+    table_flow_factors,
 )
 
 
@@ -64,39 +65,61 @@ def dense_evolution(state: FieldState, t: float) -> list[np.ndarray]:
     return e + h
 
 
-def half_flow_factors(coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """``step``'s ``r1``, ``r2`` over the whole flat half spectrum."""
-    return tuple(r.ravel() for r in _plane_factors(coeffs.kappa, coeffs.grid, slice(None)))
+# Unit roundoff: half an ulp of 1.
+_U = 2.0**-53
 
-
-def whole_array_flow_factors(kappa: float, grid) -> tuple[np.ndarray, np.ndarray]:
-    """``r1``, ``r2`` by the formula evaluated on every half-spectrum mode."""
-    bx, by, bz = wavenumbers(grid)
-    theta = np.sqrt(kappa * kappa * (bx * bx + by * by + bz * bz))
-    return -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2, np.sinc(theta / np.pi)
+# A box, so the tables are keyed by octant position, and a cube, keyed by
+# the integer M = mx^2 + my^2 + mz^2.
+_BOX = DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0)
+_CUBE = DomainSpec.cube(0.0, 1.0)
 
 
 class TestBuildCoefficients:
+    @pytest.mark.parametrize("domain", [_BOX, _CUBE], ids=["box", "cube"])
     @pytest.mark.parametrize(
         "counts", [(2, 4, 6), (32, 32, 32), (128, 64, 4)], ids=lambda c: "x".join(map(str, c))
     )
-    def test_mirrored_factors_match_whole_array_formula(self, counts):
-        # Only the ky >= 0 rows are evaluated; the mirrored copies must be
-        # the bits the formula gives there.  step's reuse of the kz >= 0
-        # planes' factors on their mirrors is checked against these in
-        # TestStep.
-        grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
+    def test_table_factors_match_whole_array_formula(self, domain, counts):
+        # Every mode's factors from the table against the closed form on
+        # the mode itself.  On a box the table holds the formula's bits.  On
+        # a cube theta is rounded from nu^2 M instead of the sum of three
+        # squares: the direct |b|^2 is within 5 ulps (each wavenumber and
+        # its square rounded, two additions), the table's within 2 (nu^2,
+        # times M), so with kappa^2 the same bits psi differs by at most 9
+        # ulps and theta = sqrt(psi) by 4.5 + 2 = 6.5.  np.sinc rounds its
+        # argument's scaling twice per path, so sin's argument y differs by
+        # at most 11 ulps of theta, sin(y) by 11 u theta, and sin(y) / y by
+        # 11 u + 11 u (y itself) + 2 u (sin and the division): 24 u, with
+        # |sinc| <= 1.  Then r1 = -sinc^2 / 2 is within 24 u + 2 u, rho =
+        # -kappa^2 r1 within 27 u kappa^2 and t r2 within 25 u |t|.
+        grid = build_grid(domain, *counts)
         medium = MediumParams(mu=2.0, eps=0.5)
         for t in (0.0, 1.3, -2.6, 6130.0, -3e5):
             c = build_coefficients(grid, medium, t)
-            r1, r2 = whole_array_flow_factors(c.kappa, grid)
-            np.testing.assert_array_equal(half_flow_factors(c), (r1.ravel(), r2.ravel()))
+            rho, sine = table_flow_factors(c)
+            rho_ref, sine_ref = direct_flow_factors(c)
+            assert rho.dtype == np.complex128 and sine.dtype == np.float64
+            if domain is _BOX:
+                np.testing.assert_array_equal(rho, rho_ref)
+                np.testing.assert_array_equal(sine, sine_ref)
+            else:
+                assert np.max(np.abs(rho - rho_ref)) <= 27 * _U * c.kappa**2
+                assert np.max(np.abs(sine - sine_ref)) <= 25 * _U * abs(t)
+
+    def test_cube_table_has_one_entry_per_norm(self):
+        # 3 (n/2 - 1)^2 + 1 entries at 32^3, the Nyquist modes keyed to 0.
+        grid = build_grid(_CUBE, 32, 32, 32)
+        key_xy, key_z, rho, sine = propagator._flow_tables(
+            build_coefficients(grid, MediumParams(), 1.3)
+        )
+        assert rho.shape == sine.shape == (3 * 15**2 + 1,)
+        assert key_xy[grid.n_y // 2, grid.n_x // 2] == key_z[grid.n_z // 2] == 0
 
     def test_zero_time_is_identity(self, grid4):
         c = build_coefficients(grid4, MediumParams(), 0.0)
-        r1, r2 = half_flow_factors(c)
-        np.testing.assert_array_equal(r1, -0.5)
-        np.testing.assert_array_equal(r2, 1.0)
+        rho, sine = table_flow_factors(c)
+        np.testing.assert_array_equal(rho, 0.0)
+        np.testing.assert_array_equal(sine, 0.0)
         cos, sin = flow_blocks(c)
         np.testing.assert_array_equal(cos[:, 0, 0], 1.0)
         np.testing.assert_array_equal(cos[:, 1, 1], 1.0)
@@ -106,8 +129,9 @@ class TestBuildCoefficients:
             np.testing.assert_array_equal(sin[:, i, j], 0.0)
 
     def test_theta_pi_mode(self, grid4):
-        # Mode b = (1, 0, 0) with kappa = pi: theta = pi, sin(pi) = 0.
-        # r1 lives on the half spectrum, the sine blocks on the full layout.
+        # Mode b = (1, 0, 0) with kappa = pi: theta = pi, sin(pi) = 0, and
+        # rho = -kappa^2 r1 = 2.  rho lives on the half spectrum, the sine
+        # blocks on the full layout.
         c = build_coefficients(grid4, MediumParams(), np.pi)
         m = np.ravel_multi_index((0, 0, 1), grid4.shape)
         half = np.ravel_multi_index((0, 0, 1), grid4.spectral_shape)
@@ -115,7 +139,7 @@ class TestBuildCoefficients:
         assert abs(sin[m, 0, 1]) < 1e-15
         assert abs(sin[m, 0, 2]) < 1e-15
         assert abs(sin[m, 1, 2]) < 1e-15
-        assert half_flow_factors(c)[0][half] == pytest.approx(-2.0 / np.pi**2, rel=1e-14)
+        assert table_flow_factors(c)[0][half] == pytest.approx(2.0, rel=1e-14)
 
     def test_zero_wavenumber_modes_get_identity_block(self, grid4):
         c = build_coefficients(grid4, MediumParams(), 3.7)
@@ -153,18 +177,18 @@ class TestBuildCoefficients:
             np.testing.assert_allclose(sin[m], sin_ref, rtol=0, atol=1e-12)
 
     def test_half_layout_matches_full_accessors(self):
-        # r1/r2 cover the half spectrum; mirrored to the full mode layout they
-        # equal the closed forms evaluated there directly.
-        grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 6, 4, 2)
+        # rho and t r2 cover the half spectrum; mirrored to the full mode
+        # layout they equal the closed forms evaluated there directly.
+        grid = build_grid(_BOX, 6, 4, 2)
         c = build_coefficients(grid, MediumParams(mu=2.0, eps=0.5), 0.9)
-        r1, r2 = half_flow_factors(c)
-        assert r1.shape == r2.shape == (grid.n_spectral,)
+        rho, sine = table_flow_factors(c)
+        assert rho.shape == sine.shape == (grid.n_spectral,)
         b_x, b_y, b_z = broadcast_wavenumbers(grid)
         theta = np.sqrt(c.kappa**2 * (b_x**2 + b_y**2 + b_z**2))
-        r1, r2 = full_flow_factors(c)
+        rho, sine = full_flow_factors(c)
         r1_ref = -0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
-        np.testing.assert_allclose(r1, r1_ref, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(r2, np.sinc(theta / np.pi), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rho, -c.kappa**2 * r1_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sine, c.t * np.sinc(theta / np.pi), rtol=0, atol=1e-15)
 
     def test_non_finite_time_rejected(self, grid4):
         with pytest.raises(ValueError, match="finite"):
@@ -222,8 +246,12 @@ class TestBuildCoefficients:
         assert np.max(np.abs(bx * s13 - by * s23)) <= tol
 
 
-def whole_array_step(state: FieldState, coeffs) -> np.ndarray:
-    """The flow of ``step`` as one whole-array formula, in the same operation order."""
+def whole_array_step(state: FieldState, coeffs, factors=table_flow_factors) -> np.ndarray:
+    """The flow of ``step`` as one whole-array formula, in the same operation order.
+
+    ``factors(coeffs)`` gives ``rho`` and ``t r2`` on the flat half
+    spectrum: by default the package's table, gathered onto every mode.
+    """
     shape = state.grid.spectral_shape
     b = wavenumbers(state.grid)
     fields = state.data.reshape((6,) + shape)
@@ -233,10 +261,10 @@ def whole_array_step(state: FieldState, coeffs) -> np.ndarray:
     out = np.empty_like(fields)
     cross(b, curls[:3], out[:3])
     cross(b, curls[3:], out[3:])
-    r1, r2 = _plane_factors(coeffs.kappa, state.grid, slice(None))
-    out *= (-coeffs.kappa * coeffs.kappa) * r1
+    rho, sine = (f.reshape(shape) for f in factors(coeffs))
+    out *= rho
     out += fields
-    curls *= coeffs.t * r2
+    curls *= sine
     curls[:3] *= -1j / state.medium.mu
     curls[3:] *= 1j / state.medium.eps
     out[:3] += curls[3:]
@@ -247,17 +275,15 @@ def whole_array_step(state: FieldState, coeffs) -> np.ndarray:
 class TestStep:
     @pytest.mark.parametrize("counts", [(32, 32, 32), (128, 64, 4)])
     def test_blocks_match_whole_array_formula(self, counts, rng):
-        # step walks the n_z/2 + 1 planes with kz >= 0, each block with its
-        # mirror planes.  32^3 has 544 modes per z-plane: several planes per
-        # block and a ragged last block, which holds the Nyquist plane.
+        # step walks all n_z planes in order.  32^3 has 544 modes per
+        # z-plane: several planes per block and a ragged last block.
         # 128 x 64 x 4 has 4160 modes per plane, more than one block holds,
         # so each block is a single plane.
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), *counts)
         plane = grid.n_y * grid.spectral_shape[-1]
         planes = max(1, spectral._BLOCK_MODES // plane)
         if counts == (32, 32, 32):
-            hz = grid.n_z // 2 + 1
-            assert 1 < planes < hz and hz % planes != 0
+            assert 1 < planes < grid.n_z and grid.n_z % planes != 0
         else:
             assert plane > spectral._BLOCK_MODES
         medium = MediumParams(mu=2.0, eps=0.5)
@@ -287,17 +313,18 @@ class TestStep:
     @pytest.mark.parametrize("t", [0.0, 1.3, -7.9])
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_pooled_blocks_match_whole_array_formula(self, workers, rng, n, t, overwrite):
-        # An anisotropic box of 1000 modes per plane, in blocks of 4 planes
-        # on the calling thread and of up to 16 in each of the pool's slabs,
-        # which are shorter, so each slab is one block, against the
-        # formula's bits, signed zeros included.
+        # An anisotropic box of 1000 modes per plane and 36 planes, in
+        # blocks of 4 planes on the calling thread and of up to 16 in each
+        # of the pool's slabs: two blocks in each 18-plane slab of 2
+        # workers, one in each shorter slab of 4, against the formula's
+        # bits, signed zeros included.
         grid = build_grid(DomainSpec(0.0, 1.0, 0.0, 2.0, 0.0, 3.0), 48, 40, 36)
         medium = MediumParams(mu=2.0, eps=0.5)
         state = to_spectral(random_band_limited_state(grid, rng, medium))
         coeffs = build_coefficients(grid, medium, t)
         expected = whole_array_step(state, coeffs)
         workers(n)
-        bounds = spectral._slab_bounds(grid.n_z // 2 + 1, state.data.size)
+        bounds = spectral._slab_bounds(grid.n_z, state.data.size)
         assert len(bounds) == n + 1
         if overwrite:
             state = FieldState(grid, medium, state.data.copy())
@@ -305,10 +332,54 @@ class TestStep:
             propagator, lambda: step(state, coeffs, overwrite=overwrite)
         )
         if n == 1:
-            assert blocks == [(0, 4), (4, 8), (8, 12), (12, 16), (16, 19)]
+            assert blocks == [(q, q + 4) for q in range(0, 36, 4)]
         else:
-            assert blocks == list(zip(bounds, bounds[1:]))
+            slabs = zip(bounds, bounds[1:])
+            assert blocks == [(q, min(q + 16, hi)) for lo, hi in slabs for q in range(lo, hi, 16)]
         np.testing.assert_array_equal(out.data.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize(
+        "domain, counts",
+        [(_CUBE, (8, 8, 8)), (_CUBE, (64, 64, 64)), (_CUBE, (32, 16, 8)),
+         (_BOX, (8, 8, 8)), (_BOX, (64, 48, 32))],
+        ids=["cube-8", "cube-64", "cube-32x16x8", "box-8", "box-64x48x32"],
+    )
+    def test_matches_direct_factors_within_theta_roundoff(self, workers, rng, domain, counts, n):
+        # Against the whole-array formula with the factors evaluated on
+        # every mode directly.  On a box the table holds those bits.  On a
+        # cube the two paths round theta differently, so they differ by
+        # what theta's roundoff moves, not by a few ulps of F.  In the
+        # impedance-scaled fields (sqrt(eps) E, sqrt(mu) H) the flow
+        # rotates each mode by theta, and step's factors are rotations by
+        # the argument np.sinc passes to sin.  By the count in
+        # test_table_factors_match_whole_array_formula: |Delta sinc| <= 24 u
+        # and |sinc(theta/2)| <= 2/theta give |Delta r1| theta^2 <= 52 u theta
+        # for the cosine part, |Delta r2| theta <= 25 u theta for the sine
+        # part; both parts then round their product and sum (<= 10 u |F|).
+        # So each mode's scaled change is at most u (77 theta + 10) times
+        # its scaled norm: the scale 2^-53 theta |F| of theta's roundoff,
+        # with the constant of this count.
+        grid = build_grid(domain, *counts)
+        workers(n)
+        for medium in (MediumParams(), MediumParams(mu=2.0, eps=0.5)):
+            state = to_spectral(random_band_limited_state(grid, rng, medium))
+            for t in (1.3, -3e5):
+                coeffs = build_coefficients(grid, medium, t)
+                out = step(state, coeffs).data
+                expected = whole_array_step(state, coeffs, direct_flow_factors)
+                if domain is _BOX:
+                    np.testing.assert_array_equal(out, expected)
+                    continue
+                kx, ky, kz = wavenumbers(grid)
+                theta = abs(coeffs.kappa) * np.sqrt(kx * kx + ky * ky + kz * kz).ravel()
+                scale = np.sqrt([medium.eps, medium.mu]).reshape(2, 1, 1)
+
+                def scaled_norm(data):
+                    return np.linalg.norm(scale * data.reshape(2, 3, -1), axis=(0, 1))
+
+                bound = _U * (77 * theta + 10) * scaled_norm(state.data)
+                assert np.all(scaled_norm(out - expected) <= bound)
 
     def test_zero_time_is_bitwise_identity(self, grid4, rng):
         # Bitwise for a non-unit medium too: step applies the flow unscaled.
@@ -528,8 +599,11 @@ class TestPropagate:
         # factor (1 real), and a product of one component of both fields,
         # subtracted from another formed in the output (2 complex).  The
         # buffer term has room for numpy's ufunc buffers, which step keeps
-        # no longer than a plane, and for the two complex wavenumber planes
-        # the slabs share (66 KiB here).
+        # no longer than a plane, and with the last term for what the slabs
+        # share: the two complex wavenumber planes (66 KiB here) and the
+        # factor tables with their keys (84 KiB: 24 B for each of 2884
+        # distinct norms, and a plane of int keys).  The gathers' int index
+        # is dropped before a block's flow runs.
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
         state = to_spectral(random_band_limited_state(grid, rng))
         workers(n)
@@ -540,7 +614,7 @@ class TestPropagate:
         planes = max(stop - start for start, stop in blocks)
         modes = planes * grid.n_y * grid.spectral_shape[-1]
         per_worker = modes * (9 * 16 + 8) + np.getbufsize() * 16
-        slabs = len(spectral._slab_bounds(grid.n_z // 2 + 1, state.data.size)) - 1
+        slabs = len(spectral._slab_bounds(grid.n_z, state.data.size)) - 1
         bound = state.data.nbytes + slabs * per_worker + (64 << 10)
         tracemalloc.start()
         try:
