@@ -19,14 +19,15 @@ back and forth.
 ``run`` and ``convergence`` then transform it back with
 :func:`psmaxwell.propagator.to_physical` for the solution errors; a
 record's ``wall_seconds`` covers the coefficients, the flow, the
-Hermitian-plane check and the inverse transform, not the initial transform
-or the invariants.  ``drift`` makes no six-field inverse transform.  Each
-record is built by its own helper, so a record's states are freed before
-the next time is reached.  A record's invariants and drifts are
-written field by field from :class:`~psmaxwell.diagnostics.InvariantReport`
-and :class:`~psmaxwell.diagnostics.InvariantDrifts`, in their declared
-order, so those two classes alone list the invariants; floats are written
-to 16 significant digits.
+Hermitian-plane check and the inverse transform, not the initial transform,
+the invariants or the errors.  ``drift`` makes no six-field inverse
+transform.  Each record is built by its own helper, so a record's states
+are freed before the next time is reached.  A record's invariants and
+drifts are written field by field from
+:class:`~psmaxwell.diagnostics.InvariantReport` and
+:class:`~psmaxwell.diagnostics.InvariantDrifts`, in their declared order,
+so those two classes alone list the invariants; floats are written to 16
+significant digits.
 
 Configuration comes from a JSON file plus flag overrides; unknown config
 fields are rejected.  Exit codes: 0 success, 2 configuration error,
@@ -45,13 +46,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .analytic import AnalyticCase, StandingWave, TravelingWave, sample_initial
-from .diagnostics import (
-    ErrorReport,
-    InvariantReport,
-    error_norms,
-    invariant_report,
-    relative_change,
-)
+from .diagnostics import InvariantReport, error_norms, invariant_report, relative_change
 from .grid import DomainSpec, build_grid
 from . import propagator
 from .propagator import FieldState, MediumParams, propagate, to_spectral
@@ -230,23 +225,11 @@ def _start(config: RunConfig) -> tuple[AnalyticCase, FieldState, InvariantReport
     return case, initial, invariant_report(initial)
 
 
-def _propagated(initial: FieldState, t_end: float) -> tuple[FieldState, float]:
-    """The stepped spectrum at ``t_end`` and the wall time of reaching it."""
+def _timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the wall time of the call."""
     start = time.perf_counter()
-    stepped = propagate(initial, t_end)
-    return stepped, time.perf_counter() - start
-
-
-def _realized(
-    stepped: FieldState, case: AnalyticCase
-) -> tuple[FieldState, float, ErrorReport]:
-    """The physical state of ``stepped``, the wall time of the inverse transform
-    and the state's errors; ``stepped`` is overwritten."""
-    start = time.perf_counter()
-    # Called through the module: the benchmark's tracer binds
-    # psmaxwell.propagator.to_physical, so a name imported here would be untraced.
-    final = propagator.to_physical(stepped, overwrite=True)
-    return final, time.perf_counter() - start, error_norms(final, case)
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start
 
 
 def run_records(config: RunConfig) -> list[dict]:
@@ -262,10 +245,12 @@ def _run_record(
     before: InvariantReport,
     t_end: float,
 ) -> dict:
-    stepped, step_seconds = _propagated(initial, t_end)
+    stepped, step_seconds = _timed(propagate, initial, t_end)
     after = invariant_report(stepped)
-    final, inverse_seconds, errors = _realized(stepped, case)
-    wall_seconds = step_seconds + inverse_seconds
+    # Called through the module: the benchmark's tracer binds
+    # psmaxwell.propagator.to_physical, so a name imported here would be untraced.
+    final, inverse_seconds = _timed(propagator.to_physical, stepped, overwrite=True)
+    errors = error_norms(final, case)
     drifts = relative_change(before, after)
     axis = config.report_axis - 1
     return {
@@ -278,7 +263,7 @@ def _run_record(
         "l2": _sig16(errors.l2),
         "linf": _sig16(errors.linf),
         "component_linf": _json(errors.component_linf),
-        "wall_seconds": _sig16(wall_seconds),
+        "wall_seconds": _sig16(step_seconds + inverse_seconds),
         "invariants_initial": _json(before),
         "invariants_final": _json(after),
         "drifts": _json(drifts),
@@ -362,16 +347,16 @@ def convergence_records(config: RunConfig, n_list: list[int]) -> list[dict]:
 def _convergence_record(
     config: RunConfig, case: AnalyticCase, initial: FieldState, t_end: float, note: str
 ) -> dict:
-    stepped, step_seconds = _propagated(initial, t_end)
-    _, inverse_seconds, errors = _realized(stepped, case)
-    wall_seconds = step_seconds + inverse_seconds
+    stepped, step_seconds = _timed(propagate, initial, t_end)
+    final, inverse_seconds = _timed(propagator.to_physical, stepped, overwrite=True)
+    errors = error_norms(final, case)
     return {
         "case": config.case,
         "n": initial.grid.n_x,
         "t_end": _sig16(t_end),
         "l2": _sig16(errors.l2),
         "linf": _sig16(errors.linf),
-        "wall_seconds": _sig16(wall_seconds),
+        "wall_seconds": _sig16(step_seconds + inverse_seconds),
         "note": note,
     }
 

@@ -117,13 +117,6 @@ __all__ = [
 # absolute drifts: the relative error of a roundoff-scale quantity is noise.
 NEAR_ZERO_ABS = 1e-12
 
-def _parseval_weights(state: FieldState) -> np.ndarray:
-    """Per-x-column multiplicity of the half spectrum in the full Parseval sum."""
-    w = np.full(state.grid.spectral_shape[-1], 2.0)
-    w[0] = w[-1] = 1.0  # kx = 0 and kx = n_x/2 are self-conjugate
-    return w
-
-
 def spectral_time_derivative(state: FieldState) -> FieldState:
     """Time derivatives of all six components via the spectral curls.
 
@@ -131,13 +124,10 @@ def spectral_time_derivative(state: FieldState) -> FieldState:
     exact spectral derivatives and returns a state in the representation of
     the input.  The returned ``time`` matches the input state.
     """
-    s = to_spectral(state).data.reshape((6,) + state.grid.spectral_shape)
-    b = wavenumbers(state.grid)
-    rates = np.empty_like(s)
-    cross(b, s[3:], rates[:3])
-    rates[:3] *= 1j / state.medium.eps
-    cross(b, s[:3], rates[3:])
-    rates[3:] *= -1j / state.medium.mu
+    # E, then H, as in step: each field's rate is the other's curl, scaled.
+    s = to_spectral(state).data.reshape((2, 3) + state.grid.spectral_shape)
+    rates = cross(wavenumbers(state.grid), s[::-1], np.empty_like(s))
+    rates *= np.array([1j / state.medium.eps, -1j / state.medium.mu]).reshape(2, 1, 1, 1, 1)
     deriv = FieldState(state.grid, state.medium, rates.reshape(6, -1), time=state.time)
     if state.representation == PHYSICAL:
         return to_physical(deriv, overwrite=True)
@@ -210,7 +200,10 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
     s = np.ascontiguousarray(to_spectral(state).data).reshape((6,) + grid.spectral_shape)
     n_z, n_y, n_xh = grid.spectral_shape
     bx, by, bz = wavenumbers(grid)
-    w = _parseval_weights(state)
+    # Each x-column's multiplicity in the full Parseval sum: the columns
+    # kx = 0 and kx = n_x/2 are self-conjugate.
+    w = np.full(n_xh, 2.0)
+    w[0] = w[-1] = 1.0
     # Whole planes of b_x and b_y, so that products with a block coalesce,
     # and their values for each float (real and imaginary part) of a mode.
     b_x = np.broadcast_to(bx, (n_y, n_xh)).copy()
@@ -306,30 +299,27 @@ def _report(state: FieldState) -> tuple[InvariantReport, np.ndarray]:
         z_moments = moments[..., :1] * bz * bz, moments[..., :1] * bz
         moments = np.concatenate([moments, *z_moments], axis=2)
         sums = (np.sum(moments, axis=0) / grid.n_total ** 2).tolist()
-    # Per field, M(g) for g = 1, bx^2, bx, by^2, by, bz^2, bz.  In order:
-    # e1, e3 (3), e2, e4 (3), m1 (3), h1 and mu eps h2.
+    # Per field, M(g) for g = 1, bx^2, bx, by^2, by, bz^2, bz.
     energy, rate_energy, momentum, helicity = sums
-    totals = [
-        energy[0], *energy[1::2], rate_energy[0], *rate_energy[1::2], *momentum[2::2],
-        helicity[0], sum(helicity[1::2]),
-    ]
+    e3, e4, m1 = tuple(energy[1::2]), tuple(rate_energy[1::2]), tuple(momentum[2::2])
+    mu_eps_h2 = sum(helicity[1::2])
+    totals = (energy[0], rate_energy[0], helicity[0], mu_eps_h2, *e3, *e4, *m1)
     if not all(map(math.isfinite, totals)):
         # Every weight of e1 is at least 1, so a non-finite mode shows there.
         if not np.isfinite(s).all():
             raise ImaginaryResidueError("non-finite mode in the state's spectrum")
         raise ImaginaryResidueError("non-finite invariant: the state's squared modes overflow")
     div_fields = dft3_inverse(grid, div.reshape(2, -1), overwrite=True)
-    m1 = tuple(totals[8:11])
     report = InvariantReport(
         time=state.time,
-        e1=totals[0],
-        e2=totals[4],
-        e3=tuple(totals[1:4]),
-        e4=tuple(totals[5:8]),
+        e1=energy[0],
+        e2=rate_energy[0],
+        e3=e3,
+        e4=e4,
         e5=(0.0, 0.0, 0.0),
         e6=(0.0, 0.0, 0.0),
-        h1=totals[11],
-        h2=totals[12] / (mu * eps),
+        h1=helicity[0],
+        h2=mu_eps_h2 / (mu * eps),
         m1=m1,
         # 0.0 - m rather than -m keeps an exactly zero momentum unsigned.
         m2=tuple(0.0 - m for m in m1),

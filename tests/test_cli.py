@@ -6,6 +6,7 @@ import json
 import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -481,6 +482,43 @@ class TestMainEntry:
         monkeypatch.setattr(propagator, "to_physical", recording_to_physical)
         assert cli.main(argv) == EXIT_OK
         assert overwrites == [True] * calls
+
+    @pytest.mark.parametrize(
+        "argv, records",
+        [
+            (["run", "--case", "standing", "--n", "8", "--t-end", "1,2,3"], 3),
+            (["convergence", "--case", "traveling", "--n-list", "4,8",
+              "--t-end", "1,2"], 4),
+        ],
+        ids=["run", "convergence"],
+    )
+    def test_wall_seconds_time_propagate_and_the_inverse(
+        self, monkeypatch, capsys, argv, records
+    ):
+        # cli's clock moves only when a stub returns, each by its own power
+        # of two, so a record's wall_seconds names the calls it spans:
+        # propagate (1) and to_physical (2), not the report (4) or the
+        # errors (8).
+        now = [0.0]
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+        def advance(module, name, seconds):
+            fn = getattr(module, name)
+
+            def call(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                now[0] += seconds
+                return result
+
+            monkeypatch.setattr(module, name, call)
+
+        advance(cli, "propagate", 1.0)
+        advance(propagator, "to_physical", 2.0)
+        advance(cli, "invariant_report", 4.0)
+        advance(cli, "error_norms", 8.0)
+        assert cli.main(argv) == EXIT_OK
+        walls = [r["wall_seconds"] for r in json.loads(capsys.readouterr().out)]
+        assert walls == [3.0] * records
 
     def test_drift_steps_each_sample_with_no_six_field_inverse(self, monkeypatch, capsys):
         step, times = propagator.step, []

@@ -597,13 +597,13 @@ class TestPropagate:
         # temporaries, for E and H together: the curls scratch (6 complex
         # per mode), the complex cosine factor (1 complex), the scaled sine
         # factor (1 real), and a product of one component of both fields,
-        # subtracted from another formed in the output (2 complex).  The
-        # buffer term has room for numpy's ufunc buffers, which step keeps
-        # no longer than a plane, and with the last term for what the slabs
-        # share: the two complex wavenumber planes (66 KiB here) and the
-        # factor tables with their keys (84 KiB: 24 B for each of 2884
-        # distinct norms, and a plane of int keys).  The gathers' int index
-        # is dropped before a block's flow runs.
+        # subtracted from another formed in the output (2 complex); and one
+        # complex plane, room for numpy's ufunc buffers, which step keeps no
+        # longer than a plane, and for the slab's array views.  The slabs
+        # share the two complex wavenumber planes (66 KiB here) and the
+        # factor tables with their keys (85 KiB: 24 B for each norm
+        # M = 0..2883, and a plane of int keys), counted from the tables.
+        # The gathers' int index is dropped before a block's flow runs.
         grid = build_grid(DomainSpec.cube(0.0, 1.0), 64, 64, 64)
         state = to_spectral(random_band_limited_state(grid, rng))
         workers(n)
@@ -612,10 +612,12 @@ class TestPropagate:
             propagator, lambda: to_physical(propagate(state, 1.3), overwrite=True)
         )
         planes = max(stop - start for start, stop in blocks)
-        modes = planes * grid.n_y * grid.spectral_shape[-1]
-        per_worker = modes * (9 * 16 + 8) + np.getbufsize() * 16
+        plane = grid.n_y * grid.spectral_shape[-1]
+        per_worker = (planes * (9 * 16 + 8) + 16) * plane
         slabs = len(spectral._slab_bounds(grid.n_z, state.data.size)) - 1
-        bound = state.data.nbytes + slabs * per_worker + (64 << 10)
+        tables = propagator._flow_tables(build_coefficients(grid, state.medium, 1.3))
+        shared = 2 * 16 * plane + sum(table.nbytes for table in tables)
+        bound = state.data.nbytes + slabs * per_worker + shared
         tracemalloc.start()
         try:
             to_physical(propagate(state, 1.3), overwrite=True)
